@@ -77,35 +77,59 @@ def place_blockers(cfg, room, pose, rng):
     return blockers
 
 
-def _segment_prism_hits(a, b, blocker):
-    """Vectorized slab test of segments a->b against one prism.
+#: Padding of the culling boxes, m. The slab test rounds at the 1e-15 m
+#: level for room-scale coordinates, so no segment it reports as blocked
+#: can lie this far outside a box.
+_CULL_MARGIN = 1e-9
+
+
+def _prism_frames(blockers):
+    """Per-blocker slab parameters as arrays over the blocker list.
+
+    Returns (cos, sin, center, lo, hi): cos/sin of each facing (m,),
+    footprint centers (m, 2) and the prism box corners in its own frame
+    (m, 3), u along the facing, v across it, z unchanged.
+    """
+    # One scalar cos/sin per blocker: a vectorized cos may round
+    # differently, and a prism's hits must not depend on its neighbours.
+    cos, sin = [], []
+    for blocker in blockers:
+        phi = np.deg2rad(blocker.facing_deg)
+        cos.append(np.cos(phi))
+        sin.append(np.sin(phi))
+    center = np.array([blocker.center for blocker in blockers], dtype=float)
+    lo = np.array([(-blocker.width / 2, -blocker.length / 2, 0.0)
+                   for blocker in blockers])
+    hi = np.array([(blocker.width / 2, blocker.length / 2, blocker.height)
+                   for blocker in blockers])
+    return np.array(cos), np.array(sin), center, lo, hi
+
+
+def _segment_prism_hits(a, b, cos, sin, center, lo, hi):
+    """Slab test of segment rows a->b against prism rows.
 
     Args:
         a, b: (n, 3) segment endpoints.
+        cos, sin, center, lo, hi: row i's prism, as rows of
+            _prism_frames.
 
     Returns:
         (n,) bool; True where the open segment (a, b) meets the closed
         prism volume. Touching only at an endpoint does not count.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    phi = np.deg2rad(blocker.facing_deg)
-    c, s = np.cos(phi), np.sin(phi)
-    # Local frame: u along facing, v across, z unchanged.
-    cx, cy = blocker.center
+    cx, cy = center[..., 0], center[..., 1]
 
     def to_local(p):
         dx = p[:, 0] - cx
         dy = p[:, 1] - cy
-        return np.stack([c * dx + s * dy, -s * dx + c * dy, p[:, 2]], axis=1)
+        return np.stack([cos * dx + sin * dy, -sin * dx + cos * dy, p[:, 2]],
+                        axis=1)
 
     p0 = to_local(a)
     p1 = to_local(b)
     d = p1 - p0
-    lo = np.array([-blocker.width / 2, -blocker.length / 2, 0.0])
-    hi = np.array([blocker.width / 2, blocker.length / 2, blocker.height])
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t1 = (lo - p0) / d
         t2 = (hi - p0) / d
     tmin = np.minimum(t1, t2)
@@ -127,30 +151,77 @@ def segment_blocked(a, b, blocker):
     b = np.asarray(b, dtype=float)
     if np.array_equal(a, b):
         raise ValueError("segment endpoints must differ")
-    return bool(_segment_prism_hits(a[None, :], b[None, :], blocker)[0])
+    return bool(segments_blocked(a[None, :], b[None, :], [blocker])[0])
 
 
 def segments_blocked(a, b, blockers):
-    """(n,) bool: which of n segments any of the blockers occludes."""
+    """(n,) bool: which of n segments any of the blockers occludes.
+
+    Only (segment, prism) pairs that can meet go through the slab test.
+    Segments lying wholly above the tallest prism are dropped; the rest
+    are clipped to that height, and the xy bounding box of each clipped
+    segment is compared with each prism's footprint box. Both boxes are
+    padded by _CULL_MARGIN, so the result equals the slab test of every
+    pair.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
     hit = np.zeros(a.shape[0], dtype=bool)
-    for blocker in blockers:
-        hit |= _segment_prism_hits(a, b, blocker)
+    if not blockers:
+        return hit
+    cos, sin, center, lo, hi = _prism_frames(blockers)
+
+    top = hi[:, 2].max() + _CULL_MARGIN
+    seg = np.flatnonzero((a[:, 2] <= top) | (b[:, 2] <= top))
+    ax, ay, az = a[seg].T
+    bx, by, bz = b[seg].T
+    # Move an endpoint above `top` to where the segment crosses that
+    # height (the other endpoint is below it).
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        frac = (top - az) / (bz - az)
+        x_top = ax + frac * (bx - ax)
+        y_top = ay + frac * (by - ay)
+    a_high = az > top
+    b_high = bz > top
+    ax = np.where(a_high, x_top, ax)
+    ay = np.where(a_high, y_top, ay)
+    bx = np.where(b_high, x_top, bx)
+    by = np.where(b_high, y_top, by)
+
+    # Axis-aligned box around each rotated footprint rectangle, padded
+    # for both boxes.
+    abs_c, abs_s = np.abs(cos), np.abs(sin)
+    ex = abs_c * hi[:, 0] + abs_s * hi[:, 1] + 2 * _CULL_MARGIN
+    ey = abs_s * hi[:, 0] + abs_c * hi[:, 1] + 2 * _CULL_MARGIN
+    near = ((np.minimum(ax, bx)[:, None] <= center[:, 0] + ex)
+            & (np.maximum(ax, bx)[:, None] >= center[:, 0] - ex)
+            & (np.minimum(ay, by)[:, None] <= center[:, 1] + ey)
+            & (np.maximum(ay, by)[:, None] >= center[:, 1] - ey))
+
+    si, bi = np.nonzero(near)
+    si = seg[si]
+    hits = _segment_prism_hits(a[si], b[si], cos[bi], sin[bi], center[bi],
+                               lo[bi], hi[bi])
+    hit[si[hits]] = True
     return hit
 
 
-def blockage_mask(tx_positions, rx_positions, blockers):
+def blockage_mask(tx_positions, rx_positions, blockers, where=None):
     """Occlusion matrix over all transmitter-receiver pairs.
 
     Entry (i, j) is True when any blocker cuts the segment from
-    transmitter j to receiver i.
+    transmitter j to receiver i. With a boolean (n_rx, n_tx) `where`,
+    only the pairs it marks are tested and the others read False; a
+    caller zeroing blocked gains passes `gain > 0`.
     """
     tx = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     if tx.size == 0 or rx.size == 0:
         raise ValueError("position lists must be nonempty")
-    n_tx = tx.shape[0]
-    n_rx = rx.shape[0]
-    a = np.tile(tx, (n_rx, 1))
-    b = np.repeat(rx, n_tx, axis=0)
-    return segments_blocked(a, b, blockers).reshape(n_rx, n_tx)
+    shape = (rx.shape[0], tx.shape[0])
+    if where is None:
+        where = np.ones(shape, dtype=bool)
+    i, j = np.nonzero(where)
+    mask = np.zeros(shape, dtype=bool)
+    mask[i, j] = segments_blocked(tx[j], rx[i], blockers)
+    return mask

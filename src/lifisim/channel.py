@@ -15,9 +15,12 @@ matrix equation
     h_nlos = r^T G_rho (I - E G_rho)^(-1) t
 
 with E the element-to-element transfer matrix, G_rho the reflectivity
-diagonal, t the source-to-element and r the element-to-detector gains.
-The linear system is solved from a dense LU factorization computed once
-per mesh; no explicit inverse is formed.
+diagonal, t the source-to-element and r the element-to-detector gains
+(Schulze, IEEE Trans. Commun. 2016). A dense LU factorization of the
+reflection system is computed once per mesh and the gains come from
+the adjoint system (I - E G_rho)^T w = G_rho r, whose right-hand side
+has one column per detector: h_nlos = w^T t. No explicit inverse is
+formed.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .blockage import segments_blocked
+from .blockage import blockage_mask
 
 
 class RadiosityError(RuntimeError):
@@ -177,7 +180,8 @@ class RadiositySolver:
 
     Builds the element-to-element transfer matrix and factorizes
     (I - E G_rho) once; gains for any transmitter/receiver poses then
-    cost one triangular solve each.
+    cost one pair of triangular solves of the transposed system, with
+    one right-hand side per receiver.
     """
 
     def __init__(self, mesh):
@@ -213,6 +217,9 @@ class RadiositySolver:
     def gains(self, t, r):
         """Diffuse gains for source-to-element t and element-to-detector r.
 
+        Solves the adjoint system (I - E G_rho)^T w = G_rho r and returns
+        w^T t, which equals r^T G_rho (I - E G_rho)^(-1) t.
+
         Args:
             t: (n_elements, n_tx) LOS gains from each transmitter into
                 the mesh (elements as detectors of their own area).
@@ -222,35 +229,41 @@ class RadiositySolver:
         Returns:
             (n_rx, n_tx) diffuse gain matrix.
         """
-        x = self.solve(np.asarray(t, dtype=float))
-        return (self.mesh.rho[:, None] * np.atleast_2d(r)).T @ x
+        w = lu_solve(self._lu, self.mesh.rho[:, None] * np.atleast_2d(r),
+                     trans=1, check_finite=False)
+        return w.T @ np.asarray(t, dtype=float)
+
+
+def mesh_gains(tx_pos, tx_normal, tx_order, mesh):
+    """(n_elements, n_tx) LOS gains from each transmitter into the mesh.
+
+    Elements act as detectors of their own area over the full
+    hemisphere.
+    """
+    return los_gain_matrix(tx_pos, tx_normal, mesh.centers, mesh.normals,
+                           tx_order, mesh.areas, ELEMENT_FOV_DEG)
 
 
 def nlos_gain(tx_pos, tx_normal, tx_order, rx_pos, rx_normal, rx_area, rx_fov_deg,
-              solver, blockers=()):
+              solver, blockers=(), t=None):
     """Diffuse gain matrix between transmitters and receivers.
 
     Blockage cuts the transmitter-to-element and element-to-receiver
-    segments; shadowing between mesh elements is not modeled.
+    segments; shadowing between mesh elements is not modeled. Callers
+    whose transmitters stay fixed may pass their unblocked mesh_gains
+    as t instead of having them recomputed.
     """
     mesh = solver.mesh
-    t = los_gain_matrix(tx_pos, tx_normal, mesh.centers, mesh.normals,
-                        tx_order, mesh.areas, ELEMENT_FOV_DEG)
+    if t is None:
+        t = mesh_gains(tx_pos, tx_normal, tx_order, mesh)
     r = los_gain_matrix(mesh.centers, mesh.normals, rx_pos, rx_normal,
                         ELEMENT_ORDER, rx_area, rx_fov_deg)
     if blockers:
-        t = np.where(blockage_like(tx_pos, mesh.centers, blockers), 0.0, t)
-        r = np.where(blockage_like(mesh.centers, rx_pos, blockers), 0.0, r)
+        t = np.where(blockage_mask(tx_pos, mesh.centers, blockers,
+                                   where=t > 0), 0.0, t)
+        r = np.where(blockage_mask(mesh.centers, rx_pos, blockers,
+                                   where=r > 0), 0.0, r)
     return solver.gains(t, r.T)
-
-
-def blockage_like(tx_positions, rx_positions, blockers):
-    """Occlusion mask with the same (rx, tx) layout as los_gain_matrix."""
-    tx = np.atleast_2d(np.asarray(tx_positions, dtype=float))
-    rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
-    a = np.tile(tx, (rx.shape[0], 1))
-    b = np.repeat(rx, tx.shape[0], axis=0)
-    return segments_blocked(a, b, blockers).reshape(rx.shape[0], tx.shape[0])
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .blockage import BlockageConfig
 from .channel import LambertianSource
 from .geometry import Room, ap_positions, device_layout
 from .orientation import BUILTIN_STATS, OrwpConfig
+from .sm import MAX_SYMBOLS
 
 
 class ConfigError(ValueError):
@@ -247,7 +248,22 @@ def _validate(s):
             "mimo scheme needs spectral_efficiency divisible by n_active")
     if s.mi_samples != 0 and s.mi_samples < 1000:
         raise ConfigError("mi_samples must be 0 (disabled) or >= 1000")
+    # Every downlink scheme sends 2**R symbols; the uplink one of
+    # 2**uplink_tse levels on any of the device elements. Compared in
+    # bits, so that no huge power is ever formed.
+    max_bits = np.log2(MAX_SYMBOLS)
+    if r > max_bits:
+        raise ConfigError(f"spectral_efficiency above {max_bits:g} exceeds "
+                          f"the {MAX_SYMBOLS}-symbol limit")
+    if s.uplink_tse + np.log2(s.layout().n_elements) > max_bits:
+        raise ConfigError(f"uplink_tse {s.uplink_tse:g} exceeds the "
+                          f"{MAX_SYMBOLS}-symbol limit")
     s.uplink_pam_order()
+    # The derived objects check their own ranges (semiangle, FOV, ...).
+    try:
+        s.room(), s.source(), s.blockage(), s.orwp()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def scenario_from_dict(overrides):

@@ -30,7 +30,7 @@ from .adaptive import (asm_select_downlink, led_selection_uplink,
                        mimo_required_snr, required_snr, strongest_columns)
 from .blockage import blockage_mask, place_blockers
 from .channel import (ChannelMatrix, RadiositySolver, build_environment_mesh,
-                      los_gain_matrix, nlos_gain)
+                      los_gain_matrix, mesh_gains, nlos_gain)
 from .config import ConfigError, Scenario, scenario_hash
 from .geometry import DevicePose, element_world_pose
 from .orientation import orwp_generate, sample_static_orientation
@@ -92,9 +92,12 @@ def empirical_cdf(values):
 class ChannelBuilder:
     """Per-scenario channel factory shared across realizations.
 
-    The environment mesh and its reflection-system factorization are
-    built once here; each pose then costs two LOS matrices and one
-    pair of triangular solves. Uplink channels keep only the LOS part.
+    The environment mesh, its reflection-system factorization and the
+    unblocked AP-to-mesh gains are built once here, since the APs do
+    not move. Each downlink pose then costs the device-side LOS
+    matrices, the blockage tests of the pose's blockers and one pair of
+    triangular solves with one column per photodiode. Uplink channels
+    keep only the LOS part.
     """
 
     def __init__(self, scenario):
@@ -107,10 +110,14 @@ class ChannelBuilder:
         self.block_cfg = scenario.blockage()
         self.h_r = scenario.ue_height_m()
         self.solver = None
+        self.ap_to_mesh = None
         if scenario.direction == "downlink" and scenario.include_nlos:
             mesh = build_environment_mesh(self.room,
                                           scenario.mesh_resolution)
             self.solver = RadiositySolver(mesh)
+            self.ap_to_mesh = mesh_gains(self.aps.positions,
+                                         self.aps.normals,
+                                         self.source.order, mesh)
 
     def pose(self, x, y, omega_deg, angles_deg):
         return DevicePose(position=(x, y, self.h_r), omega_deg=omega_deg,
@@ -128,12 +135,12 @@ class ChannelBuilder:
         h_los = los_gain_matrix(tx_pos, tx_nrm, rx_pos, rx_nrm,
                                 self.source.order, sc.pd_area, sc.fov_deg)
         if blockers:
-            h_los = np.where(blockage_mask(tx_pos, rx_pos, blockers),
-                             0.0, h_los)
+            h_los = np.where(blockage_mask(tx_pos, rx_pos, blockers,
+                                           where=h_los > 0), 0.0, h_los)
         if self.solver is not None:
             h_nlos = nlos_gain(tx_pos, tx_nrm, self.source.order,
                                rx_pos, rx_nrm, sc.pd_area, sc.fov_deg,
-                               self.solver, blockers)
+                               self.solver, blockers, t=self.ap_to_mesh)
         else:
             h_nlos = np.zeros_like(h_los)
         return ChannelMatrix(h_los=h_los, h_nlos=h_nlos)

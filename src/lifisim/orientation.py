@@ -11,7 +11,6 @@ processes sampled every coherence time.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -131,6 +130,10 @@ def ar1_sequence(n, params, rng, init=None):
     stationary mean when omitted); implemented as an IIR filter over
     the innovation sequence for speed.
     """
+    # Imported here: scipy.signal dominates the package import time and
+    # nothing else needs it.
+    from scipy.signal import lfilter
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = params.mean if init is None else float(init)

@@ -22,6 +22,10 @@ import numpy as np
 
 from .util import qfunc, wilson_interval
 
+#: Largest alphabet any signal set may have: the union bound and the
+#: detectors keep several K x K tables.
+MAX_SYMBOLS = 4096
+
 
 def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
@@ -86,9 +90,11 @@ def build_constellation(M, n_active, mean_power=1.0):
         raise ValueError("n_active must be a power of two")
     if mean_power <= 0:
         raise ValueError("mean_power must be positive")
+    K = M * n_active
+    if K > MAX_SYMBOLS:
+        raise ValueError(f"symbol set too large ({K} > {MAX_SYMBOLS})")
 
     levels = pam_levels(M, mean_power)
-    K = M * n_active
     S = np.zeros((n_active, K))
     led = np.tile(np.arange(n_active), M)
     lvl = np.repeat(np.arange(M), n_active)
@@ -105,7 +111,8 @@ def build_constellation(M, n_active, mean_power=1.0):
                          mean_power=mean_power)
 
 
-def build_mimo_constellation(M, n_streams, mean_power=1.0, max_symbols=4096):
+def build_mimo_constellation(M, n_streams, mean_power=1.0,
+                             max_symbols=MAX_SYMBOLS):
     """Joint signal set of n_streams parallel M-PAM streams.
 
     Every stream is always on, carrying Gray-coded M-PAM. The levels

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifisim import (BlockageConfig, Blocker, DevicePose, Room,
-                     blockage_mask, place_blockers, segment_blocked,
-                     segments_blocked)
+                     blockage_mask, element_world_pose, place_blockers,
+                     scenario_from_dict, segment_blocked, segments_blocked)
+from lifisim.harness import ChannelBuilder
 
 
 def _point_in_prism(points, blocker):
@@ -178,3 +181,159 @@ def test_config_validation():
         BlockageConfig(d_p=0.0)
     with pytest.raises(ValueError):
         Blocker(center=(0, 0), facing_deg=0.0, height=0.0)
+
+
+# -- culled test against the per-blocker slab test it replaced ------------
+
+def _oracle_prism_hits(a, b, blocker):
+    """The slab test of one prism over every segment, without culling."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    phi = np.deg2rad(blocker.facing_deg)
+    c, s = np.cos(phi), np.sin(phi)
+    cx, cy = blocker.center
+
+    def to_local(p):
+        dx = p[:, 0] - cx
+        dy = p[:, 1] - cy
+        return np.stack([c * dx + s * dy, -s * dx + c * dy, p[:, 2]], axis=1)
+
+    p0 = to_local(a)
+    p1 = to_local(b)
+    d = p1 - p0
+    lo = np.array([-blocker.width / 2, -blocker.length / 2, 0.0])
+    hi = np.array([blocker.width / 2, blocker.length / 2, blocker.height])
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t1 = (lo - p0) / d
+        t2 = (hi - p0) / d
+    tmin = np.minimum(t1, t2)
+    tmax = np.maximum(t1, t2)
+    degenerate = d == 0.0
+    inside = (p0 >= lo) & (p0 <= hi)
+    tmin = np.where(degenerate, np.where(inside, -np.inf, np.inf), tmin)
+    tmax = np.where(degenerate, np.where(inside, np.inf, -np.inf), tmax)
+
+    t_enter = tmin.max(axis=1)
+    t_exit = tmax.min(axis=1)
+    return (t_enter <= t_exit) & (t_exit > 0.0) & (t_enter < 1.0)
+
+
+def _oracle_blocked(a, b, blockers):
+    hit = np.zeros(np.atleast_2d(a).shape[0], dtype=bool)
+    for blocker in blockers:
+        hit |= _oracle_prism_hits(a, b, blocker)
+    return hit
+
+
+# Quarter-metre grid values make exact ties (faces, edges, axis-aligned
+# segments) common; uniform values cover the general position.
+COORD = st.one_of(st.sampled_from(np.arange(-1.0, 6.01, 0.25).tolist()),
+                  st.floats(-1.0, 6.0))
+HEIGHT = st.one_of(st.sampled_from([0.5, 1.2, 1.75]), st.floats(0.1, 2.5))
+FACING = st.one_of(st.sampled_from([0.0, 30.0, 45.0, 90.0, 180.0, 270.0]),
+                   st.floats(0.0, 360.0))
+BLOCKER = st.builds(
+    lambda x, y, f, l, w, h: Blocker(center=(x, y), facing_deg=f, length=l,
+                                     width=w, height=h),
+    COORD, COORD, FACING,
+    st.one_of(st.just(0.7), st.floats(0.05, 1.5)),
+    st.one_of(st.just(0.2), st.floats(0.05, 1.5)), HEIGHT)
+
+
+def _on_prism(blocker, u, v, z):
+    """World point at local (u, v) in units of the half extents, height z."""
+    phi = np.deg2rad(blocker.facing_deg)
+    c, s = np.cos(phi), np.sin(phi)
+    lu, lv = u * blocker.width / 2, v * blocker.length / 2
+    return [blocker.center[0] + c * lu - s * lv,
+            blocker.center[1] + s * lu + c * lv, z]
+
+
+@st.composite
+def segment_set(draw, blockers):
+    """Segments of every shape the culling distinguishes."""
+    top = max((b.height for b in blockers), default=1.75)
+    kinds = ("general", "horizontal", "vertical", "above", "below",
+             "from_prism", "at_height", "through_top")
+    a_list, b_list = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        a = [draw(COORD), draw(COORD), draw(st.floats(-0.5, 3.5))]
+        b = [draw(COORD), draw(COORD), draw(st.floats(-0.5, 3.5))]
+        if kind == "horizontal":
+            b[2] = a[2]
+        elif kind == "vertical":
+            b[:2] = a[:2]
+        elif kind == "above":
+            a[2] = top + draw(st.floats(1e-12, 1.0))
+            b[2] = top + draw(st.floats(1e-12, 1.0))
+        elif kind == "below":
+            a[2] = -draw(st.floats(1e-12, 1.0))
+            b[2] = -draw(st.floats(1e-12, 1.0))
+        elif kind == "at_height":
+            a[2] = top
+            b[2] = draw(st.sampled_from([top, top + 0.5, 0.0]))
+        elif kind == "from_prism" and blockers:
+            # an endpoint inside a prism, on a face, edge or corner
+            blocker = draw(st.sampled_from(blockers))
+            u = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+            v = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+            z = draw(st.sampled_from([0.0, blocker.height / 2,
+                                      blocker.height]))
+            a = _on_prism(blocker, u, v, z)
+        elif kind == "through_top" and blockers:
+            # a long rising segment through a prism just under its top,
+            # so only the part near the height crossing can hit
+            blocker = draw(st.sampled_from(blockers))
+            unit = st.floats(-1.0, 1.0)
+            p = np.array(_on_prism(blocker, draw(unit), draw(unit),
+                                   blocker.height - draw(st.floats(0, 0.3))))
+            d = np.array([draw(unit), draw(unit), draw(st.floats(0.05, 1.0))])
+            a = p - draw(st.floats(0.5, 4.0)) * d
+            b = p + draw(st.floats(0.5, 4.0)) * d
+            if draw(st.booleans()):
+                a, b = b, a
+        a_list.append(a)
+        b_list.append(b)
+    return np.array(a_list, dtype=float), np.array(b_list, dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_culled_segments_blocked_equals_per_blocker_slab_test(data):
+    blockers = data.draw(st.lists(BLOCKER, max_size=5))
+    a, b = data.draw(segment_set(blockers))
+    got = segments_blocked(a, b, blockers)
+    assert got.shape == (a.shape[0],) and got.dtype == bool
+    np.testing.assert_array_equal(got, _oracle_blocked(a, b, blockers))
+    if not blockers:
+        assert not got.any()
+
+
+def test_culled_test_on_walking_user_segments():
+    # the segments a downlink realization tests: AP -> mesh, mesh ->
+    # photodiodes and AP -> photodiodes, among 6 prisms per pose
+    sc = scenario_from_dict(dict(activity="walking", scheme="sm",
+                                 n_active=4, kappa_b=0.2, seed=5))
+    builder = ChannelBuilder(sc)
+    mesh = builder.solver.mesh
+    aps = builder.aps.positions
+    rng = np.random.default_rng(2)
+    n_blocked = 0
+    for idx in range(20):
+        x, y = rng.uniform(0.3, 4.7, size=2)
+        pose, blockers, _ = builder.realize(idx, x, y, rng.uniform(0, 360),
+                                            (0.0, 30.0, 0.0))
+        pd, _ = element_world_pose(pose, builder.layout)
+        n_pd = pd.shape[0]
+        a = np.concatenate([np.repeat(aps, mesh.n_elements, axis=0),
+                            np.repeat(mesh.centers, n_pd, axis=0),
+                            np.repeat(aps, n_pd, axis=0)])
+        b = np.concatenate([np.tile(mesh.centers, (aps.shape[0], 1)),
+                            np.tile(pd, (mesh.n_elements, 1)),
+                            np.tile(pd, (aps.shape[0], 1))])
+        got = segments_blocked(a, b, blockers)
+        np.testing.assert_array_equal(got, _oracle_blocked(a, b, blockers))
+        n_blocked += int(got.sum())
+    assert n_blocked > 0

@@ -2,10 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lifisim
 from lifisim import RadiosityError, load_scenario, read_csv, scenario_hash
 from lifisim import cli
 
@@ -78,6 +81,57 @@ def test_validate_config_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert cli.main(["validate-config", "--config", missing]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "fov_deg: 120\n",
+    "semiangle_deg: 95\n",
+    "spectral_efficiency: 40\n",
+    "spectral_efficiency: 13\n",
+    "scheme: mimo\nn_active: 4\nspectral_efficiency: 16\n",
+    "direction: uplink\nscheme: sm\nuplink_tse: 11\n",
+    "uplink_tse: 11\n",
+    "uplink_tse: 2000\n",
+])
+def test_validate_config_rejects_invalid_derived_objects(tmp_path, capsys,
+                                                         text):
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["validate-config", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "spectral_efficiency: 12\n",
+    "direction: uplink\nscheme: sm\nuplink_tse: 10\n",
+])
+def test_validate_config_accepts_alphabet_at_the_limit(tmp_path, capsys,
+                                                       text):
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["validate-config", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("ok ")
+
+
+def test_out_of_range_semiangle_is_config_error_not_numerical(tmp_path,
+                                                             capsys):
+    cfg = write_config(tmp_path, TINY_MAP + "semiangle_deg: 95\n")
+    assert cli.main(["cdf-map", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "semiangle" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lifisim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, lifisim.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.signal')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cdf_map_end_to_end(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lifisim import (
+    ChannelBuilder,
     ConfigError,
     Scenario,
     emit,
@@ -22,8 +23,11 @@ from lifisim import (
     run_uplink_eval,
     scenario_from_dict,
     scenario_hash,
+    segments_blocked,
     write_csv,
 )
+from lifisim.channel import ELEMENT_FOV_DEG, ELEMENT_ORDER, los_gain_matrix
+from lifisim.geometry import element_world_pose
 from lifisim.harness import BER_COLUMNS, CDF_COLUMNS, EE_COLUMNS, RunResult
 
 
@@ -35,6 +39,55 @@ def tiny_map_scenario(**over):
                 kappa_b=0.2, seed=11)
     base.update(over)
     return scenario_from_dict(base)
+
+
+# -- channel builder against the per-pose path it replaced ---------------
+
+def _mask(tx, rx, blockers):
+    """(n_rx, n_tx) occlusion of every transmitter-receiver segment."""
+    a = np.tile(tx, (rx.shape[0], 1))
+    b = np.repeat(rx, tx.shape[0], axis=0)
+    return segments_blocked(a, b, blockers).reshape(rx.shape[0], tx.shape[0])
+
+
+def _reference_channel(builder, pose, blockers):
+    """Downlink H with the AP-to-mesh gains recomputed and a forward solve."""
+    sc = builder.sc
+    mesh = builder.solver.mesh
+    aps = builder.aps
+    rx_pos, rx_nrm = element_world_pose(pose, builder.layout)
+    order = builder.source.order
+    h_los = los_gain_matrix(aps.positions, aps.normals, rx_pos, rx_nrm,
+                            order, sc.pd_area, sc.fov_deg)
+    t = los_gain_matrix(aps.positions, aps.normals, mesh.centers,
+                        mesh.normals, order, mesh.areas, ELEMENT_FOV_DEG)
+    r = los_gain_matrix(mesh.centers, mesh.normals, rx_pos, rx_nrm,
+                        ELEMENT_ORDER, sc.pd_area, sc.fov_deg)
+    if blockers:
+        h_los = np.where(_mask(aps.positions, rx_pos, blockers), 0.0, h_los)
+        t = np.where(_mask(aps.positions, mesh.centers, blockers), 0.0, t)
+        r = np.where(_mask(mesh.centers, rx_pos, blockers), 0.0, r)
+    x = builder.solver.solve(t)
+    return h_los + (mesh.rho[:, None] * r.T).T @ x
+
+
+@pytest.mark.parametrize("resolution,n_poses", [(0.5, 40), (0.25, 8)])
+def test_realize_matches_recompute_and_forward_solve(resolution, n_poses):
+    sc = scenario_from_dict(dict(
+        direction="downlink", activity="walking", device="mdr", scheme="sm",
+        n_active=4, spectral_efficiency=5, include_nlos=True,
+        mesh_resolution=resolution, kappa_b=0.2, self_blockage=True,
+        n_waypoints=3, seed=8))
+    builder = ChannelBuilder(sc)
+    rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 0]))
+    samples = orwp_generate(sc.orwp(), sc.stats(), rng)[:n_poses]
+    assert len(samples) == n_poses
+    for i, s in enumerate(samples):
+        pose, blockers, H = builder.realize(i, s.position[0], s.position[1],
+                                            s.omega_deg, s.angles_deg)
+        assert len(blockers) == 6
+        ref = _reference_channel(builder, pose, blockers)
+        np.testing.assert_allclose(H, ref, rtol=1e-12, atol=0.0)
 
 
 # -- evaluation lattice ----------------------------------------------------

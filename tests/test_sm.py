@@ -69,6 +69,10 @@ def test_constellation_validation():
         build_constellation(2, 3)
     with pytest.raises(ValueError):
         build_constellation(2, 2, mean_power=0.0)
+    # the size check comes before anything K-sized is allocated
+    assert build_constellation(1024, 4).K == 4096
+    with pytest.raises(ValueError, match="too large"):
+        build_constellation(2 ** 40, 2)
 
 
 def test_mimo_constellation():
