@@ -9,13 +9,13 @@ directions.
 
 from .adaptive import (AsmDecision, LedSelection, RequiredSnr,
                        admissible_group_starts, asm_select_downlink,
-                       led_selection_uplink, mimo_required_snr,
-                       required_snr, strongest_columns)
+                       led_selection_uplink, required_snr,
+                       strongest_columns)
 from .blockage import (Blocker, BlockageConfig, blockage_mask,
                        place_blockers, segment_blocked, segments_blocked)
-from .channel import (ChannelMatrix, LambertianSource, RadiosityError,
-                      RadiositySolver, SurfaceMesh, build_environment_mesh,
-                      los_gain, los_gain_matrix, nlos_gain)
+from .channel import (LambertianSource, RadiosityError, RadiositySolver,
+                      SurfaceMesh, build_environment_mesh, los_gain,
+                      los_gain_matrix, nlos_gain)
 from .config import (ConfigError, PRESET_LOCATIONS, Scenario, load_scenario,
                      scenario_from_dict, scenario_hash)
 from .geometry import (APLayout, DeviceLayout, DevicePose, Room, ap_positions,
@@ -34,9 +34,8 @@ from .rates import (RateBounds, achievable_rate, energy_efficiency,
                     lower_bound_l2, mi_monte_carlo, rate_bounds)
 from .sm import (Constellation, build_constellation,
                  build_mimo_constellation, gray_code, hamming_matrix,
-                 mimo_union_bound_ber, ml_detect, monte_carlo_ber,
-                 pairwise_sq_distances, pam_levels, pep, received_snr,
-                 union_bound_ber)
+                 ml_detect, monte_carlo_ber, pairwise_sq_distances,
+                 pam_levels, pep, received_snr, union_bound_ber)
 from .util import db_to_linear, linear_to_db, qfunc, wilson_interval
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sm import (build_constellation, build_mimo_constellation, received_snr,
-                 union_bound_ber, _bound_tables, _bound_from_tables)
+from .sm import (build_constellation, received_snr, union_bound_ber,
+                 _bound_tables, _bound_from_tables)
 from .util import db_to_linear, linear_to_db
 
 #: Error floor contributed by symbol pairs that the channel cannot
@@ -133,23 +133,6 @@ def asm_select_downlink(H_full, target_ber, spectral_efficiency,
                                gamma_tx_db=res.gamma_tx_db,
                                gamma_rx_db=res.gamma_rx_db)
     return best
-
-
-def mimo_required_snr(H_full, target_ber, spectral_efficiency, n_streams=4,
-                      mean_power=1.0):
-    """Required SNR of the spatial-multiplexing benchmark.
-
-    Uses the n_streams strongest columns, each carrying
-    2^(R / n_streams)-PAM; R must split evenly across streams.
-    """
-    per_stream = spectral_efficiency / n_streams
-    if per_stream != int(per_stream) or per_stream < 1:
-        raise ValueError("spectral efficiency must split evenly across streams")
-    M = 2 ** int(per_stream)
-    idx = strongest_columns(H_full, n_streams)
-    c = build_mimo_constellation(M, n_streams, mean_power)
-    res = required_snr(c, np.atleast_2d(H_full)[:, idx], target_ber)
-    return res, tuple(int(i) for i in idx)
 
 
 @dataclass(frozen=True)

@@ -265,14 +265,3 @@ def nlos_gain(tx_pos, tx_normal, tx_order, rx_pos, rx_normal, rx_area, rx_fov_de
                                    where=r > 0), 0.0, r)
     return solver.gains(t, r.T)
 
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """DC gain matrix split into its LOS and diffuse parts."""
-
-    h_los: np.ndarray
-    h_nlos: np.ndarray
-
-    @property
-    def h(self):
-        return self.h_los + self.h_nlos

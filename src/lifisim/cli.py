@@ -1,10 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for
-numerical failures (diverging reflection series, singular systems).
+Exit codes: 0 on success, 2 for configuration problems (including a
+--workers count outside 1..usable CPUs), 3 for numerical failures
+(diverging reflection series, singular systems).
 """
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -24,8 +26,7 @@ _COMMANDS = {
     "validate-config": "check a scenario file and print its hash",
 }
 
-_OVERRIDE_KEYS = ("seed", "workers", "grid_step",
-                  "orientations_per_point", "mc_symbols")
+_OVERRIDE_KEYS = ("seed", "grid_step", "orientations_per_point", "mc_symbols")
 
 
 def _add_common(p):
@@ -35,7 +36,8 @@ def _add_common(p):
     p.add_argument("--out", default="out", metavar="DIR",
                    help="output directory (default: out)")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="worker processes (default: 1)")
+                   help="worker processes, 1 to the usable CPU count "
+                        "(default: 1)")
     p.add_argument("--grid-step", type=float, dest="grid_step", metavar="M",
                    help="lattice spacing in meters")
     p.add_argument("--orientations-per-point", type=int,
@@ -69,9 +71,20 @@ def _scenario(args):
     values = asdict(base)
     for key in _OVERRIDE_KEYS:
         value = getattr(args, key, None)
-        if value is not None and key != "workers":
+        if value is not None:
             values[key] = value
     return scenario_from_dict(values)
+
+
+def _check_workers(n):
+    """Reject worker counts the pool should never be asked to start."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if not 1 <= n <= cpus:
+        raise ConfigError(f"--workers must lie in 1..{cpus} "
+                          f"(usable CPUs), got {n}")
 
 
 def main(argv=None):
@@ -81,6 +94,7 @@ def main(argv=None):
             sc = load_scenario(args.config) if args.config else Scenario()
             print(f"ok {scenario_hash(sc)}")
             return 0
+        _check_workers(args.workers)
         sc = _scenario(args)
         if args.command == "cdf-map":
             result = run_cdf_map(sc, args.workers)

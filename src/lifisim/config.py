@@ -65,7 +65,6 @@ class Scenario:
     semiangle_deg: float = 60.0     # half-power semiangle of every emitter
     fov_deg: float = 60.0           # receiver field of view
     pd_area: float = 0.25e-4        # m^2
-    responsivity: float = 1.0       # A/W; cancels in the SNR definitions
 
     noise_power: float = 1.0e-14    # sigma_n^2 = N0 * B, W^2
     mesh_resolution: float = 0.5

@@ -1,14 +1,19 @@
 """Seeded experiment orchestration and file emission.
 
-Four experiment kinds cover the evaluation campaign:
+Every experiment maps one evaluator over an ordered task list of
+realizations (idx, x, y, omega_deg, angles_deg), each turned into a
+channel by ChannelBuilder.realize. _tasks builds the list from the
+scenario's activity: sitting gives the lattice of positions x facing
+directions x orientation draws, with the angles drawn in realize;
+walking gives the ORWP trajectory samples. Four experiment kinds cover
+the evaluation campaign:
 
-* cdf map: lattice of positions x facing directions x orientation
-  draws (sitting), required-SNR CDF of the configured downlink scheme;
-* orwp run: mobility trajectory (walking) evaluated the same way;
+* cdf map (sitting) and orwp run (walking): required SNR of the
+  configured downlink scheme, one row per realization;
 * ber sweep: one location, bound and Monte Carlo BER against received
   SNR, with fixed or random orientation;
 * uplink eval: transmit-SNR sweep with source selection, rate bounds
-  and energy efficiency averaged over realizations.
+  and energy efficiency averaged over the activity's realizations.
 
 Determinism contract: realization i draws all its randomness from
 SeedSequence([seed, 1, i]); Monte Carlo noise for realization i at
@@ -27,14 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import (asm_select_downlink, led_selection_uplink,
-                       mimo_required_snr, required_snr, strongest_columns)
+                       required_snr, strongest_columns)
 from .blockage import blockage_mask, place_blockers
-from .channel import (ChannelMatrix, RadiositySolver, build_environment_mesh,
+from .channel import (RadiositySolver, build_environment_mesh,
                       los_gain_matrix, mesh_gains, nlos_gain)
 from .config import ConfigError, Scenario, scenario_hash
 from .geometry import DevicePose, element_world_pose
 from .orientation import orwp_generate, sample_static_orientation
-from .rates import (energy_efficiency, mi_monte_carlo, rate_bounds)
+from .rates import energy_efficiency, mi_monte_carlo, rate_bounds
 from .sm import (build_constellation, build_mimo_constellation,
                  monte_carlo_ber, received_snr, union_bound_ber)
 from .util import db_to_linear, linear_to_db, wilson_interval
@@ -119,11 +124,8 @@ class ChannelBuilder:
                                          self.aps.normals,
                                          self.source.order, mesh)
 
-    def pose(self, x, y, omega_deg, angles_deg):
-        return DevicePose(position=(x, y, self.h_r), omega_deg=omega_deg,
-                          angles_deg=tuple(angles_deg))
-
     def channel(self, pose, blockers):
+        """(n_rx, n_tx) DC gain matrix of the pose among its blockers."""
         elem_pos, elem_nrm = element_world_pose(pose, self.layout)
         sc = self.sc
         if sc.direction == "downlink":
@@ -132,18 +134,16 @@ class ChannelBuilder:
         else:
             tx_pos, tx_nrm = elem_pos, elem_nrm
             rx_pos, rx_nrm = self.aps.positions, self.aps.normals
-        h_los = los_gain_matrix(tx_pos, tx_nrm, rx_pos, rx_nrm,
-                                self.source.order, sc.pd_area, sc.fov_deg)
+        H = los_gain_matrix(tx_pos, tx_nrm, rx_pos, rx_nrm,
+                            self.source.order, sc.pd_area, sc.fov_deg)
         if blockers:
-            h_los = np.where(blockage_mask(tx_pos, rx_pos, blockers,
-                                           where=h_los > 0), 0.0, h_los)
+            H = np.where(blockage_mask(tx_pos, rx_pos, blockers,
+                                       where=H > 0), 0.0, H)
         if self.solver is not None:
-            h_nlos = nlos_gain(tx_pos, tx_nrm, self.source.order,
-                               rx_pos, rx_nrm, sc.pd_area, sc.fov_deg,
-                               self.solver, blockers, t=self.ap_to_mesh)
-        else:
-            h_nlos = np.zeros_like(h_los)
-        return ChannelMatrix(h_los=h_los, h_nlos=h_nlos)
+            H = H + nlos_gain(tx_pos, tx_nrm, self.source.order, rx_pos,
+                              rx_nrm, sc.pd_area, sc.fov_deg, self.solver,
+                              blockers, t=self.ap_to_mesh)
+        return H
 
     def realize(self, idx, x, y, omega_deg, angles_deg=None):
         """Orientation, blockers and channel for realization idx."""
@@ -151,35 +151,42 @@ class ChannelBuilder:
             np.random.SeedSequence([self.sc.seed, 1, idx]))
         if angles_deg is None:
             angles_deg = sample_static_orientation(self.stats, omega_deg, rng)
-        pose = self.pose(x, y, omega_deg, angles_deg)
+        pose = DevicePose(position=(x, y, self.h_r), omega_deg=omega_deg,
+                          angles_deg=tuple(angles_deg))
         blockers = place_blockers(self.block_cfg, self.room, pose, rng)
-        H = self.channel(pose, blockers).h
-        return pose, blockers, H
+        return pose, blockers, self.channel(pose, blockers)
 
 
-# -- downlink per-realization evaluation ---------------------------------
+# -- per-realization evaluation ---------------------------------------------
 
-def _downlink_operating_point(sc, H):
-    """(feasible, n_active, M, gamma_rx_db) of the configured scheme."""
+def _fixed_signal_set(sc):
+    """(M, constellation) of the fixed scheme: sm, or mimo streams.
+
+    Both send 2**R symbols on sc.n_active sources: sm splits R into
+    log2(n_active) spatial bits and M-PAM, mimo into n_active
+    parallel M-PAM streams.
+    """
     R = int(sc.spectral_efficiency)
-    if sc.scheme == "asm":
-        d = asm_select_downlink(H, sc.target_ber, R)
-        return d.feasible, d.n_active, d.M, d.gamma_rx_db
-    if sc.scheme == "sm":
-        n_a = sc.n_active
-        M = 2 ** (R - int(np.log2(n_a)))
-        idx = strongest_columns(H, n_a)
-        res = required_snr(build_constellation(M, n_a), H[:, idx],
-                           sc.target_ber)
-        return res.feasible, n_a, M, res.gamma_rx_db
-    res, _ = mimo_required_snr(H, sc.target_ber, R, n_streams=sc.n_active)
-    return res.feasible, sc.n_active, 2 ** (R // sc.n_active), res.gamma_rx_db
+    if sc.scheme == "mimo":
+        M = 2 ** (R // sc.n_active)
+        return M, build_mimo_constellation(M, sc.n_active)
+    M = 2 ** (R - int(np.log2(sc.n_active)))
+    return M, build_constellation(M, sc.n_active)
 
 
 def _downlink_record(builder, task):
+    """CSV row of one realization at the scheme's operating point."""
     idx, x, y, omega, angles = task
+    sc = builder.sc
     pose, blockers, H = builder.realize(idx, x, y, omega, angles)
-    feasible, n_a, M, grx_db = _downlink_operating_point(builder.sc, H)
+    if sc.scheme == "asm":
+        d = asm_select_downlink(H, sc.target_ber, int(sc.spectral_efficiency))
+        feasible, n_a, M, grx_db = d.feasible, d.n_active, d.M, d.gamma_rx_db
+    else:
+        n_a = sc.n_active
+        M, c = _fixed_signal_set(sc)
+        res = required_snr(c, H[:, strongest_columns(H, n_a)], sc.target_ber)
+        feasible, grx_db = res.feasible, res.gamma_rx_db
     a, b, g = pose.angles_deg
     return {
         "realization": idx, "x": x, "y": y, "omega_deg": omega,
@@ -190,17 +197,23 @@ def _downlink_record(builder, task):
     }
 
 
-def _channel_record(builder, task):
-    idx, x, y, omega, angles = task
-    _, _, H = builder.realize(idx, x, y, omega, angles)
-    return H
+def _sweep_channel(builder, task):
+    """Realized channel restricted to its n_active strongest columns."""
+    H = builder.realize(*task)[2]
+    return H[:, strongest_columns(H, builder.sc.n_active)]
 
 
-# -- uplink per-realization evaluation -----------------------------------
+#: Per-SNR-point fields of one uplink realization, in column order;
+#: n_active comes first, NaN there marks outage.
+_UPLINK_FIELDS = ("n_active", "gamma_rx_db", "ber", "rate", "ee", "l1", "l2",
+                  "mi", "mi_se")
+
 
 def _uplink_record(builder, task):
-    """Selection, bound BER, rate bounds and EE across the SNR grid.
+    """(n_snr, len(_UPLINK_FIELDS)) array across the transmit-SNR grid.
 
+    Rows of sweep points in outage (selection failure or no received
+    power) are all NaN; mi and mi_se stay NaN when mi_samples is 0.
     Transmit power is normalized to I = 1, so gamma_tx = 1/sigma^2 and
     the absolute symbol energy enters only the efficiency denominator.
     """
@@ -208,22 +221,8 @@ def _uplink_record(builder, task):
     sc = builder.sc
     _, _, H = builder.realize(idx, x, y, omega, angles)
     M = sc.uplink_pam_order()
-    n_tx = H.shape[1]
     grid = sc.uplink_snr_grid_db()
-    n_g = grid.size
-
-    out = {
-        "outage": np.ones(n_g, dtype=bool),
-        "n_active": np.zeros(n_g),
-        "gamma_rx_db": np.full(n_g, np.nan),
-        "ber": np.full(n_g, np.nan),
-        "rate": np.full(n_g, np.nan),
-        "ee": np.full(n_g, np.nan),
-        "l1": np.full(n_g, np.nan),
-        "l2": np.full(n_g, np.nan),
-        "mi": np.full(n_g, np.nan),
-        "mi_se": np.full(n_g, np.nan),
-    }
+    out = np.full((grid.size, len(_UPLINK_FIELDS)), np.nan)
     for g, gtx_db in enumerate(grid):
         gtx = db_to_linear(gtx_db)
         if sc.scheme == "asm":
@@ -232,7 +231,7 @@ def _uplink_record(builder, task):
                 continue
             active = list(sel.active_set)
         else:
-            active = list(range(n_tx))
+            active = list(range(H.shape[1]))
         H_sub = H[:, active]
         n_a = len(active)
         c = build_constellation(M, n_a)
@@ -241,21 +240,15 @@ def _uplink_record(builder, task):
             continue
         sigma2 = 1.0 / gtx
         bounds = rate_bounds(c, H_sub, sigma2)
-        e_s = sc.noise_power * gtx
-        out["outage"][g] = False
-        out["n_active"][g] = n_a
-        out["gamma_rx_db"][g] = linear_to_db(grx)
-        out["ber"][g] = union_bound_ber(c, H_sub, gtx)
-        out["rate"][g] = bounds.rate
-        out["ee"][g] = energy_efficiency(bounds.rate, e_s, sc.symbol_rate)
-        out["l1"][g] = bounds.l1
-        out["l2"][g] = bounds.l2
+        mi = se = np.nan
         if sc.mi_samples > 0:
             rng = np.random.default_rng(
                 np.random.SeedSequence([sc.seed, 2, idx, g]))
             mi, se = mi_monte_carlo(c, H_sub, sigma2, sc.mi_samples, rng)
-            out["mi"][g] = mi
-            out["mi_se"][g] = se
+        ee = energy_efficiency(bounds.rate, sc.noise_power * gtx,
+                               sc.symbol_rate)
+        out[g] = (n_a, linear_to_db(grx), union_bound_ber(c, H_sub, gtx),
+                  bounds.rate, ee, bounds.l1, bounds.l2, mi, se)
     return out
 
 
@@ -292,46 +285,46 @@ def _run_tasks(scenario, fn, tasks, workers):
 
 # -- experiment runners ---------------------------------------------------
 
-def _static_tasks(sc):
-    positions = grid_positions(sc.room_width, sc.room_depth, sc.grid_step)
-    directions = facing_directions(sc.n_directions)
-    tasks = []
-    idx = 0
-    for (x, y) in positions:
-        for omega in directions:
-            for _ in range(sc.orientations_per_point):
-                tasks.append((idx, x, y, omega, None))
-                idx += 1
-    return tasks
+def _tasks(sc):
+    """(idx, x, y, omega_deg, angles_deg) of every realization.
+
+    Sitting: the lattice of positions x facing directions x draws, with
+    angles None so that realize draws them. Walking: the ORWP
+    trajectory samples, drawn from the sequential stream.
+    """
+    if sc.activity == "sitting":
+        spots = [(x, y, omega, None)
+                 for x, y in grid_positions(sc.room_width, sc.room_depth,
+                                            sc.grid_step)
+                 for omega in facing_directions(sc.n_directions)
+                 for _ in range(sc.orientations_per_point)]
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 0]))
+        spots = [(s.position[0], s.position[1], s.omega_deg, s.angles_deg)
+                 for s in orwp_generate(sc.orwp(), sc.stats(), rng)]
+    return [(i, *spot) for i, spot in enumerate(spots)]
+
+
+def _downlink_survey(sc, workers, command, activity, kind):
+    """Required-SNR row per realization of the activity's task list."""
+    if sc.direction != "downlink":
+        raise ConfigError(f"{command} evaluates the downlink")
+    if sc.activity != activity:
+        raise ConfigError(f"{command} uses the {activity} statistics")
+    rows = _run_tasks(sc, _downlink_record, _tasks(sc), workers)
+    outage = float(np.mean([r["feasible"] == 0 for r in rows]))
+    return RunResult(kind=kind, columns=CDF_COLUMNS, rows=rows,
+                     scenario=sc, meta={"outage_fraction": outage})
 
 
 def run_cdf_map(scenario, workers=1):
     """Required-SNR survey over the sitting lattice (downlink)."""
-    if scenario.direction != "downlink":
-        raise ConfigError("cdf-map evaluates the downlink")
-    if scenario.activity != "sitting":
-        raise ConfigError("cdf-map uses the sitting statistics")
-    tasks = _static_tasks(scenario)
-    rows = _run_tasks(scenario, _downlink_record, tasks, workers)
-    outage = float(np.mean([r["feasible"] == 0 for r in rows]))
-    return RunResult(kind="cdf", columns=CDF_COLUMNS, rows=rows,
-                     scenario=scenario, meta={"outage_fraction": outage})
+    return _downlink_survey(scenario, workers, "cdf-map", "sitting", "cdf")
 
 
 def run_orwp_eval(scenario, workers=1):
     """Required-SNR survey along a mobility trajectory (downlink)."""
-    if scenario.direction != "downlink":
-        raise ConfigError("orwp-run evaluates the downlink")
-    if scenario.activity != "walking":
-        raise ConfigError("orwp-run uses the walking statistics")
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0]))
-    samples = orwp_generate(scenario.orwp(), scenario.stats(), rng)
-    tasks = [(i, s.position[0], s.position[1], s.omega_deg, s.angles_deg)
-             for i, s in enumerate(samples)]
-    rows = _run_tasks(scenario, _downlink_record, tasks, workers)
-    outage = float(np.mean([r["feasible"] == 0 for r in rows]))
-    return RunResult(kind="orwp", columns=CDF_COLUMNS, rows=rows,
-                     scenario=scenario, meta={"outage_fraction": outage})
+    return _downlink_survey(scenario, workers, "orwp-run", "walking", "orwp")
 
 
 def run_ber_sweep(scenario, workers=1):
@@ -341,41 +334,26 @@ def run_ber_sweep(scenario, workers=1):
     is driven to that operating point through its own transmit SNR.
     Draws whose channel cannot carry any power (all entries blocked or
     out of view) count as coin-flip bit errors, which is what creates
-    the high-SNR floors of LOS-only configurations.
+    the high-SNR floors of LOS-only configurations. The asm scheme is
+    swept with the sm signal set of n_active sources.
     """
     sc = scenario
     if sc.direction != "downlink":
         raise ConfigError("ber-sweep evaluates the downlink")
     x, y = sc.location_xy()
     omega = sc.omega()
-    stats = sc.stats()
     fixed = sc.orientation == "fixed"
     n_draws = 1 if fixed else sc.orientations_per_point
-    tasks = []
-    for i in range(n_draws):
-        angles = stats.means(omega) if fixed else None
-        tasks.append((i, x, y, omega, angles))
-    channels = _run_tasks(sc, _channel_record, tasks, workers)
+    angles = sc.stats().means(omega) if fixed else None
+    tasks = [(i, x, y, omega, angles) for i in range(n_draws)]
+    subsets = _run_tasks(sc, _sweep_channel, tasks, workers)
+    n_cols = sc.n_active
+    factors = [received_snr(H_sub, n_cols, 1.0) for H_sub in subsets]
 
-    R = int(sc.spectral_efficiency)
-    if sc.scheme == "mimo":
-        n_cols = sc.n_active
-        M = 2 ** (R // n_cols)
-        constellation = build_mimo_constellation(M, n_cols)
-    else:
-        n_cols = sc.n_active
-        M = 2 ** (R - int(np.log2(n_cols)))
-        constellation = build_constellation(M, n_cols)
+    M, constellation = _fixed_signal_set(sc)
     bits_ps = constellation.bits_per_symbol
     mc_per_draw = sc.mc_symbols if fixed else max(
         1000, sc.mc_symbols // n_draws)
-
-    subsets = []
-    factors = []
-    for H in channels:
-        H_sub = H[:, strongest_columns(H, n_cols)]
-        subsets.append(H_sub)
-        factors.append(received_snr(H_sub, n_cols, 1.0))
 
     rows = []
     for g, grx_db in enumerate(sc.snr_grid_db()):
@@ -417,61 +395,36 @@ def run_uplink_eval(scenario, workers=1):
 
     Returns (ber_result, ee_result). Realizations follow the activity:
     a sitting lattice like the CDF map, or mobility samples when
-    walking. Averages skip selection-failure realizations; their
-    fraction is reported per sweep point in the meta/outage list.
+    walking. Averages skip the realizations in outage at each sweep
+    point; their fraction is reported per sweep point in meta["outage"].
     """
     sc = scenario
     if sc.direction != "uplink":
         raise ConfigError("uplink-ee evaluates the uplink")
     if sc.scheme not in ("sm", "asm"):
         raise ConfigError("uplink supports the sm and asm schemes")
-    if sc.activity == "sitting":
-        tasks = _static_tasks(sc)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 0]))
-        samples = orwp_generate(sc.orwp(), sc.stats(), rng)
-        tasks = [(i, s.position[0], s.position[1], s.omega_deg, s.angles_deg)
-                 for i, s in enumerate(samples)]
-    per_real = _run_tasks(sc, _uplink_record, tasks, workers)
-
-    grid = sc.uplink_snr_grid_db()
+    stack = np.stack(_run_tasks(sc, _uplink_record, _tasks(sc), workers))
     M = sc.uplink_pam_order()
-    stack = {k: np.stack([r[k] for r in per_real]) for k in per_real[0]}
     ber_rows, ee_rows, outage_list = [], [], []
-    for g, gtx_db in enumerate(grid):
-        ok = ~stack["outage"][:, g]
-        outage = 1.0 - float(np.mean(ok))
-        outage_list.append(outage)
-        if not np.any(ok):
-            ber_rows.append({"snr_db": np.nan, "ber_bound": np.nan,
-                             "ber_mc": np.nan, "ci_low": np.nan,
-                             "ci_high": np.nan, "scheme": sc.scheme,
-                             "N_a": np.nan, "M": M})
-            ee_rows.append({"scheme": sc.scheme,
-                            "config": f"gamma_tx_db={gtx_db:g}",
-                            "eta_rse": np.nan, "eta_ee": np.nan,
-                            "L1": np.nan, "L2": np.nan,
-                            "mi_mc": np.nan, "stderr": np.nan})
-            continue
-
-        def avg(key):
-            return float(np.mean(stack[key][ok, g]))
-
+    for g, gtx_db in enumerate(sc.uplink_snr_grid_db()):
+        ok = ~np.isnan(stack[:, g, 0])          # n_active: NaN in outage
+        outage_list.append(1.0 - float(np.mean(ok)))
+        cols = dict(zip(_UPLINK_FIELDS, stack[ok, g].T))
+        avg = {k: float(np.mean(v)) if ok.any() else np.nan
+               for k, v in cols.items()}
         ber_rows.append({
-            "snr_db": avg("gamma_rx_db"), "ber_bound": avg("ber"),
+            "snr_db": avg["gamma_rx_db"], "ber_bound": avg["ber"],
             "ber_mc": np.nan, "ci_low": np.nan, "ci_high": np.nan,
-            "scheme": sc.scheme, "N_a": avg("n_active"), "M": M,
+            "scheme": sc.scheme, "N_a": avg["n_active"], "M": M,
         })
-        if sc.mi_samples > 0:
-            mi = avg("mi")
-            se = float(np.sqrt(np.mean(stack["mi_se"][ok, g] ** 2)
-                               / np.sum(ok)))
-        else:
-            mi, se = np.nan, np.nan
+        mi, se = np.nan, np.nan
+        if sc.mi_samples > 0 and ok.any():
+            mi = avg["mi"]
+            se = float(np.sqrt(np.mean(cols["mi_se"] ** 2) / np.sum(ok)))
         ee_rows.append({
             "scheme": sc.scheme, "config": f"gamma_tx_db={gtx_db:g}",
-            "eta_rse": avg("rate"), "eta_ee": avg("ee"),
-            "L1": avg("l1"), "L2": avg("l2"), "mi_mc": mi, "stderr": se,
+            "eta_rse": avg["rate"], "eta_ee": avg["ee"],
+            "L1": avg["l1"], "L2": avg["l2"], "mi_mc": mi, "stderr": se,
         })
     meta = {"outage": outage_list}
     ber = RunResult(kind="uplink_ber", columns=BER_COLUMNS, rows=ber_rows,

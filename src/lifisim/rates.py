@@ -37,26 +37,19 @@ def input_power_variance(constellation):
     return I * I * (M - 1) / (3.0 * n_tx * (M + 1))
 
 
-def lower_bound_l1(constellation, H, sigma2, coefficient="quarter"):
+def lower_bound_l1(constellation, H, sigma2):
     """Entropy-based achievable-rate lower bound, bits per channel use.
 
     L1 = 2 log2 K - (N_r/2)(log2 e - 1)
          - log2 sum_ij exp(-c ||H(s_i - s_j)||^2)
 
-    with c = 1/(4 sigma^2). The alternative c = 1/sigma^2
-    (coefficient="one") is kept for comparison; the quarter form is
-    the one consistent with the bound's derivation and is validated
-    against the Monte Carlo estimator.
+    with c = 1/(4 sigma^2), the coefficient consistent with the bound's
+    derivation and validated against the Monte Carlo estimator.
     """
     H = np.atleast_2d(H)
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    if coefficient == "quarter":
-        c = 1.0 / (4.0 * sigma2)
-    elif coefficient == "one":
-        c = 1.0 / sigma2
-    else:
-        raise ValueError("coefficient must be 'quarter' or 'one'")
+    c = 1.0 / (4.0 * sigma2)
     K = constellation.K
     n_rx = H.shape[0]
     d2 = pairwise_sq_distances(H @ constellation.S)
@@ -123,13 +116,10 @@ class RateBounds:
         return achievable_rate(self.l1, self.l2)
 
 
-def rate_bounds(constellation, H, sigma2, sigma_x2=None,
-                coefficient="quarter"):
+def rate_bounds(constellation, H, sigma2):
     """Evaluate both lower bounds on the same channel and noise."""
-    return RateBounds(
-        l1=float(lower_bound_l1(constellation, H, sigma2, coefficient)),
-        l2=float(lower_bound_l2(constellation, H, sigma2, sigma_x2)),
-    )
+    return RateBounds(l1=float(lower_bound_l1(constellation, H, sigma2)),
+                      l2=float(lower_bound_l2(constellation, H, sigma2)))
 
 
 def high_snr_gaps(M, n_tx, n_rx):

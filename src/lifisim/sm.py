@@ -111,8 +111,7 @@ def build_constellation(M, n_active, mean_power=1.0):
                          mean_power=mean_power)
 
 
-def build_mimo_constellation(M, n_streams, mean_power=1.0,
-                             max_symbols=MAX_SYMBOLS):
+def build_mimo_constellation(M, n_streams, mean_power=1.0):
     """Joint signal set of n_streams parallel M-PAM streams.
 
     Every stream is always on, carrying Gray-coded M-PAM. The levels
@@ -126,8 +125,8 @@ def build_mimo_constellation(M, n_streams, mean_power=1.0,
     if n_streams < 1:
         raise ValueError("n_streams must be >= 1")
     K = M ** n_streams
-    if K > max_symbols:
-        raise ValueError(f"joint symbol set too large ({K} > {max_symbols})")
+    if K > MAX_SYMBOLS:
+        raise ValueError(f"joint symbol set too large ({K} > {MAX_SYMBOLS})")
 
     levels = pam_levels(M, mean_power / n_streams)
     level_bits = int(np.log2(M))
@@ -193,18 +192,6 @@ def _bound_from_tables(d2, d_ham, constellation, gamma_tx):
     K = constellation.K
     args = np.sqrt(gamma_tx / (4.0 * constellation.mean_power ** 2) * d2)
     return float(np.sum(d_ham * qfunc(args)) / (K * constellation.bits_per_symbol))
-
-
-def mimo_union_bound_ber(M, n_streams, H_sub, gamma_tx, mean_power=1.0):
-    """Union-bound BER of full spatial multiplexing on H_sub.
-
-    All n_streams columns transmit independent M-PAM; the bound runs
-    over the M**n_streams joint symbol vectors with the same Q-function
-    argument as the SM bound. n_streams = 1 reduces to the SM bound
-    with a single source.
-    """
-    c = build_mimo_constellation(M, n_streams, mean_power)
-    return union_bound_ber(c, H_sub, gamma_tx)
 
 
 def received_snr(H, n_active, gamma_tx):

@@ -89,6 +89,7 @@ def test_criterion_2_high_snr_convergence():
 
 # -- criterion 3: bound validity against the MC estimator ------------------
 
+@pytest.mark.slow
 def test_criterion_3_bound_validity_oracle():
     rng = np.random.default_rng(33)
     c = build_constellation(4, 4, mean_power=1.0)
@@ -164,6 +165,7 @@ def _required_snr_db(result):
                      for r in result.rows])
 
 
+@pytest.mark.slow
 def test_criterion_5a_multi_face_beats_screen_receiver():
     g_mdr = _required_snr_db(_cdf_map("mdr", "asm", 4, 5))
     g_sr = _required_snr_db(_cdf_map("sr", "asm", 4, 5))
@@ -174,6 +176,7 @@ def test_criterion_5a_multi_face_beats_screen_receiver():
                    f"sr {np.median(g_sr):.2f} dB, gain {gain:.2f} dB (>= 5)")
 
 
+@pytest.mark.slow
 def test_criterion_5b_adaptive_dominates_every_fixed_count():
     g_asm = _required_snr_db(_cdf_map("mdr", "asm", 4, 5))
     total_viol = 0
@@ -186,6 +189,7 @@ def test_criterion_5b_adaptive_dominates_every_fixed_count():
                    f"active-count maps x {g_asm.size} realizations")
 
 
+@pytest.mark.slow
 def test_criterion_5c_adaptive_dominates_full_mimo():
     g_asm = np.sort(_required_snr_db(_cdf_map("mdr", "asm", 4, 4)))
     g_mimo = np.sort(_required_snr_db(_cdf_map("mdr", "mimo", 4, 4)))
@@ -239,6 +243,7 @@ def _log_ber_curve(ber_result):
     return x[keep][order], np.log10(y[keep][order])
 
 
+@pytest.mark.slow
 def test_criterion_6_uplink_orderings():
     mdt_ber, mdt_ee = _uplink("mdr", "sitting")
     st_ber, st_ee = _uplink("sr", "sitting")

@@ -5,8 +5,7 @@ import pytest
 
 from lifisim import (admissible_group_starts, asm_select_downlink,
                      build_constellation, led_selection_uplink,
-                     mimo_required_snr, required_snr, strongest_columns,
-                     union_bound_ber)
+                     required_snr, strongest_columns, union_bound_ber)
 from lifisim.util import db_to_linear
 
 TARGET = 3.8e-3
@@ -138,15 +137,6 @@ def test_asm_respects_candidate_limit():
     decision = asm_select_downlink(H, TARGET, 3)
     assert decision.feasible
     assert decision.n_active <= 2
-
-
-def test_mimo_required_snr():
-    H = _good_channel(8)
-    res, active = mimo_required_snr(H, TARGET, 4, n_streams=4)
-    assert res.feasible
-    assert active == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        mimo_required_snr(H, TARGET, 5, n_streams=4)   # R not divisible
 
 
 def test_admissible_group_starts():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lifisim import (Blocker, ChannelMatrix, LambertianSource, RadiosityError,
+from lifisim import (Blocker, LambertianSource, RadiosityError,
                      RadiositySolver, Room, SurfaceMesh,
                      build_environment_mesh, los_gain, los_gain_matrix,
                      nlos_gain)
@@ -275,10 +275,3 @@ def test_radiosity_divergence_detected():
                        rho=np.array([1.0, 1.0]))
     with pytest.raises(RadiosityError):
         RadiositySolver(mesh)
-
-
-def test_channel_matrix_is_sum_of_parts():
-    h_los = np.array([[1.0, 2.0], [3.0, 4.0]])
-    h_nlos = np.array([[0.1, 0.2], [0.3, 0.4]])
-    cm = ChannelMatrix(h_los=h_los, h_nlos=h_nlos)
-    np.testing.assert_allclose(cm.h, h_los + h_nlos)

@@ -228,6 +228,28 @@ def test_workers_flag_gives_identical_output(tmp_path):
     assert first == second
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.parametrize("workers", [0, -1, _usable_cpus() + 1, 10 ** 6])
+def test_workers_out_of_range_is_config_error(tmp_path, capsys, monkeypatch,
+                                              workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("lifisim.harness.ProcessPoolExecutor", no_pool)
+    cfg = write_config(tmp_path, TINY_MAP)
+    out_dir = tmp_path / "o"
+    assert cli.main(["cdf-map", "--config", cfg, "--out", str(out_dir),
+                     "--workers", str(workers)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--workers" in err
+    assert not out_dir.exists()
+
+
 def test_missing_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

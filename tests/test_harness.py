@@ -11,12 +11,15 @@ from lifisim import (
     ChannelBuilder,
     ConfigError,
     Scenario,
+    build_constellation,
+    build_mimo_constellation,
     emit,
     empirical_cdf,
     facing_directions,
     grid_positions,
     orwp_generate,
     read_csv,
+    required_snr,
     run_ber_sweep,
     run_cdf_map,
     run_orwp_eval,
@@ -24,6 +27,7 @@ from lifisim import (
     scenario_from_dict,
     scenario_hash,
     segments_blocked,
+    strongest_columns,
     write_csv,
 )
 from lifisim.channel import ELEMENT_FOV_DEG, ELEMENT_ORDER, los_gain_matrix
@@ -186,6 +190,34 @@ def test_cdf_map_worker_determinism():
     par = run_cdf_map(sc, workers=2)
     assert seq.rows == par.rows
     assert seq.meta == par.meta
+
+
+@pytest.mark.parametrize("scheme,r,signal_set,M", [
+    ("sm", 5, build_constellation, 8),
+    ("mimo", 4, build_mimo_constellation, 2),
+])
+def test_fixed_scheme_rows_match_required_snr_on_realized_channel(
+        scheme, r, signal_set, M):
+    sc = tiny_map_scenario(scheme=scheme, n_active=4, spectral_efficiency=r)
+    res = run_cdf_map(sc)
+    builder = ChannelBuilder(sc)
+    c = signal_set(M, 4)
+    picks = set()
+    for row in res.rows:
+        pose, _, H = builder.realize(row["realization"], row["x"], row["y"],
+                                     row["omega_deg"])
+        assert pose.angles_deg == (row["alpha_deg"], row["beta_deg"],
+                                   row["gamma_deg"])
+        idx = strongest_columns(H, 4)
+        picks.add(tuple(idx))
+        ref = required_snr(c, H[:, idx], sc.target_ber)
+        assert (row["n_active"], row["pam_order"]) == (4, M)
+        assert row["feasible"] == int(ref.feasible)
+        assert row["gamma_rx_db"] == (ref.gamma_rx_db if ref.feasible
+                                      else math.inf)
+    # the strongest columns change with the pose, so a runner that took
+    # any fixed set of columns would miss the reference somewhere
+    assert len(picks) > 1
 
 
 # -- ORWP run --------------------------------------------------------------

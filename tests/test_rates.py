@@ -64,16 +64,6 @@ def test_l1_high_snr_limit():
     assert l1 == pytest.approx(4.0 - 0.5 * 4 * (LOG2E - 1.0), abs=1e-9)
 
 
-def test_l1_coefficient_variants():
-    c = build_constellation(4, 4)
-    H = _channel(2)
-    quarter = lower_bound_l1(c, H, 0.01)
-    one = lower_bound_l1(c, H, 0.01, coefficient="one")
-    assert one > quarter      # exp(-d/(sigma2)) decays faster than -d/(4 sigma2)
-    with pytest.raises(ValueError):
-        lower_bound_l1(c, H, 0.01, coefficient="half")
-
-
 def test_l2_zero_channel():
     c = build_constellation(4, 4)
     assert lower_bound_l2(c, np.zeros((4, 4)), 1.0) == pytest.approx(0.0,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lifisim import (build_constellation, build_mimo_constellation,
-                     hamming_matrix, mimo_union_bound_ber, ml_detect,
-                     monte_carlo_ber, pairwise_sq_distances, pam_levels,
-                     pep, received_snr, union_bound_ber)
+                     hamming_matrix, ml_detect, monte_carlo_ber,
+                     pairwise_sq_distances, pam_levels, pep, received_snr,
+                     union_bound_ber)
 from lifisim.util import qfunc
 
 
@@ -93,9 +93,10 @@ def test_mimo_constellation():
 def test_mimo_single_stream_reduces_to_sm():
     H = np.array([[0.8], [0.3]])
     sm = build_constellation(4, 1)
+    mimo = build_mimo_constellation(4, 1)
     for g_db in (10.0, 20.0):
         g = 10 ** (g_db / 10)
-        assert mimo_union_bound_ber(4, 1, H, g) == pytest.approx(
+        assert union_bound_ber(mimo, H, g) == pytest.approx(
             union_bound_ber(sm, H, g), rel=1e-12)
 
 
