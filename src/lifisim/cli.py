@@ -6,7 +6,6 @@ Exit codes: 0 on success, 2 for configuration problems (including a
 """
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 
@@ -15,8 +14,8 @@ import numpy as np
 from .channel import RadiosityError
 from .config import (ConfigError, Scenario, load_scenario,
                      scenario_from_dict, scenario_hash)
-from .harness import (emit, run_ber_sweep, run_cdf_map, run_orwp_eval,
-                      run_uplink_eval)
+from .harness import (check_workers, emit, run_ber_sweep, run_cdf_map,
+                      run_orwp_eval, run_uplink_eval)
 
 _COMMANDS = {
     "ber-sweep": "bound and Monte Carlo BER against received SNR",
@@ -76,17 +75,6 @@ def _scenario(args):
     return scenario_from_dict(values)
 
 
-def _check_workers(n):
-    """Reject worker counts the pool should never be asked to start."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if not 1 <= n <= cpus:
-        raise ConfigError(f"--workers must lie in 1..{cpus} "
-                          f"(usable CPUs), got {n}")
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -94,7 +82,7 @@ def main(argv=None):
             sc = load_scenario(args.config) if args.config else Scenario()
             print(f"ok {scenario_hash(sc)}")
             return 0
-        _check_workers(args.workers)
+        check_workers(args.workers, "--workers")
         sc = _scenario(args)
         if args.command == "cdf-map":
             result = run_cdf_map(sc, args.workers)

@@ -20,7 +20,8 @@ SeedSequence([seed, 1, i]); Monte Carlo noise for realization i at
 sweep point g from SeedSequence([seed, 2, i, g]); the sequential
 trajectory stream is SeedSequence([seed, 0]). Results are therefore
 bit-identical for any worker count: workers only partition the
-realization list, and the merge preserves order.
+realization list, and the merge preserves order. A worker count outside
+1..usable CPUs is a ConfigError (a ValueError) before any pool starts.
 """
 
 import csv
@@ -267,9 +268,25 @@ def _worker_chunk(payload):
     return [fn(_BUILDER, t) for t in tasks]
 
 
+def check_workers(workers, option="workers"):
+    """Reject a worker count the pool should never be asked to start.
+
+    Raises ConfigError (a ValueError) unless 1 <= workers <= the CPUs
+    this process may run on; option names the count in the message.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ConfigError(f"{option} must lie in 1..{cpus} (usable CPUs), "
+                          f"got {workers}")
+
+
 def _run_tasks(scenario, fn, tasks, workers):
     """Map fn over tasks, preserving order; workers > 1 forks a pool."""
-    if workers <= 1 or len(tasks) < 2:
+    check_workers(workers)
+    if workers == 1 or len(tasks) < 2:
         builder = ChannelBuilder(scenario)
         return [fn(builder, t) for t in tasks]
     n_chunks = min(len(tasks), workers * 4)

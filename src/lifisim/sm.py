@@ -13,10 +13,16 @@ pairwise error probability of maximum-likelihood detection
     PEP = Q( sqrt( gamma_tx / (4 I^2) * ||H (s1 - s2)||^2 ) )
 
 and the Hamming-weighted union bound over all ordered symbol pairs an
-upper estimate of the bit error rate.
+upper estimate of the bit error rate. The bound is symmetric in the
+pair, so it is summed over the upper triangle i < j with twice the
+weight; signal sets are memoized per argument tuple, with read-only
+arrays, so that this pair table is built once per set.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,6 +31,14 @@ from .util import qfunc, wilson_interval
 #: Largest alphabet any signal set may have: the union bound and the
 #: detectors keep several K x K tables.
 MAX_SYMBOLS = 4096
+
+#: Distinct signal sets kept by the memoized builders.
+_CACHED_SETS = 32
+
+#: Symbol pairs i < j whose labels differ: flat index i K + j into a
+#: K x K table, Hamming distance d_H, and union-bound weight
+#: 2 d_H / (K log2 K) (each unordered pair stands for two ordered ones).
+PairTable = namedtuple("PairTable", "flat d_ham weight")
 
 
 def _is_pow2(n):
@@ -70,6 +84,23 @@ class Constellation:
     def bits_per_symbol(self):
         return self.labels.shape[1]
 
+    @cached_property
+    def pairs(self):
+        """PairTable of this set, built on first use."""
+        K = self.K
+        i, j = np.triu_indices(K, 1)
+        d = hamming_matrix(self.labels)[i, j]
+        keep = d > 0
+        d = d[keep]
+        weight = 2.0 * d / (K * self.bits_per_symbol)
+        return PairTable(flat=_read_only(i[keep] * K + j[keep]),
+                         d_ham=_read_only(d), weight=_read_only(weight))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 def pam_levels(M, mean_power):
     """Unipolar PAM levels 2 I m / (M + 1); their mean equals I."""
@@ -77,12 +108,14 @@ def pam_levels(M, mean_power):
     return 2.0 * mean_power * m / (M + 1)
 
 
+@lru_cache(maxsize=_CACHED_SETS)
 def build_constellation(M, n_active, mean_power=1.0):
     """Spatial-modulation signal set for n_active sources and M-PAM.
 
     Column k = (m - 1) n_active + a activates source a (0-based) at
     level I_m. Spatial bits are the natural binary source index; level
     bits are Gray coded so adjacent amplitudes differ in one bit.
+    Memoized: equal arguments return the same read-only set.
     """
     if not _is_pow2(M) or M < 2:
         raise ValueError("M must be a power of two >= 2")
@@ -107,10 +140,11 @@ def build_constellation(M, n_active, mean_power=1.0):
         parts.append(_bits(led, spatial_bits))
     parts.append(_bits(gray_code(lvl), level_bits))
     labels = np.concatenate(parts, axis=1)
-    return Constellation(S=S, labels=labels, M=M, n_active=n_active,
-                         mean_power=mean_power)
+    return Constellation(S=_read_only(S), labels=_read_only(labels), M=M,
+                         n_active=n_active, mean_power=mean_power)
 
 
+@lru_cache(maxsize=_CACHED_SETS)
 def build_mimo_constellation(M, n_streams, mean_power=1.0):
     """Joint signal set of n_streams parallel M-PAM streams.
 
@@ -118,7 +152,8 @@ def build_mimo_constellation(M, n_streams, mean_power=1.0):
     are scaled so the total mean optical power summed over the streams
     equals I, the same illumination constraint the one-active-source
     sets satisfy; the joint alphabet has M**n_streams vectors and
-    labels are the streams' labels concatenated.
+    labels are the streams' labels concatenated. Memoized like
+    build_constellation.
     """
     if not _is_pow2(M) or M < 2:
         raise ValueError("M must be a power of two >= 2")
@@ -135,8 +170,8 @@ def build_mimo_constellation(M, n_streams, mean_power=1.0):
     S = levels[idx]
     labels = np.concatenate(
         [_bits(gray_code(idx[j]), level_bits) for j in range(n_streams)], axis=1)
-    return Constellation(S=S, labels=labels, M=M, n_active=n_streams,
-                         mean_power=mean_power)
+    return Constellation(S=_read_only(S), labels=_read_only(labels), M=M,
+                         n_active=n_streams, mean_power=mean_power)
 
 
 def hamming_matrix(labels):
@@ -173,25 +208,43 @@ def union_bound_ber(constellation, H, gamma_tx):
     """Union-bound estimate of the ML bit error rate.
 
     (1 / (K log2 K)) * sum over all ordered pairs of
-    d_H(b1, b2) Q(sqrt(gamma_tx / (4 I^2) ||H (s1 - s2)||^2)). Monotone
-    decreasing in gamma_tx; may exceed 1 at low SNR.
+    d_H(b1, b2) Q(sqrt(gamma_tx / (4 I^2) ||H (s1 - s2)||^2)), summed
+    as UnionBound does. Monotone decreasing in gamma_tx; may exceed 1
+    at low SNR.
     """
-    d2, d_ham = _bound_tables(constellation, H)
-    return _bound_from_tables(d2, d_ham, constellation, gamma_tx)
-
-
-def _bound_tables(constellation, H):
-    """Pairwise tables reused across SNR points of one channel."""
-    x = H @ constellation.S
-    return pairwise_sq_distances(x), hamming_matrix(constellation.labels)
-
-
-def _bound_from_tables(d2, d_ham, constellation, gamma_tx):
     if gamma_tx <= 0:
         raise ValueError("gamma_tx must be positive")
-    K = constellation.K
-    args = np.sqrt(gamma_tx / (4.0 * constellation.mean_power ** 2) * d2)
-    return float(np.sum(d_ham * qfunc(args)) / (K * constellation.bits_per_symbol))
+    return UnionBound(constellation, H)(gamma_tx)
+
+
+class UnionBound:
+    """The union bound of one signal set on one channel, against SNR.
+
+    bound(gamma_tx) = floor + tail(gamma_tx), where tail sums
+    weight * Q(sqrt(gamma_tx) * root_a) over the pairs of the set's
+    PairTable that the channel separates, with
+    root_a = ||H (s_i - s_j)|| / (2 I). Pairs mapped to one point keep
+    Q(0) = 1/2 at every SNR and make up floor. Their squared distances
+    are those of pairwise_sq_distances, so a pair counts as
+    inseparable exactly when that K x K table holds 0 for it.
+    """
+
+    def __init__(self, constellation, H):
+        c = constellation
+        pairs = c.pairs
+        d2 = pairwise_sq_distances(H @ c.S).take(pairs.flat)
+        zero = d2 <= 0.0
+        self.floor = (float(pairs.d_ham[zero].sum())
+                      / (c.K * c.bits_per_symbol))
+        self.weight = pairs.weight[~zero]
+        self.root_a = np.sqrt(d2[~zero]) / (2.0 * c.mean_power)
+
+    def tail(self, gamma_tx):
+        """The separable pairs' part of the bound at gamma_tx."""
+        return float(self.weight @ qfunc(math.sqrt(gamma_tx) * self.root_a))
+
+    def __call__(self, gamma_tx):
+        return self.floor + self.tail(gamma_tx)
 
 
 def received_snr(H, n_active, gamma_tx):

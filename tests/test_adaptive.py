@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from lifisim import (admissible_group_starts, asm_select_downlink,
-                     build_constellation, led_selection_uplink,
-                     required_snr, strongest_columns, union_bound_ber)
-from lifisim.util import db_to_linear
+import lifisim.adaptive as adaptive
+from lifisim import (AsmDecision, RequiredSnr, admissible_group_starts,
+                     asm_select_downlink, build_constellation,
+                     build_mimo_constellation, hamming_matrix,
+                     led_selection_uplink, pairwise_sq_distances,
+                     received_snr, required_snr, strongest_columns,
+                     union_bound_ber)
+from lifisim.util import db_to_linear, linear_to_db, qfunc
 
 TARGET = 3.8e-3
 
@@ -77,6 +83,12 @@ def test_required_snr_validation():
     c = build_constellation(4, 2)
     with pytest.raises(ValueError):
         required_snr(c, np.eye(2), 0.6)
+    with pytest.raises(ValueError):
+        required_snr(c, np.eye(2), TARGET, tol_db=0.0)
+    with pytest.raises(ValueError):
+        required_snr(c, np.array([[1.0, np.nan], [0.0, 1.0]]), TARGET)
+    with pytest.raises(ValueError):
+        asm_select_downlink(np.eye(4), 0.0, 4)
 
 
 def test_strongest_columns():
@@ -200,3 +212,208 @@ def test_led_selection_weakest_gate_is_exact():
             for earlier in [s for s in starts if s < start]:
                 weaker = H[:, order[earlier - 1]][:, None]
                 assert union_bound_ber(single, weaker, gamma) > TARGET
+
+
+# -- the search against the bisection it replaced -------------------------
+
+def _k2_union_bound(c, H, gamma_tx):
+    """Union bound summed over all K^2 ordered pairs, as it used to be."""
+    d2 = pairwise_sq_distances(H @ c.S)
+    args = np.sqrt(gamma_tx / (4.0 * c.mean_power ** 2) * d2)
+    return float(np.sum(hamming_matrix(c.labels) * qfunc(args))
+                 / (c.K * c.bits_per_symbol))
+
+
+def _bisection_required_snr(c, H, target, tol_db=0.01):
+    """Transmit SNR (dB) from the bisection required_snr used to run, or
+    None when infeasible."""
+    d2 = pairwise_sq_distances(H @ c.S)
+    d_ham = hamming_matrix(c.labels)
+    floor = 0.5 * float(d_ham[d2 <= 0.0].sum()) / (c.K * c.bits_per_symbol)
+    if floor > target:
+        return None
+
+    def bound(db):
+        return _k2_union_bound(c, H, db_to_linear(db))
+
+    lo, hi = -20.0, 80.0
+    while bound(hi) > target:
+        hi += 20.0
+        if hi > 200.0:
+            return None
+    while bound(lo) <= target:
+        lo -= 20.0
+        if lo < -200.0:
+            break
+    while hi - lo > tol_db:
+        mid = 0.5 * (lo + hi)
+        if bound(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+_SIGNAL_SETS = st.one_of(
+    st.tuples(st.just(build_constellation), st.sampled_from([2, 4, 8, 16]),
+              st.sampled_from([1, 2, 4])),
+    st.tuples(st.just(build_mimo_constellation), st.sampled_from([2, 4]),
+              st.sampled_from([1, 2, 3])))
+
+
+@st.composite
+def _channels(draw, n_tx):
+    """Nonnegative (n_rx, n_tx) channels, some with a zero column, a
+    duplicate column or a column scaled onto another."""
+    n_rx = draw(st.integers(1, 4))
+    H = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_rx * n_tx,
+                               max_size=n_rx * n_tx))).reshape(n_rx, n_tx)
+    if n_tx > 1:
+        a, b = draw(st.lists(st.integers(0, n_tx - 1), min_size=2,
+                             max_size=2, unique=True))
+        edit = draw(st.sampled_from(["none", "zero", "copy", "scaled"]))
+        if edit == "zero":
+            H[:, a] = 0.0
+        elif edit == "copy":
+            H[:, a] = H[:, b]
+        elif edit == "scaled":
+            H[:, a] = 2.0 * H[:, b]
+    return H
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), signal_set=_SIGNAL_SETS,
+       target=st.sampled_from([1e-6, 1e-4, TARGET, 0.047, 0.19]),
+       root_db=st.one_of(st.floats(-40.0, 60.0), st.floats(-215.0, -185.0),
+                         st.floats(185.0, 215.0)))
+def test_required_snr_matches_bisection(data, signal_set, target, root_db):
+    # no target equals a floor S / (K log2 K): at such a floor both
+    # searches stop where rounding absorbs the separable pairs (see the
+    # next test)
+    build, M, n = signal_set
+    c = build(M, n)
+    H = data.draw(_channels(n))
+    root0 = _bisection_required_snr(c, H, target)
+    if root0 is not None:
+        # scaling H by s moves the crossing by -20 log10(s) dB
+        H = H * 10.0 ** ((root0 - root_db) / 20.0)
+    ref = _bisection_required_snr(c, H, target)
+    res = required_snr(c, H, target)
+    assert res.feasible == (ref is not None)
+    if ref is None:
+        assert res.gamma_tx_db == np.inf
+        return
+    hi = res.gamma_tx_db
+    assert abs(hi - ref) <= 0.01
+    assert union_bound_ber(c, H, db_to_linear(hi)) <= target
+    assert union_bound_ber(c, H, db_to_linear(hi - 0.01)) > target
+    rx = received_snr(H, c.n_active, db_to_linear(hi))
+    assert res.gamma_rx_db == pytest.approx(float(linear_to_db(rx)),
+                                            abs=1e-9)
+
+
+def test_required_snr_infeasible_exactly_above_200_db():
+    c = build_constellation(4, 2)
+    H = np.array([[0.9, 0.2], [0.1, 0.7]])
+    root = required_snr(c, H, TARGET).gamma_tx_db
+    for shift_db, feasible in [(199.9, True), (200.1, False)]:
+        scaled = H * 10.0 ** ((root - shift_db) / 20.0)
+        res = required_snr(c, scaled, TARGET)
+        assert res.feasible == feasible
+        assert (_bisection_required_snr(c, scaled, TARGET) is not None) \
+            == feasible
+
+
+def test_required_snr_with_floor_equal_to_target():
+    # columns 0 and 1 coincide, and the pairs they merge put a floor of
+    # exactly 8 / (32 * 5) = 0.05 under the bound: it meets a 0.05 target
+    # only where rounding absorbs the rest, as the bisection also found
+    c = build_constellation(8, 4)
+    H = np.array([[1.0, 1.0, 0.6875, 0.9375]])
+    res = required_snr(c, H, 0.05)
+    assert res.feasible
+    assert _bisection_required_snr(c, H, 0.05) is not None
+    assert union_bound_ber(c, H, db_to_linear(res.gamma_tx_db)) <= 0.05
+    assert union_bound_ber(c, H, db_to_linear(res.gamma_tx_db - 0.01)) > 0.05
+
+
+@settings(max_examples=150, deadline=None)
+@given(signal_set=_SIGNAL_SETS, data=st.data(),
+       gamma_db=st.floats(-20.0, 60.0))
+def test_union_bound_equals_ordered_pair_sum(signal_set, data, gamma_db):
+    build, M, n = signal_set
+    c = build(M, n)
+    H = data.draw(_channels(n))
+    gamma = db_to_linear(gamma_db)
+    expected = _k2_union_bound(c, H, gamma)
+    assume(expected > 1e-200)
+    assert union_bound_ber(c, H, gamma) == pytest.approx(expected, rel=1e-12)
+
+
+# -- pruned ASM against the exhaustive loop it replaced ---------------------
+
+def _exhaustive_asm(H_full, target, R, candidates=(1, 2, 4, 8, 16)):
+    """Every admissible candidate searched, ascending N_a, strict <."""
+    best = AsmDecision(feasible=False)
+    for n_active in sorted(candidates):
+        if n_active > H_full.shape[1]:
+            continue
+        M = 2 ** int(round(R - np.log2(n_active)))
+        if M < 2 or M * n_active != 2 ** R:
+            continue
+        idx = strongest_columns(H_full, n_active)
+        res = required_snr(build_constellation(M, n_active),
+                           H_full[:, idx], target)
+        if res.feasible and res.gamma_rx_db < best.gamma_rx_db:
+            best = AsmDecision(feasible=True, n_active=n_active, M=M,
+                               active_set=tuple(int(i) for i in idx),
+                               gamma_tx_db=res.gamma_tx_db,
+                               gamma_rx_db=res.gamma_rx_db)
+    return best
+
+
+def _assert_same_decision(got, want):
+    assert (got.feasible, got.n_active, got.M, got.active_set) == \
+        (want.feasible, want.n_active, want.M, want.active_set)
+    if want.feasible:
+        assert got.gamma_rx_db == pytest.approx(want.gamma_rx_db, abs=1e-9)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), R=st.integers(1, 6),
+       n_tx=st.sampled_from([2, 4, 8, 16]),
+       target=st.sampled_from([1e-4, TARGET, 0.05]))
+def test_pruned_asm_matches_exhaustive_loop(data, R, n_tx, target):
+    H = data.draw(_channels(n_tx))
+    _assert_same_decision(asm_select_downlink(H, target, R),
+                          _exhaustive_asm(H, target, R))
+
+
+def test_pruned_asm_matches_exhaustive_loop_on_near_ties():
+    # columns of nearly equal strength give candidates within a hair of
+    # each other
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        H = 0.5 + 1e-6 * rng.standard_normal((4, 8))
+        for R in (3, 5):
+            _assert_same_decision(asm_select_downlink(H, TARGET, R),
+                                  _exhaustive_asm(H, TARGET, R))
+
+
+def test_asm_tie_goes_to_smaller_count(monkeypatch):
+    # every candidate is made to need exactly 100 dB, far above what it
+    # really needs, so the bound test at the best SNR prunes none of them
+    def constant(constellation, H, target_ber, tol_db=0.01):
+        calls.append(constellation.n_active)
+        return RequiredSnr(feasible=True, gamma_tx_db=90.0,
+                           gamma_rx_db=100.0)
+
+    calls = []
+    monkeypatch.setattr(adaptive, "required_snr", constant)
+    decision = asm_select_downlink(_good_channel(9, (4, 8)), TARGET, 5)
+    assert sorted(calls) == [1, 2, 4, 8]
+    assert calls[0] != 1            # the smallest count was not searched first
+    assert (decision.n_active, decision.M) == (1, 32)
+    assert decision.active_set == tuple(strongest_columns(
+        _good_channel(9, (4, 8)), 1))

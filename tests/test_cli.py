@@ -128,7 +128,7 @@ def test_cli_import_leaves_out_scipy_signal():
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, lifisim.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.signal')))")
+            "if m.startswith(('scipy.signal', 'scipy.optimize'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -192,6 +192,26 @@ def test_cdf_map_worker_determinism():
     assert seq.meta == par.meta
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.parametrize("workers", [0, -1, _usable_cpus() + 1, 10 ** 6])
+@pytest.mark.parametrize("run", [run_cdf_map, run_ber_sweep, run_uplink_eval])
+def test_library_runs_reject_out_of_range_workers(monkeypatch, run, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("lifisim.harness.ProcessPoolExecutor", no_pool)
+    sc = tiny_map_scenario(
+        scheme="sm", n_active=4, spectral_efficiency=5,
+        direction="uplink" if run is run_uplink_eval else "downlink")
+    with pytest.raises(ValueError, match="workers must lie in 1"):
+        run(sc, workers=workers)
+
+
 @pytest.mark.parametrize("scheme,r,signal_set,M", [
     ("sm", 5, build_constellation, 8),
     ("mimo", 4, build_mimo_constellation, 2),

@@ -100,6 +100,25 @@ def test_mimo_single_stream_reduces_to_sm():
             union_bound_ber(sm, H, g), rel=1e-12)
 
 
+@pytest.mark.parametrize("build,args", [(build_constellation, (8, 4)),
+                                        (build_mimo_constellation, (2, 3))])
+def test_signal_sets_are_memoized_and_read_only(build, args):
+    c = build(*args)
+    assert build(*args) is c
+    assert build(*args).pairs is c.pairs
+    for a in (c.S, c.labels, *c.pairs):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        c.S[0, 0] = 1.0
+    # every pair i < j once (labels are distinct), with its label distance
+    i, j = np.triu_indices(c.K, 1)
+    np.testing.assert_array_equal(c.pairs.flat, i * c.K + j)
+    np.testing.assert_array_equal(
+        c.pairs.d_ham, np.count_nonzero(c.labels[i] != c.labels[j], axis=1))
+    np.testing.assert_allclose(
+        c.pairs.weight, 2.0 * c.pairs.d_ham / (c.K * c.bits_per_symbol))
+
+
 def test_hamming_matrix():
     labels = np.array([[0, 0], [0, 1], [1, 1]])
     expected = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
