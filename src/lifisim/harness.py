@@ -41,7 +41,7 @@ from .config import ConfigError, Scenario, scenario_hash
 from .geometry import DevicePose, element_world_pose
 from .orientation import orwp_generate, sample_static_orientation
 from .rates import energy_efficiency, mi_monte_carlo, rate_bounds
-from .sm import (build_constellation, build_mimo_constellation,
+from .sm import (UnionBound, build_constellation, build_mimo_constellation,
                  monte_carlo_ber, received_snr, union_bound_ber)
 from .util import db_to_linear, linear_to_db, wilson_interval
 
@@ -352,7 +352,8 @@ def run_ber_sweep(scenario, workers=1):
     Draws whose channel cannot carry any power (all entries blocked or
     out of view) count as coin-flip bit errors, which is what creates
     the high-SNR floors of LOS-only configurations. The asm scheme is
-    swept with the sm signal set of n_active sources.
+    swept with the sm signal set of n_active sources. Each draw's union
+    bound is built once and evaluated at every sweep point.
     """
     sc = scenario
     if sc.direction != "downlink":
@@ -368,6 +369,7 @@ def run_ber_sweep(scenario, workers=1):
     factors = [received_snr(H_sub, n_cols, 1.0) for H_sub in subsets]
 
     M, constellation = _fixed_signal_set(sc)
+    unions = [UnionBound(constellation, H_sub) for H_sub in subsets]
     bits_ps = constellation.bits_per_symbol
     mc_per_draw = sc.mc_symbols if fixed else max(
         1000, sc.mc_symbols // n_draws)
@@ -386,7 +388,7 @@ def run_ber_sweep(scenario, workers=1):
                     total_bits += mc_per_draw * bits_ps
                 continue
             gtx = grx / factors[i]
-            bounds.append(union_bound_ber(constellation, H_sub, gtx))
+            bounds.append(unions[i](gtx))
             if sc.mc_symbols > 0:
                 rng = np.random.default_rng(
                     np.random.SeedSequence([sc.seed, 2, i, g]))

@@ -16,7 +16,9 @@ and the Hamming-weighted union bound over all ordered symbol pairs an
 upper estimate of the bit error rate. The bound is symmetric in the
 pair, so it is summed over the upper triangle i < j with twice the
 weight; signal sets are memoized per argument tuple, with read-only
-arrays, so that this pair table is built once per set.
+arrays, so that this pair table is built once per set. Monte Carlo
+detection counts bit errors through the set's cached K x K table of
+label Hamming distances.
 """
 
 import math
@@ -34,6 +36,10 @@ MAX_SYMBOLS = 4096
 
 #: Distinct signal sets kept by the memoized builders.
 _CACHED_SETS = 32
+
+#: Symbols per block of monte_carlo_ber. Fixed, because the block size
+#: sets the order of the draws and so the result.
+MC_CHUNK = 100_000
 
 #: Symbol pairs i < j whose labels differ: flat index i K + j into a
 #: K x K table, Hamming distance d_H, and union-bound weight
@@ -85,11 +91,20 @@ class Constellation:
         return self.labels.shape[1]
 
     @cached_property
+    def hamming(self):
+        """(K, K) Hamming distances between the labels, built on first use.
+
+        Stored as uint8 (labels have at most 12 bits), an eighth of the
+        memory of hamming_matrix's integers.
+        """
+        return _read_only(hamming_matrix(self.labels).astype(np.uint8))
+
+    @cached_property
     def pairs(self):
         """PairTable of this set, built on first use."""
         K = self.K
         i, j = np.triu_indices(K, 1)
-        d = hamming_matrix(self.labels)[i, j]
+        d = self.hamming[i, j]
         keep = d > 0
         d = d[keep]
         weight = 2.0 * d / (K * self.bits_per_symbol)
@@ -212,7 +227,7 @@ def union_bound_ber(constellation, H, gamma_tx):
     as UnionBound does. Monotone decreasing in gamma_tx; may exceed 1
     at low SNR.
     """
-    if gamma_tx <= 0:
+    if not gamma_tx > 0:
         raise ValueError("gamma_tx must be positive")
     return UnionBound(constellation, H)(gamma_tx)
 
@@ -260,36 +275,41 @@ def received_snr(H, n_active, gamma_tx):
     return gamma_tx / n_active ** 2 * float(np.dot(row_sums, row_sums))
 
 
-def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng,
-                    chunk=100_000):
+def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     """Simulated ML bit error rate with a Wilson confidence interval.
 
     Symbols are drawn uniformly; the noise standard deviation is
     calibrated to the transmit SNR as sigma = I / sqrt(gamma_tx). The
-    interval treats bit errors as independent Bernoulli trials.
+    interval treats bit errors as independent Bernoulli trials. Symbols
+    are drawn in blocks of MC_CHUNK, the indices of a block before its
+    noise, so the result depends only on rng's state and the inputs.
 
     Returns:
         (ber, (ci_low, ci_high))
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
-    if gamma_tx <= 0:
+    if not gamma_tx > 0:
         raise ValueError("gamma_tx must be positive")
     x = H @ constellation.S                       # (n_r, K)
+    K = constellation.K
     sigma = constellation.mean_power / np.sqrt(gamma_tx)
     half_sq = 0.5 * np.sum(x * x, axis=0)         # (K,)
-    labels = constellation.labels
+    bit_errors = constellation.hamming.ravel()    # (K * K,)
 
     n_bit_errors = 0
     remaining = n_symbols
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(MC_CHUNK, remaining)
         remaining -= n
-        ks = rng.integers(0, constellation.K, size=n)
+        ks = rng.integers(0, K, size=n)
         y = x[:, ks] + sigma * rng.standard_normal((x.shape[0], n))
-        scores = x.T @ y - half_sq[:, None]       # (K, n)
-        khat = np.argmax(scores, axis=0)
-        n_bit_errors += int(np.count_nonzero(labels[ks] != labels[khat]))
+        scores = y.T @ x                          # (n, K)
+        scores -= half_sq
+        khat = np.argmax(scores, axis=1)
+        ks *= K                                   # flat index sent K + decided
+        ks += khat
+        n_bit_errors += int(bit_errors.take(ks).sum())
 
     n_bits = n_symbols * constellation.bits_per_symbol
     ber = n_bit_errors / n_bits

@@ -19,6 +19,7 @@ from lifisim import (
     grid_positions,
     orwp_generate,
     read_csv,
+    received_snr,
     required_snr,
     run_ber_sweep,
     run_cdf_map,
@@ -28,11 +29,13 @@ from lifisim import (
     scenario_hash,
     segments_blocked,
     strongest_columns,
+    union_bound_ber,
     write_csv,
 )
 from lifisim.channel import ELEMENT_FOV_DEG, ELEMENT_ORDER, los_gain_matrix
 from lifisim.geometry import element_world_pose
 from lifisim.harness import BER_COLUMNS, CDF_COLUMNS, EE_COLUMNS, RunResult
+from lifisim.util import db_to_linear
 
 
 def tiny_map_scenario(**over):
@@ -330,6 +333,32 @@ def test_ber_sweep_random_orientation_workers():
     par = run_ber_sweep(sc, workers=2)
     assert seq.rows == par.rows
     assert len(seq.rows) == 3
+
+
+@pytest.mark.parametrize("scheme", ["sm", "mimo"])
+def test_ber_sweep_bound_is_mean_of_per_draw_union_bounds(scheme):
+    # each draw's bound is built once and evaluated at every point; it
+    # must equal union_bound_ber on that draw's channel, bit for bit
+    sc = sweep_scenario(scheme=scheme, spectral_efficiency=8,
+                        orientation="random", orientations_per_point=4,
+                        mc_symbols=0, kappa_b=0.3)
+    res = run_ber_sweep(sc)
+    builder = ChannelBuilder(sc)
+    x, y = sc.location_xy()
+    subsets = []
+    for i in range(sc.orientations_per_point):
+        H = builder.realize(i, x, y, sc.omega(), None)[2]
+        subsets.append(H[:, strongest_columns(H, 4)])
+    assert len({H.tobytes() for H in subsets}) == len(subsets)
+    c = (build_constellation(64, 4) if scheme == "sm"
+         else build_mimo_constellation(4, 4))
+    for row, grx_db in zip(res.rows, sc.snr_grid_db()):
+        assert row["M"] == c.M
+        grx = db_to_linear(grx_db)
+        expected = [union_bound_ber(c, H, grx / received_snr(H, 4, 1.0))
+                    if received_snr(H, 4, 1.0) > 0.0 else 0.5
+                    for H in subsets]
+        assert row["ber_bound"] == float(np.mean(expected))
 
 
 def test_ber_sweep_requires_downlink():

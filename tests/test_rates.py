@@ -1,11 +1,17 @@
 """Achievable-rate lower bounds, their high-SNR gaps and the MC estimate."""
 
+import inspect
+
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings, strategies as st
 
+import lifisim.rates as rates
 from lifisim import (achievable_rate, build_constellation, energy_efficiency,
                      high_snr_gaps, input_power_variance, lower_bound_l1,
-                     lower_bound_l2, mi_monte_carlo, pam_levels, rate_bounds)
+                     lower_bound_l2, mi_monte_carlo, pairwise_sq_distances,
+                     pam_levels, rate_bounds)
 
 LOG2E = 1.0 / np.log(2.0)
 
@@ -148,3 +154,91 @@ def test_energy_efficiency():
     assert energy_efficiency(4.0, 2.0, symbol_rate=4.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         energy_efficiency(1.0, 0.0)
+
+
+def _reference_mi_monte_carlo(constellation, H, sigma2, n_samples, rng,
+                              chunk=20_000):
+    """mi_monte_carlo as it was before its in-place rewrite: fancy-indexed
+    temporaries and scipy's logsumexp."""
+    H = np.atleast_2d(H)
+    X = H @ constellation.S
+    K = constellation.K
+    n_rx = H.shape[0]
+    sigma = np.sqrt(sigma2)
+    dist_sq = pairwise_sq_distances(X)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        n = min(chunk, n_samples - done)
+        idx = rng.integers(0, K, size=n)
+        noise = rng.normal(0.0, sigma, size=(n, n_rx))
+        nx = noise @ X
+        expo = nx[np.arange(n), idx][:, None] - nx
+        expo *= 2.0
+        expo += dist_sq[idx, :]
+        expo /= -(2.0 * sigma2)
+        terms = scipy.special.logsumexp(expo, axis=1) / np.log(2.0)
+        total += float(terms.sum())
+        total_sq += float((terms * terms).sum())
+        done += n
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return float(np.log2(K) - mean), float(np.sqrt(var / n_samples))
+
+
+@settings(max_examples=100, deadline=None)
+@given(M_na=st.sampled_from([(4, 1), (2, 2), (8, 1), (4, 2), (2, 4), (16, 1),
+                             (4, 4), (8, 2)]),
+       n_rx=st.integers(1, 16),
+       n_samples=st.one_of(st.integers(1000, 45_000),
+                           st.sampled_from([20_000, 20_001, 40_000])),
+       snr_db=st.floats(-20.0, 60.0),
+       zero_column=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mi_monte_carlo_matches_reference_bit_for_bit(M_na, n_rx, n_samples,
+                                                      snr_db, zero_column,
+                                                      seed):
+    # K in {4, 8, 16}; above 20,000 samples the draws span two or three
+    # blocks; a zero column puts two symbols on one output point (ties)
+    c = build_constellation(*M_na)
+    rng = np.random.default_rng(seed)
+    H = rng.uniform(0.0, 1.0, size=(n_rx, M_na[1]))
+    if zero_column:
+        H[:, 0] = 0.0
+    sigma2 = 10 ** (-snr_db / 10)
+    ours = mi_monte_carlo(c, H, sigma2, n_samples, np.random.default_rng(seed))
+    theirs = _reference_mi_monte_carlo(c, H, sigma2, n_samples,
+                                       np.random.default_rng(seed))
+    assert ours == theirs
+
+
+def test_bounds_match_scipy_logsumexp(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = []
+    for M, n_tx, n_rx in [(4, 1, 1), (2, 4, 16), (4, 4, 4), (8, 2, 16)]:
+        c = build_constellation(M, n_tx)
+        H = rng.uniform(0.0, 1.0, size=(n_rx, n_tx))
+        for sigma2 in (1e-8, 1e-3, 1.0, 1e3):
+            cases.append((c, H, sigma2))
+    cases.append((build_constellation(4, 4), np.zeros((4, 4)), 1.0))
+    ours = [(lower_bound_l1(*case), lower_bound_l2(*case)) for case in cases]
+    gaps = [high_snr_gaps(M, 4, 16) for M in (2, 4, 8, 16)]
+    monkeypatch.setattr(rates, "logsumexp", scipy.special.logsumexp)
+    assert ours == [(lower_bound_l1(*case), lower_bound_l2(*case))
+                    for case in cases]
+    assert gaps == [high_snr_gaps(M, 4, 16) for M in (2, 4, 8, 16)]
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan])
+def test_mi_monte_carlo_rejects_nonpositive_noise(sigma2):
+    c = build_constellation(4, 4)
+    with pytest.raises(ValueError, match="sigma2"):
+        mi_monte_carlo(c, _channel(6), sigma2, 1000, np.random.default_rng(0))
+
+
+def test_mi_monte_carlo_block_size_is_fixed():
+    # a chunk argument of 0 used to loop forever; the block size is now
+    # the constant MI_CHUNK
+    assert "chunk" not in inspect.signature(mi_monte_carlo).parameters
+    assert rates.MI_CHUNK == 20_000

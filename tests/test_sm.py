@@ -1,13 +1,16 @@
 """Signal sets, ML detection, union bound and Monte Carlo cross-checks."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import lifisim.sm as sm
 from lifisim import (build_constellation, build_mimo_constellation,
                      hamming_matrix, ml_detect, monte_carlo_ber,
                      pairwise_sq_distances, pam_levels, pep, received_snr,
                      union_bound_ber)
-from lifisim.util import qfunc
+from lifisim.util import qfunc, wilson_interval
 
 
 def test_pam_levels_and_mean():
@@ -106,8 +109,10 @@ def test_signal_sets_are_memoized_and_read_only(build, args):
     c = build(*args)
     assert build(*args) is c
     assert build(*args).pairs is c.pairs
-    for a in (c.S, c.labels, *c.pairs):
+    assert build(*args).hamming is c.hamming
+    for a in (c.S, c.labels, *c.pairs, c.hamming):
         assert not a.flags.writeable
+    np.testing.assert_array_equal(c.hamming, hamming_matrix(c.labels))
     with pytest.raises(ValueError):
         c.S[0, 0] = 1.0
     # every pair i < j once (labels are distinct), with its label distance
@@ -241,3 +246,67 @@ def test_received_snr():
     assert received_snr(H, 2, 1.0) == pytest.approx(manual)
     with pytest.raises(ValueError):
         received_snr(H, 4, 1.0)
+
+
+def _reference_monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng,
+                               chunk=100_000):
+    """monte_carlo_ber as it was before the (n, K) score layout and the
+    Hamming-table error count: (K, n) scores, label comparison."""
+    x = H @ constellation.S
+    sigma = constellation.mean_power / np.sqrt(gamma_tx)
+    half_sq = 0.5 * np.sum(x * x, axis=0)
+    labels = constellation.labels
+    n_bit_errors = 0
+    remaining = n_symbols
+    while remaining > 0:
+        n = min(chunk, remaining)
+        remaining -= n
+        ks = rng.integers(0, constellation.K, size=n)
+        y = x[:, ks] + sigma * rng.standard_normal((x.shape[0], n))
+        scores = x.T @ y - half_sq[:, None]
+        khat = np.argmax(scores, axis=0)
+        n_bit_errors += int(np.count_nonzero(labels[ks] != labels[khat]))
+    n_bits = n_symbols * constellation.bits_per_symbol
+    ber = n_bit_errors / n_bits
+    return ber, wilson_interval(n_bit_errors, n_bits)
+
+
+@pytest.mark.parametrize("build,args,n_rx", [
+    (build_constellation, (8, 4), 4), (build_constellation, (4, 2), 16),
+    (build_constellation, (16, 1), 1), (build_mimo_constellation, (2, 3), 4),
+    (build_mimo_constellation, (4, 2), 2)])
+def test_monte_carlo_ber_matches_reference(build, args, n_rx):
+    c = build(*args)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        H = rng.uniform(0.2, 1.0, size=(n_rx, c.S.shape[0]))
+        if seed == 3:
+            H[:, 0] = 0.0                   # a source out of view: ties
+        # the first SNRs make many errors, the last few; 250,001 symbols
+        # take three blocks, the last of one symbol
+        for g_db, n_symbols in [(0.0, 3_000), (12.0, 100_000),
+                                (20.0, 250_001), (35.0, 40_000)]:
+            g = 10 ** (g_db / 10)
+            ours = monte_carlo_ber(c, H, g, n_symbols,
+                                   np.random.default_rng([seed, n_symbols]))
+            theirs = _reference_monte_carlo_ber(
+                c, H, g, n_symbols, np.random.default_rng([seed, n_symbols]))
+            assert ours == theirs
+
+
+def test_monte_carlo_ber_rejects_nan_snr():
+    c = build_constellation(4, 2)
+    with pytest.raises(ValueError, match="gamma_tx"):
+        monte_carlo_ber(c, np.ones((3, 2)), np.nan, 1000,
+                        np.random.default_rng(0))
+
+
+def test_union_bound_rejects_nan_snr():
+    c = build_constellation(4, 2)
+    with pytest.raises(ValueError, match="gamma_tx"):
+        union_bound_ber(c, np.ones((3, 2)), np.nan)
+
+
+def test_monte_carlo_block_size_is_fixed():
+    assert "chunk" not in inspect.signature(monte_carlo_ber).parameters
+    assert sm.MC_CHUNK == 100_000
