@@ -4,7 +4,10 @@ Two blocker kinds exist: the user's own body, standing a fixed distance
 behind the device opposite the facing direction, and other people
 scattered uniformly over the room at a given density. A link is blocked
 when the open segment between its endpoints meets a prism's closed
-volume; the test is an exact slab intersection in the prism's frame.
+volume; the test is an exact slab intersection in the prism's frame,
+run only on the (segment, prism) pairs whose bounding boxes meet. A
+SegmentSet keeps those boxes for segments whose endpoints never move,
+so that only the cull and the slab tests are repeated per blocker list.
 """
 
 from dataclasses import dataclass
@@ -87,8 +90,8 @@ def _prism_frames(blockers):
     """Per-blocker slab parameters as arrays over the blocker list.
 
     Returns (cos, sin, center, lo, hi): cos/sin of each facing (m,),
-    footprint centers (m, 2) and the prism box corners in its own frame
-    (m, 3), u along the facing, v across it, z unchanged.
+    footprint centers (2, m) and the prism box corners in its own frame
+    (3, m), u along the facing, v across it, z unchanged.
     """
     # One scalar cos/sin per blocker: a vectorized cos may round
     # differently, and a prism's hits must not depend on its neighbours.
@@ -97,36 +100,34 @@ def _prism_frames(blockers):
         phi = np.deg2rad(blocker.facing_deg)
         cos.append(np.cos(phi))
         sin.append(np.sin(phi))
-    center = np.array([blocker.center for blocker in blockers], dtype=float)
-    lo = np.array([(-blocker.width / 2, -blocker.length / 2, 0.0)
-                   for blocker in blockers])
+    center = np.array([blocker.center for blocker in blockers], dtype=float).T
     hi = np.array([(blocker.width / 2, blocker.length / 2, blocker.height)
-                   for blocker in blockers])
+                   for blocker in blockers]).T
+    lo = -hi
+    lo[2] = 0.0
     return np.array(cos), np.array(sin), center, lo, hi
 
 
 def _segment_prism_hits(a, b, cos, sin, center, lo, hi):
-    """Slab test of segment rows a->b against prism rows.
+    """Slab test of segment columns a->b against prism columns.
 
     Args:
-        a, b: (n, 3) segment endpoints.
-        cos, sin, center, lo, hi: row i's prism, as rows of
+        a, b: (3, n) segment endpoints.
+        cos, sin, center, lo, hi: column i's prism, as columns of
             _prism_frames.
 
     Returns:
         (n,) bool; True where the open segment (a, b) meets the closed
         prism volume. Touching only at an endpoint does not count.
     """
-    cx, cy = center[..., 0], center[..., 1]
-
-    def to_local(p):
-        dx = p[:, 0] - cx
-        dy = p[:, 1] - cy
-        return np.stack([cos * dx + sin * dy, -sin * dx + cos * dy, p[:, 2]],
-                        axis=1)
-
-    p0 = to_local(a)
-    p1 = to_local(b)
+    p0 = np.empty(a.shape)
+    p1 = np.empty(a.shape)
+    for p, q in ((p0, a), (p1, b)):
+        dx = q[0] - center[0]
+        dy = q[1] - center[1]
+        np.add(cos * dx, sin * dy, out=p[0])
+        np.add(-sin * dx, cos * dy, out=p[1])
+        p[2] = q[2]
     d = p1 - p0
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -136,12 +137,13 @@ def _segment_prism_hits(a, b, cos, sin, center, lo, hi):
     tmax = np.maximum(t1, t2)
     # A degenerate axis constrains membership, not the parameter range.
     degenerate = d == 0.0
-    inside = (p0 >= lo) & (p0 <= hi)
-    tmin = np.where(degenerate, np.where(inside, -np.inf, np.inf), tmin)
-    tmax = np.where(degenerate, np.where(inside, np.inf, -np.inf), tmax)
+    if degenerate.any():
+        inside = (p0 >= lo) & (p0 <= hi)
+        tmin = np.where(degenerate, np.where(inside, -np.inf, np.inf), tmin)
+        tmax = np.where(degenerate, np.where(inside, np.inf, -np.inf), tmax)
 
-    t_enter = tmin.max(axis=1)
-    t_exit = tmax.min(axis=1)
+    t_enter = np.maximum(np.maximum(tmin[0], tmin[1]), tmin[2])
+    t_exit = np.minimum(np.minimum(tmax[0], tmax[1]), tmax[2])
     return (t_enter <= t_exit) & (t_exit > 0.0) & (t_enter < 1.0)
 
 
@@ -154,56 +156,89 @@ def segment_blocked(a, b, blocker):
     return bool(segments_blocked(a[None, :], b[None, :], [blocker])[0])
 
 
-def segments_blocked(a, b, blockers):
-    """(n,) bool: which of n segments any of the blockers occludes.
+class SegmentSet:
+    """Fixed segments a->b, tested against one blocker list at a time.
 
     Only (segment, prism) pairs that can meet go through the slab test.
     Segments lying wholly above the tallest prism are dropped; the rest
     are clipped to that height, and the xy bounding box of each clipped
     segment is compared with each prism's footprint box. Both boxes are
     padded by _CULL_MARGIN, so the result equals the slab test of every
-    pair.
+    pair. The endpoints never change, so the clipped boxes are computed
+    on the first test at each tallest-prism height and kept: a set built
+    once for links whose ends do not move (access points to the
+    reflection mesh) pays only the box cull and the slab tests per
+    blocker list.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
-    hit = np.zeros(a.shape[0], dtype=bool)
-    if not blockers:
+
+    def __init__(self, a, b):
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
+        self.a = np.ascontiguousarray(a.T)        # (3, n)
+        self.b = np.ascontiguousarray(b.T)
+        self._boxes = {}          # height -> _below's result
+
+    def _below(self, top):
+        """(segments, lo, hi): the indices of the segments reaching
+        below `top` (None for all of them) and the (2, n) xy corners of
+        the bounding box of each one's part below that height."""
+        boxes = self._boxes.get(top)
+        if boxes is not None:
+            return boxes
+        a, b = self.a, self.b
+        low = (a[2] <= top) | (b[2] <= top)
+        seg = None
+        if not low.all():
+            seg = np.flatnonzero(low)
+            a = a[:, seg]
+            b = b[:, seg]
+        # Move an endpoint above `top` to where the segment crosses that
+        # height (the other endpoint is below it).
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            frac = (top - a[2]) / (b[2] - a[2])
+            cross = a[:2] + frac * (b[:2] - a[:2])
+        a = np.where(a[2] > top, cross, a[:2])
+        b = np.where(b[2] > top, cross, b[:2])
+        boxes = (seg, np.minimum(a, b), np.maximum(a, b))
+        self._boxes[top] = boxes
+        return boxes
+
+    def blocked(self, blockers):
+        """(n,) bool: which segments any of the blockers occludes."""
+        hit = np.zeros(self.a.shape[1], dtype=bool)
+        if not blockers:
+            return hit
+        cos, sin, center, lo, hi = _prism_frames(blockers)
+        seg, box_lo, box_hi = self._below(hi[2].max() + _CULL_MARGIN)
+
+        # Axis-aligned box around each rotated footprint rectangle, padded
+        # for both boxes.
+        abs_c, abs_s = np.abs(cos), np.abs(sin)
+        ex = abs_c * hi[0] + abs_s * hi[1] + 2 * _CULL_MARGIN
+        ey = abs_s * hi[0] + abs_c * hi[1] + 2 * _CULL_MARGIN
+        # (prism, segment) layout: long rows make the comparisons cheap.
+        near = ((box_lo[0] <= (center[0] + ex)[:, None])
+                & (box_hi[0] >= (center[0] - ex)[:, None])
+                & (box_lo[1] <= (center[1] + ey)[:, None])
+                & (box_hi[1] >= (center[1] - ey)[:, None]))
+
+        bi, si = np.divmod(np.flatnonzero(near), near.shape[1])
+        if seg is not None:
+            si = seg.take(si)
+        hits = _segment_prism_hits(
+            self.a.take(si, axis=1), self.b.take(si, axis=1), cos.take(bi),
+            sin.take(bi), center.take(bi, axis=1), lo.take(bi, axis=1),
+            hi.take(bi, axis=1))
+        hit[si[hits]] = True
         return hit
-    cos, sin, center, lo, hi = _prism_frames(blockers)
 
-    top = hi[:, 2].max() + _CULL_MARGIN
-    seg = np.flatnonzero((a[:, 2] <= top) | (b[:, 2] <= top))
-    ax, ay, az = a[seg].T
-    bx, by, bz = b[seg].T
-    # Move an endpoint above `top` to where the segment crosses that
-    # height (the other endpoint is below it).
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        frac = (top - az) / (bz - az)
-        x_top = ax + frac * (bx - ax)
-        y_top = ay + frac * (by - ay)
-    a_high = az > top
-    b_high = bz > top
-    ax = np.where(a_high, x_top, ax)
-    ay = np.where(a_high, y_top, ay)
-    bx = np.where(b_high, x_top, bx)
-    by = np.where(b_high, y_top, by)
 
-    # Axis-aligned box around each rotated footprint rectangle, padded
-    # for both boxes.
-    abs_c, abs_s = np.abs(cos), np.abs(sin)
-    ex = abs_c * hi[:, 0] + abs_s * hi[:, 1] + 2 * _CULL_MARGIN
-    ey = abs_s * hi[:, 0] + abs_c * hi[:, 1] + 2 * _CULL_MARGIN
-    near = ((np.minimum(ax, bx)[:, None] <= center[:, 0] + ex)
-            & (np.maximum(ax, bx)[:, None] >= center[:, 0] - ex)
-            & (np.minimum(ay, by)[:, None] <= center[:, 1] + ey)
-            & (np.maximum(ay, by)[:, None] >= center[:, 1] - ey))
+def segments_blocked(a, b, blockers):
+    """(n,) bool: which of n segments a->b any of the blockers occludes.
 
-    si, bi = np.nonzero(near)
-    si = seg[si]
-    hits = _segment_prism_hits(a[si], b[si], cos[bi], sin[bi], center[bi],
-                               lo[bi], hi[bi])
-    hit[si[hits]] = True
-    return hit
+    The one-off form of SegmentSet(a, b).blocked(blockers).
+    """
+    return SegmentSet(a, b).blocked(blockers)
 
 
 def blockage_mask(tx_positions, rx_positions, blockers, where=None):

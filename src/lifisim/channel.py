@@ -245,17 +245,16 @@ def mesh_gains(tx_pos, tx_normal, tx_order, mesh):
 
 
 def nlos_gain(tx_pos, tx_normal, tx_order, rx_pos, rx_normal, rx_area, rx_fov_deg,
-              solver, blockers=(), t=None):
+              solver, blockers=()):
     """Diffuse gain matrix between transmitters and receivers.
 
     Blockage cuts the transmitter-to-element and element-to-receiver
-    segments; shadowing between mesh elements is not modeled. Callers
-    whose transmitters stay fixed may pass their unblocked mesh_gains
-    as t instead of having them recomputed.
+    segments; shadowing between mesh elements is not modeled. The
+    one-pose reference form: harness.ChannelBuilder computes the same
+    gains with the transmitter-to-mesh part built once per scenario.
     """
     mesh = solver.mesh
-    if t is None:
-        t = mesh_gains(tx_pos, tx_normal, tx_order, mesh)
+    t = mesh_gains(tx_pos, tx_normal, tx_order, mesh)
     r = los_gain_matrix(mesh.centers, mesh.normals, rx_pos, rx_normal,
                         ELEMENT_ORDER, rx_area, rx_fov_deg)
     if blockers:
@@ -264,4 +263,3 @@ def nlos_gain(tx_pos, tx_normal, tx_order, rx_pos, rx_normal, rx_area, rx_fov_de
         r = np.where(blockage_mask(mesh.centers, rx_pos, blockers,
                                    where=r > 0), 0.0, r)
     return solver.gains(t, r.T)
-

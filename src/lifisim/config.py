@@ -10,6 +10,7 @@ experiment.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict, fields
 from typing import Optional
 
@@ -172,7 +173,12 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
 
 
 def _coerce(key, value):
-    """Check one entry's type, allowing int where float is declared."""
+    """Check one entry's type, allowing int where float is declared.
+
+    NaN and infinite numbers are rejected: every range check below
+    compares, and a NaN passes them all. Integers must fit 64 bits, as
+    numpy needs them to.
+    """
     expected = _FIELD_TYPES[key]
     if expected is bool:
         if not isinstance(value, bool):
@@ -181,13 +187,23 @@ def _coerce(key, value):
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{key}: expected integer, got {value!r}")
+        if not -2 ** 63 <= value < 2 ** 63:
+            raise ConfigError(f"{key}: {value} is outside the 64-bit "
+                              "integer range")
         return value
     if expected is float or expected == Optional[float]:
         if value is None and expected == Optional[float]:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{key}: expected a finite number, "
+                              f"got {value!r}")
+        return number
     if expected is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected string, got {value!r}")

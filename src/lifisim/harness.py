@@ -20,11 +20,14 @@ SeedSequence([seed, 1, i]); Monte Carlo noise for realization i at
 sweep point g from SeedSequence([seed, 2, i, g]); the sequential
 trajectory stream is SeedSequence([seed, 0]). Results are therefore
 bit-identical for any worker count: workers only partition the
-realization list, and the merge preserves order. A worker count outside
-1..usable CPUs is a ConfigError (a ValueError) before any pool starts.
+realization list, and the merge preserves order. Each pool worker caps
+its OpenBLAS pools at one thread; a one-worker run leaves them as they
+are. A worker count outside 1..usable CPUs is a ConfigError (a
+ValueError) before any pool starts.
 """
 
 import csv
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -34,9 +37,9 @@ import numpy as np
 
 from .adaptive import (asm_select_downlink, led_selection_uplink,
                        required_snr, strongest_columns)
-from .blockage import blockage_mask, place_blockers
-from .channel import (RadiositySolver, build_environment_mesh,
-                      los_gain_matrix, mesh_gains, nlos_gain)
+from .blockage import SegmentSet, place_blockers, segments_blocked
+from .channel import (ELEMENT_ORDER, RadiositySolver, build_environment_mesh,
+                      los_gain_matrix, mesh_gains)
 from .config import ConfigError, Scenario, scenario_hash
 from .geometry import DevicePose, element_world_pose
 from .orientation import orwp_generate, sample_static_orientation
@@ -98,10 +101,13 @@ def empirical_cdf(values):
 class ChannelBuilder:
     """Per-scenario channel factory shared across realizations.
 
-    The environment mesh, its reflection-system factorization and the
-    unblocked AP-to-mesh gains are built once here, since the APs do
-    not move. Each downlink pose then costs the device-side LOS
-    matrices, the blockage tests of the pose's blockers and one pair of
+    The environment mesh, its reflection-system factorization, the
+    unblocked AP-to-mesh gains and a SegmentSet over their lit links are
+    built once here, since the APs and the mesh do not move. The
+    blocked AP-to-mesh gains are kept for the last blocker list, which
+    consecutive draws at one sitting spot share. Each downlink pose then
+    costs the device-side LOS matrices, one segments_blocked call over
+    all its lit AP-to-device and mesh-to-device links and one pair of
     triangular solves with one column per photodiode. Uplink channels
     keep only the LOS part.
     """
@@ -124,6 +130,21 @@ class ChannelBuilder:
             self.ap_to_mesh = mesh_gains(self.aps.positions,
                                          self.aps.normals,
                                          self.source.order, mesh)
+            self._lit = np.nonzero(self.ap_to_mesh > 0)
+            self._ap_mesh = SegmentSet(self.aps.positions[self._lit[1]],
+                                       mesh.centers[self._lit[0]])
+            self._last = (None, None)     # blocker list, blocked gains
+
+    def _blocked_ap_to_mesh(self, blockers):
+        """AP-to-mesh gains with the links the blockers cut zeroed;
+        remembered for the last blocker list."""
+        if blockers != self._last[0]:
+            hit = self._ap_mesh.blocked(blockers)
+            t = self.ap_to_mesh.copy()
+            t[self._lit[0][hit], self._lit[1][hit]] = 0.0
+            t.flags.writeable = False
+            self._last = (list(blockers), t)
+        return self._last[1]
 
     def channel(self, pose, blockers):
         """(n_rx, n_tx) DC gain matrix of the pose among its blockers."""
@@ -137,14 +158,19 @@ class ChannelBuilder:
             rx_pos, rx_nrm = self.aps.positions, self.aps.normals
         H = los_gain_matrix(tx_pos, tx_nrm, rx_pos, rx_nrm,
                             self.source.order, sc.pd_area, sc.fov_deg)
+        if self.solver is None:
+            if blockers:
+                _zero_blocked(blockers, (H, tx_pos, rx_pos))
+            return H
+        mesh = self.solver.mesh
+        r = los_gain_matrix(mesh.centers, mesh.normals, rx_pos, rx_nrm,
+                            ELEMENT_ORDER, sc.pd_area, sc.fov_deg)
+        t = self.ap_to_mesh
         if blockers:
-            H = np.where(blockage_mask(tx_pos, rx_pos, blockers,
-                                       where=H > 0), 0.0, H)
-        if self.solver is not None:
-            H = H + nlos_gain(tx_pos, tx_nrm, self.source.order, rx_pos,
-                              rx_nrm, sc.pd_area, sc.fov_deg, self.solver,
-                              blockers, t=self.ap_to_mesh)
-        return H
+            _zero_blocked(blockers, (H, tx_pos, rx_pos),
+                          (r, mesh.centers, rx_pos))
+            t = self._blocked_ap_to_mesh(blockers)
+        return H + self.solver.gains(t, r.T)
 
     def realize(self, idx, x, y, omega_deg, angles_deg=None):
         """Orientation, blockers and channel for realization idx."""
@@ -158,6 +184,24 @@ class ChannelBuilder:
         return pose, blockers, self.channel(pose, blockers)
 
 
+def _zero_blocked(blockers, *links):
+    """Zero in place the lit gains whose segment a blocker cuts.
+
+    Each link group is (gain, tx, rx): an (n_rx, n_tx) gain matrix and
+    the positions of its transmitters and receivers. The lit links of
+    every group go through one segments_blocked call.
+    """
+    lit = [np.nonzero(gain > 0) for gain, _, _ in links]
+    a = np.concatenate([tx[j] for (_, tx, _), (_, j) in zip(links, lit)])
+    b = np.concatenate([rx[i] for (_, _, rx), (i, _) in zip(links, lit)])
+    hit = segments_blocked(a, b, blockers)
+    start = 0
+    for (gain, _, _), (i, j) in zip(links, lit):
+        cut = hit[start:start + i.size]
+        gain[i[cut], j[cut]] = 0.0
+        start += i.size
+
+
 # -- per-realization evaluation ---------------------------------------------
 
 def _fixed_signal_set(sc):
@@ -165,12 +209,21 @@ def _fixed_signal_set(sc):
 
     Both send 2**R symbols on sc.n_active sources: sm splits R into
     log2(n_active) spatial bits and M-PAM, mimo into n_active
-    parallel M-PAM streams.
+    parallel M-PAM streams. Raises ConfigError when the APs are fewer
+    than n_active or the sm set has no PAM bit left: the scenario checks
+    the latter for the sm scheme only, and ber-sweep sends the sm set
+    for asm too.
     """
     R = int(sc.spectral_efficiency)
+    if sc.n_active > sc.n_ap_side ** 2:
+        raise ConfigError(f"n_active {sc.n_active} exceeds the "
+                          f"{sc.n_ap_side ** 2} access points")
     if sc.scheme == "mimo":
         M = 2 ** (R // sc.n_active)
         return M, build_mimo_constellation(M, sc.n_active)
+    if R - np.log2(sc.n_active) < 1:
+        raise ConfigError("the sm signal set needs spectral_efficiency "
+                          "- log2(n_active) >= 1")
     M = 2 ** (R - int(np.log2(sc.n_active)))
     return M, build_constellation(M, sc.n_active)
 
@@ -257,10 +310,58 @@ def _uplink_record(builder, task):
 
 _BUILDER = None
 
+#: Thread-count setters of the OpenBLAS builds numpy and scipy ship
+#: (64-bit and 32-bit integer interfaces) and of a plain OpenBLAS.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads", "openblas_set_num_threads")
+
+
+def _loaded_blas():
+    """ctypes handles of the OpenBLAS libraries mapped into this process;
+    none where /proc/self/maps cannot be read."""
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in fields[5]:
+                    paths.add(fields[5].strip())
+    except OSError:
+        return []
+    libs = []
+    for path in sorted(paths):
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            pass
+    return libs
+
+
+def _single_blas_thread():
+    """Cap each loaded OpenBLAS pool at one thread, where it exports a
+    setter; a library without one is left as it is."""
+    for lib in _loaded_blas():
+        for name in _BLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+
 
 def _worker_init(scenario):
+    """Pool worker set-up: the channel builder, then one BLAS thread.
+
+    Each forked worker inherits the parent's BLAS pools, so two workers
+    would run four BLAS threads on two cores, and the small per-pose
+    solves would thrash. The builder comes first because OpenBLAS's LU
+    factorization rounds differently with another thread count, and no
+    row may depend on the worker count; the per-pose triangular solves
+    and products give the same bits with one thread.
+    """
     global _BUILDER
     _BUILDER = ChannelBuilder(scenario)
+    _single_blas_thread()
 
 
 def _worker_chunk(payload):
@@ -328,6 +429,8 @@ def _downlink_survey(sc, workers, command, activity, kind):
         raise ConfigError(f"{command} evaluates the downlink")
     if sc.activity != activity:
         raise ConfigError(f"{command} uses the {activity} statistics")
+    if sc.scheme != "asm":
+        _fixed_signal_set(sc)             # fail before any realization
     rows = _run_tasks(sc, _downlink_record, _tasks(sc), workers)
     outage = float(np.mean([r["feasible"] == 0 for r in rows]))
     return RunResult(kind=kind, columns=CDF_COLUMNS, rows=rows,
@@ -358,6 +461,7 @@ def run_ber_sweep(scenario, workers=1):
     sc = scenario
     if sc.direction != "downlink":
         raise ConfigError("ber-sweep evaluates the downlink")
+    M, constellation = _fixed_signal_set(sc)
     x, y = sc.location_xy()
     omega = sc.omega()
     fixed = sc.orientation == "fixed"
@@ -367,8 +471,6 @@ def run_ber_sweep(scenario, workers=1):
     subsets = _run_tasks(sc, _sweep_channel, tasks, workers)
     n_cols = sc.n_active
     factors = [received_snr(H_sub, n_cols, 1.0) for H_sub in subsets]
-
-    M, constellation = _fixed_signal_set(sc)
     unions = [UnionBound(constellation, H_sub) for H_sub in subsets]
     bits_ps = constellation.bits_per_symbol
     mc_per_draw = sc.mc_symbols if fixed else max(

@@ -55,7 +55,7 @@ def lower_bound_l1(constellation, H, sigma2):
     derivation and validated against the Monte Carlo estimator.
     """
     H = np.atleast_2d(H)
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
     c = 1.0 / (4.0 * sigma2)
     K = constellation.K
@@ -80,7 +80,7 @@ def lower_bound_l2(constellation, H, sigma2, sigma_x2=None):
     solves, and the K^2 exponentials go through log-sum-exp.
     """
     H = np.atleast_2d(H)
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
     if sigma_x2 is None:
         sigma_x2 = input_power_variance(constellation)

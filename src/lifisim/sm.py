@@ -92,12 +92,9 @@ class Constellation:
 
     @cached_property
     def hamming(self):
-        """(K, K) Hamming distances between the labels, built on first use.
-
-        Stored as uint8 (labels have at most 12 bits), an eighth of the
-        memory of hamming_matrix's integers.
-        """
-        return _read_only(hamming_matrix(self.labels).astype(np.uint8))
+        """(K, K) uint8 Hamming distances between the labels, built on
+        first use."""
+        return _read_only(hamming_matrix(self.labels))
 
     @cached_property
     def pairs(self):
@@ -136,7 +133,7 @@ def build_constellation(M, n_active, mean_power=1.0):
         raise ValueError("M must be a power of two >= 2")
     if not _is_pow2(n_active):
         raise ValueError("n_active must be a power of two")
-    if mean_power <= 0:
+    if not mean_power > 0:
         raise ValueError("mean_power must be positive")
     K = M * n_active
     if K > MAX_SYMBOLS:
@@ -174,6 +171,8 @@ def build_mimo_constellation(M, n_streams, mean_power=1.0):
         raise ValueError("M must be a power of two >= 2")
     if n_streams < 1:
         raise ValueError("n_streams must be >= 1")
+    if not mean_power > 0:
+        raise ValueError("mean_power must be positive")
     K = M ** n_streams
     if K > MAX_SYMBOLS:
         raise ValueError(f"joint symbol set too large ({K} > {MAX_SYMBOLS})")
@@ -189,10 +188,25 @@ def build_mimo_constellation(M, n_streams, mean_power=1.0):
                          n_active=n_streams, mean_power=mean_power)
 
 
+#: Number of set bits of every byte value.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
 def hamming_matrix(labels):
-    """(K, K) pairwise Hamming distances between bit labels."""
-    l = np.asarray(labels, dtype=np.int16)
-    return np.abs(l[:, None, :] - l[None, :, :]).sum(axis=2)
+    """(K, K) pairwise Hamming distances between 0/1 bit labels.
+
+    The labels are packed into bytes and compared one byte column at a
+    time, XOR then a bit-count table, so that no K x K x bits array is
+    formed: a few K x K byte arrays at most. uint8 for labels of up to
+    255 bits.
+    """
+    bits = np.asarray(labels)
+    K, width = bits.shape
+    packed = np.packbits(bits != 0, axis=1)
+    d = np.zeros((K, K), dtype=np.min_scalar_type(width))
+    for col in packed.T:
+        d += _POPCOUNT[col[:, None] ^ col[None, :]]
+    return d
 
 
 def pairwise_sq_distances(points):
@@ -212,7 +226,7 @@ def ml_detect(y, H, constellation):
 
 def pep(s1, s2, H, gamma_tx, mean_power):
     """Pairwise error probability of mistaking symbol s1 for s2."""
-    if gamma_tx <= 0:
+    if not gamma_tx > 0:
         raise ValueError("gamma_tx must be positive")
     diff = H @ (np.asarray(s1, dtype=float) - np.asarray(s2, dtype=float))
     arg = np.sqrt(gamma_tx / (4.0 * mean_power ** 2) * np.dot(diff, diff))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lifisim import (BlockageConfig, Blocker, DevicePose, Room,
                      blockage_mask, element_world_pose, place_blockers,
                      scenario_from_dict, segment_blocked, segments_blocked)
+from lifisim.blockage import SegmentSet
 from lifisim.harness import ChannelBuilder
 
 
@@ -309,6 +310,25 @@ def test_culled_segments_blocked_equals_per_blocker_slab_test(data):
     np.testing.assert_array_equal(got, _oracle_blocked(a, b, blockers))
     if not blockers:
         assert not got.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_segment_set_reused_across_blocker_lists(data):
+    # one set tested against several blocker lists of mixed heights, so
+    # that its clipped boxes are built at one height and reused at it
+    # after tests at other heights
+    lists = data.draw(st.lists(st.lists(BLOCKER, max_size=4), min_size=2,
+                               max_size=4))
+    a, b = data.draw(segment_set([bl for blockers in lists
+                                  for bl in blockers]))
+    segments = SegmentSet(a, b)
+    for blockers in lists + lists[::-1]:
+        np.testing.assert_array_equal(segments.blocked(blockers),
+                                      _oracle_blocked(a, b, blockers))
+    tops = {max(bl.height for bl in blockers) for blockers in lists
+            if blockers}
+    assert len(segments._boxes) == len(tops)     # one clip per height
 
 
 def test_culled_test_on_walking_user_segments():

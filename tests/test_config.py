@@ -1,9 +1,17 @@
 """Scenario schema: defaults, validation, file loading and hashing."""
 
-import pytest
+import math
+from dataclasses import fields
+from typing import Optional
 
-from lifisim import (ConfigError, Scenario, load_scenario, scenario_from_dict,
-                     scenario_hash)
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from lifisim import (ConfigError, PRESET_LOCATIONS, Scenario, load_scenario,
+                     run_ber_sweep, run_cdf_map, run_orwp_eval,
+                     run_uplink_eval, scenario_from_dict, scenario_hash)
+from lifisim.config import _CHOICES
 
 
 def test_defaults_are_the_measurement_setup():
@@ -79,6 +87,23 @@ def test_type_coercion_and_errors():
         scenario_from_dict({"include_nlos": "yes please"})
 
 
+@pytest.mark.parametrize("key", ["grid_step", "room_width", "kappa_b",
+                                 "ue_height", "snr_stop_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_non_finite_numbers_rejected(key, value):
+    # a NaN passes every range check, since each one compares
+    with pytest.raises(ConfigError, match=f"{key}: expected a finite"):
+        scenario_from_dict({key: value})
+
+
+@pytest.mark.parametrize("key", ["n_active", "seed", "n_waypoints"])
+def test_integers_beyond_64_bits_rejected(key):
+    # n_active = 10**30 used to escape as a TypeError from np.log2
+    with pytest.raises(ConfigError, match=f"{key}: .* 64-bit"):
+        scenario_from_dict({key: 10 ** 30})
+    assert scenario_from_dict({"seed": 2 ** 63 - 1}).seed == 2 ** 63 - 1
+
+
 def test_choice_validation():
     with pytest.raises(ConfigError):
         scenario_from_dict({"direction": "sideways"})
@@ -150,3 +175,89 @@ def test_scenario_hash_stability():
     assert len(scenario_hash(a)) == 12
     assert scenario_hash(Scenario()) != scenario_hash(
         Scenario(grid_step=1.0))
+
+
+# -- fuzzing: a scenario either fails validation or runs ---------------------
+
+_WRONG_TYPE = st.sampled_from(["x", [1], None, True])
+_BAD_NUMBER = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf,
+                                         0.0, -1.0, 10 ** 400]), _WRONG_TYPE)
+
+#: Fields that set how much work a run does, with small values only, so
+#: that every example runs in well under a second.
+_SMALL = {
+    "grid_step": st.sampled_from([2.0, 2.5]),
+    "n_directions": st.integers(1, 2),
+    "orientations_per_point": st.integers(1, 2),
+    "n_waypoints": st.integers(1, 2),
+    "speed": st.floats(0.8, 1.5),
+    "mc_symbols": st.sampled_from([0, 500]),
+    "mi_samples": st.sampled_from([0, 1000]),
+    "mesh_resolution": st.sampled_from([1.0, 1.5]),
+    "n_ap_side": st.integers(1, 3),
+    "room_width": st.floats(3.0, 4.5),
+    "room_depth": st.floats(3.0, 4.5),
+    "spectral_efficiency": st.sampled_from([1.0, 3.0, 4.0, 5.0]),
+    "uplink_tse": st.sampled_from([1.0, 2.0]),
+    "snr_start_db": st.just(20.0),
+    "snr_stop_db": st.sampled_from([20.0, 40.0]),
+    "snr_step_db": st.just(10.0),
+    "uplink_snr_start_db": st.just(120.0),
+    "uplink_snr_stop_db": st.sampled_from([120.0, 160.0]),
+    "uplink_snr_step_db": st.just(20.0),
+}
+
+
+def _plausible(f):
+    """Values near a field's default, or one of its choices."""
+    default = f.default
+    if f.name in _SMALL:
+        return _SMALL[f.name]
+    if f.type is bool:
+        return st.booleans()
+    if f.type is str:
+        return st.sampled_from(list(_CHOICES.get(f.name, PRESET_LOCATIONS)))
+    if f.name == "n_active":
+        return st.sampled_from([1, 2, 4, 8, 3])
+    if f.type is int:
+        return st.integers(0, 8)
+    if f.type == Optional[float]:
+        return st.one_of(st.none(), st.floats(0.0, 2.0))
+    if default == 0:
+        return st.floats(0.0, 0.5)
+    return st.floats(min(0.5 * default, 1.5 * default),
+                     max(0.5 * default, 1.5 * default))
+
+
+#: The runners that accept a scenario of each (direction, activity).
+_RUNNERS = {("downlink", "sitting"): [run_cdf_map, run_ber_sweep],
+            ("downlink", "walking"): [run_orwp_eval, run_ber_sweep],
+            ("uplink", "sitting"): [run_uplink_eval],
+            ("uplink", "walking"): [run_uplink_eval]}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_any_scenario_dict_is_rejected_or_runs(data):
+    names = sorted(f.name for f in fields(Scenario))
+    plausible = {f.name: _plausible(f) for f in fields(Scenario)}
+    chosen = data.draw(st.sets(st.sampled_from(names), max_size=10))
+    broken = data.draw(st.sets(st.sampled_from(names), max_size=2))
+    overrides = {}
+    for key in names:
+        if key in broken:
+            overrides[key] = data.draw(_BAD_NUMBER, label=key)
+        elif key in chosen or key in _SMALL:
+            overrides[key] = data.draw(plausible[key], label=key)
+    try:
+        sc = scenario_from_dict(overrides)
+        run = data.draw(st.sampled_from(_RUNNERS[sc.direction, sc.activity]),
+                        label="runner")
+        result = run(sc)
+    except ConfigError:
+        event("rejected")
+        return
+    event("ran")
+    for res in result if isinstance(result, tuple) else (result,):
+        assert res.rows

@@ -1,5 +1,6 @@
 """Experiment harness: lattices, runners, worker determinism, CSV I/O."""
 
+import ctypes
 import math
 import os
 import xml.etree.ElementTree as ET
@@ -32,7 +33,10 @@ from lifisim import (
     union_bound_ber,
     write_csv,
 )
-from lifisim.channel import ELEMENT_FOV_DEG, ELEMENT_ORDER, los_gain_matrix
+from lifisim import harness
+from lifisim.blockage import blockage_mask
+from lifisim.channel import (ELEMENT_FOV_DEG, ELEMENT_ORDER, los_gain_matrix,
+                             nlos_gain)
 from lifisim.geometry import element_world_pose
 from lifisim.harness import BER_COLUMNS, CDF_COLUMNS, EE_COLUMNS, RunResult
 from lifisim.util import db_to_linear
@@ -95,6 +99,66 @@ def test_realize_matches_recompute_and_forward_solve(resolution, n_poses):
         assert len(blockers) == 6
         ref = _reference_channel(builder, pose, blockers)
         np.testing.assert_allclose(H, ref, rtol=1e-12, atol=0.0)
+
+
+def _nlos_gain_channel(builder, pose, blockers):
+    """H the way ChannelBuilder.channel composed it from nlos_gain: the
+    blocked LOS matrix plus the diffuse gains of the pose."""
+    sc = builder.sc
+    elem_pos, elem_nrm = element_world_pose(pose, builder.layout)
+    aps = (builder.aps.positions, builder.aps.normals)
+    tx, rx = ((aps, (elem_pos, elem_nrm)) if sc.direction == "downlink"
+              else ((elem_pos, elem_nrm), aps))
+    order = builder.source.order
+    H = los_gain_matrix(*tx, *rx, order, sc.pd_area, sc.fov_deg)
+    if blockers:
+        H = np.where(blockage_mask(tx[0], rx[0], blockers, where=H > 0),
+                     0.0, H)
+    if builder.solver is None:
+        return H
+    return H + nlos_gain(*tx, order, *rx, sc.pd_area, sc.fov_deg,
+                         builder.solver, blockers)
+
+
+@pytest.mark.parametrize("over,reuse", [
+    (dict(activity="sitting", kappa_b=0.0), True),
+    (dict(activity="sitting", kappa_b=0.2), False),
+    (dict(activity="walking", kappa_b=0.2, n_waypoints=2), False),
+    (dict(activity="sitting", kappa_b=0.0, self_blockage=False), False),
+    (dict(activity="sitting", kappa_b=0.2, direction="uplink"), False),
+])
+def test_channel_equals_nlos_gain_path_bit_for_bit(monkeypatch, over, reuse):
+    # consecutive sitting draws at one spot share their blockers, so the
+    # AP-to-mesh mask is reused; any other blocker list recomputes it
+    base = dict(device="mdr", scheme="sm", n_active=4,
+                spectral_efficiency=5, include_nlos=True,
+                mesh_resolution=0.5, grid_step=2.0, n_directions=2,
+                orientations_per_point=3, seed=4)
+    sc = scenario_from_dict({**base, **over})
+    builder = ChannelBuilder(sc)
+    tests = []
+    if builder.solver is not None:
+        inner = builder._ap_mesh.blocked
+
+        def counted(blockers):
+            tests.append(blockers)
+            return inner(blockers)
+
+        monkeypatch.setattr(builder._ap_mesh, "blocked", counted)
+    blocker_lists = []
+    for task in harness._tasks(sc)[:24]:
+        pose, blockers, H = builder.realize(*task)
+        np.testing.assert_array_equal(
+            H, _nlos_gain_channel(builder, pose, blockers))
+        blocker_lists.append(blockers)
+    if builder.solver is None:
+        return
+    changes = sum(1 for prev, cur in zip([None] + blocker_lists,
+                                         blocker_lists)
+                  if cur and cur != prev)
+    assert len(tests) == changes
+    if reuse:
+        assert 0 < changes < len(blocker_lists)     # hits and misses
 
 
 # -- evaluation lattice ----------------------------------------------------
@@ -193,6 +257,52 @@ def test_cdf_map_worker_determinism():
     par = run_cdf_map(sc, workers=2)
     assert seq.rows == par.rows
     assert seq.meta == par.meta
+
+
+def test_cdf_map_worker_determinism_with_reflections():
+    # the workers factor the reflection system before dropping to one
+    # BLAS thread: OpenBLAS rounds the LU factors of this 440-element
+    # mesh differently with another thread count
+    sc = tiny_map_scenario(include_nlos=True, mesh_resolution=0.5,
+                           kappa_b=0.0)
+    assert run_cdf_map(sc, workers=1).rows == run_cdf_map(sc, workers=2).rows
+
+
+def _blas_threads(builder, task):
+    """Thread count of each OpenBLAS library loaded in this process."""
+    counts = {}
+    for lib in harness._loaded_blas():
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts[lib._name] = getter()
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread():
+    if _usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    before = _blas_threads(None, None)
+    if not before:
+        pytest.skip("no scipy-openblas library is loaded")
+    inside = harness._run_tasks(tiny_map_scenario(), _blas_threads,
+                                list(range(8)), workers=2)
+    assert inside == [dict.fromkeys(before, 1)] * 8
+    assert _blas_threads(None, None) == before     # the parent keeps its pools
+
+
+@pytest.mark.parametrize("run,over,match", [
+    (run_cdf_map, dict(scheme="sm", n_ap_side=1), "exceeds the 1 access"),
+    (run_ber_sweep, dict(scheme="asm", n_ap_side=1), "exceeds the 1 access"),
+    # asm is swept with the sm set, whose R = 1 leaves no PAM bit
+    (run_ber_sweep, dict(scheme="asm", spectral_efficiency=1), "sm signal"),
+])
+def test_fixed_signal_set_needs_the_sources_and_a_pam_bit(run, over, match):
+    with pytest.raises(ConfigError, match=match):
+        run(tiny_map_scenario(n_active=4, **over))
 
 
 def _usable_cpus():

@@ -237,6 +237,13 @@ def test_mi_monte_carlo_rejects_nonpositive_noise(sigma2):
         mi_monte_carlo(c, _channel(6), sigma2, 1000, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bound", [lower_bound_l1, lower_bound_l2])
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan])
+def test_lower_bounds_reject_nonpositive_noise(bound, sigma2):
+    with pytest.raises(ValueError, match="sigma2"):
+        bound(build_constellation(4, 4), _channel(6), sigma2)
+
+
 def test_mi_monte_carlo_block_size_is_fixed():
     # a chunk argument of 0 used to loop forever; the block size is now
     # the constant MI_CHUNK

@@ -1,9 +1,12 @@
 """Signal sets, ML detection, union bound and Monte Carlo cross-checks."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lifisim.sm as sm
 from lifisim import (build_constellation, build_mimo_constellation,
@@ -70,8 +73,11 @@ def test_constellation_validation():
         build_constellation(1, 2)
     with pytest.raises(ValueError):
         build_constellation(2, 3)
-    with pytest.raises(ValueError):
-        build_constellation(2, 2, mean_power=0.0)
+    for power in (0.0, np.nan):
+        with pytest.raises(ValueError, match="mean_power"):
+            build_constellation(2, 2, mean_power=power)
+        with pytest.raises(ValueError, match="mean_power"):
+            build_mimo_constellation(2, 2, mean_power=power)
     # the size check comes before anything K-sized is allocated
     assert build_constellation(1024, 4).K == 4096
     with pytest.raises(ValueError, match="too large"):
@@ -130,6 +136,45 @@ def test_hamming_matrix():
     np.testing.assert_array_equal(hamming_matrix(labels), expected)
 
 
+def _reference_hamming_matrix(labels):
+    """The (K, K, bits) difference sum hamming_matrix used to compute."""
+    l = np.asarray(labels, dtype=np.int16)
+    return np.abs(l[:, None, :] - l[None, :, :]).sum(axis=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 1024), bits=st.integers(0, 24),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hamming_matrix_matches_reference(K, bits, seed):
+    labels = np.random.default_rng(seed).integers(0, 2, size=(K, bits),
+                                                  dtype=np.uint8)
+    got = hamming_matrix(labels)
+    assert got.shape == (K, K) and got.dtype == np.uint8
+    np.testing.assert_array_equal(got, _reference_hamming_matrix(labels))
+
+
+@pytest.mark.parametrize("build,args", [(build_constellation, (256, 4)),
+                                        (build_mimo_constellation, (4, 5))])
+def test_hamming_matrix_of_signal_sets(build, args):
+    labels = build(*args).labels
+    np.testing.assert_array_equal(hamming_matrix(labels),
+                                  _reference_hamming_matrix(labels))
+
+
+def test_hamming_matrix_memory_at_the_largest_alphabet():
+    # the (K, K, bits) int16 difference array peaked at 768 MiB here
+    labels = build_constellation(1024, 4).labels
+    assert labels.shape == (sm.MAX_SYMBOLS, 12)
+    tracemalloc.start()
+    try:
+        d = hamming_matrix(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * d.nbytes            # 64 MiB
+    assert d[0, 1] == 1 and d.max() == 12
+
+
 def test_pairwise_sq_distances_columns():
     pts = np.array([[0.0, 3.0], [0.0, 4.0]])      # two column vectors
     d2 = pairwise_sq_distances(pts)
@@ -183,8 +228,9 @@ def test_pep_values():
     # scaling the channel scales the argument linearly
     expected2 = qfunc(2.0 * np.sqrt(gamma / 4.0 * diff @ diff))
     assert pep(s[:, 0], s[:, 2], 2 * H, gamma, 1.0) == pytest.approx(expected2)
-    with pytest.raises(ValueError):
-        pep(s[:, 0], s[:, 1], H, 0.0, 1.0)
+    for gamma in (0.0, np.nan):
+        with pytest.raises(ValueError, match="gamma_tx"):
+            pep(s[:, 0], s[:, 1], H, gamma, 1.0)
 
 
 def test_union_bound_zero_channel_pin():
