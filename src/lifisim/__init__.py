@@ -9,7 +9,7 @@ directions.
 
 from .adaptive import (AsmDecision, LedSelection, RequiredSnr,
                        admissible_group_starts, asm_select_downlink,
-                       led_selection_uplink, required_snr,
+                       led_selection_uplink, required_snr, required_snrs,
                        strongest_columns)
 from .blockage import (Blocker, BlockageConfig, blockage_mask,
                        place_blockers, segment_blocked, segments_blocked)

@@ -3,23 +3,32 @@
 Downlink: for a target spectral efficiency R and target bit error rate,
 try every admissible number of active access points, pair it with the
 PAM order that keeps R fixed, and keep the choice with the lowest
-required received SNR. required_snr finds each candidate's SNR with a
-safeguarded Newton iteration on the union bound, bracketed analytically
-by the closest symbol pairs; asm_select_downlink skips, after one bound
-evaluation, every candidate that provably cannot beat the best so far.
+required received SNR. The required-SNR search works on a stack of B
+channels of one signal set at once: sm.bound_tables builds one
+(B, n_pairs) table per signal set, _bracket brackets every channel's
+crossing analytically by its closest symbol pairs, and _search runs a
+safeguarded Newton iteration on all of them with per-channel masks,
+dropping each channel once it is done. Every row is computed on its
+own, with row-wise reductions of one length per signal set, so a
+channel's result is bit-identical whatever stack it comes in.
+required_snrs (fixed schemes) and asm_select_downlink call the search;
+required_snr is its one-channel form. asm_select_downlink builds each
+candidate's table once per channel, searches every channel's best-ranked
+candidate, then skips, after one vectorized bound evaluation, every
+candidate that provably cannot beat the best so far.
 
 Uplink: order the transmit sources by channel column norm and activate
 the largest power-of-two group whose weakest member alone sustains
 M-PAM at the target error rate.
 """
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .sm import UnionBound, build_constellation, received_snr, union_bound_ber
+from .sm import bound_tables, bound_tails, build_constellation, union_bound_ber
 from .util import db_to_linear, linear_to_db
 
 #: The search never looks above this transmit SNR: a bound still above
@@ -31,6 +40,10 @@ _MIN_DB = -_MAX_DB - 20.0
 #: Margin on the pruning test of asm_select_downlink, so that rounding
 #: in the received-SNR conversion can never prune a candidate that ties.
 _PRUNE_MARGIN = 1e-9
+
+#: Most table entries (channels x K^2) one search builds at once; larger
+#: stacks are searched in parts, which gives the same results.
+_TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,27 +58,45 @@ class RequiredSnr:
 def required_snr(constellation, H, target_ber, tol_db=0.01):
     """Smallest SNR whose union-bound BER meets the target.
 
-    Finds the transmit SNR in dB where the monotone bound crosses the
-    target, to within tol_db, and reports the matching received SNR.
-    The answer hi always meets the target (bound(hi) <= target) and a
-    point at most tol_db below it was evaluated and misses it. Pairs
-    mapped to identical channel outputs put a floor under the bound;
-    when that floor, or the bound at 200 dB, exceeds the target the
-    search is infeasible (the device has to move or rotate instead).
+    The one-channel form of required_snrs: H is (n_rx, n_active).
+    """
+    return required_snrs(constellation, np.atleast_2d(H)[None], target_ber,
+                         tol_db)[0]
+
+
+def required_snrs(constellation, Hs, target_ber, tol_db=0.01):
+    """Required SNR of one signal set on each channel of a stack.
+
+    Hs is (B, n_rx, n_active); returns a list of B RequiredSnr. For each
+    channel, finds the transmit SNR in dB where the monotone bound
+    crosses the target, to within tol_db, and reports the matching
+    received SNR. The answer hi always meets the target
+    (union_bound_ber(hi) <= target) and a point at most tol_db below it
+    was evaluated and misses it. Pairs mapped to identical channel
+    outputs put a floor under the bound; when that floor, or the bound
+    at 200 dB, exceeds the target the search is infeasible (the device
+    has to move or rotate instead). Each result is the one a stack of
+    that channel alone gives.
     """
     _check_target(target_ber)
     if not tol_db > 0:
         raise ValueError("tol_db must be positive")
-    H = np.atleast_2d(H)
-    bound = UnionBound(constellation, H)
-    if bound.floor > target_ber:
-        return RequiredSnr(feasible=False)
-    hi = _crossing_db(bound, target_ber, tol_db)
-    if hi is None:
-        return RequiredSnr(feasible=False)
-    gamma_rx = received_snr(H, constellation.n_active, db_to_linear(hi))
-    return RequiredSnr(feasible=True, gamma_tx_db=float(hi),
-                       gamma_rx_db=float(linear_to_db(gamma_rx)))
+    Hs = np.asarray(Hs, dtype=float)
+    if Hs.ndim != 3 or Hs.shape[2] != constellation.n_active:
+        raise ValueError("Hs must be a (B, n_rx, n_active) stack")
+    out = []
+    for part in _parts(Hs, constellation.K):
+        t = _tables(constellation, part, target_ber)
+        rows = np.flatnonzero(t.ok)
+        hi = np.full(len(part), np.inf)
+        rx_db = np.full(len(part), np.inf)
+        hi[rows], rx_db[rows] = _search(
+            _rows(t, rows), constellation.n_active, target_ber, tol_db)
+        out += [RequiredSnr(feasible=True, gamma_tx_db=float(h),
+                            gamma_rx_db=float(r))
+                if np.isfinite(h) else RequiredSnr(feasible=False)
+                for h, r in zip(hi, rx_db)]
+    return out
 
 
 def _check_target(target_ber):
@@ -73,13 +104,51 @@ def _check_target(target_ber):
         raise ValueError("target_ber must lie in (0, 0.5)")
 
 
+def _parts(Hs, K):
+    """Consecutive sub-stacks of Hs within the table budget."""
+    step = max(1, _TABLE_ENTRIES // (K * K))
+    return [Hs[i:i + step] for i in range(0, len(Hs), step)]
+
+
 def _qinv(p):
     """Inverse of the Gaussian tail probability, Q(_qinv(p)) = p."""
-    return -float(ndtri(p))
+    return -ndtri(p)
 
 
-def _bracket(bound, target):
-    """(q_star, u_lo, u_top): the crossing lies in [u_lo, u_top].
+def _to_db(u):
+    """sqrt(gamma) to dB; -inf where u is not positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u > 0, 20.0 * np.log10(np.where(u > 0, u, 1.0)),
+                        -np.inf)
+
+
+#: Per-channel search inputs of one signal set: the bound tables,
+#: _bracket's total pair weight, q_star, u_lo and u_top, the channel's
+#: received-power factor sum_i (sum_j h_ij)^2, and whether the floor
+#: admits the target.
+_Tables = namedtuple("_Tables", "floor weight root_a total q_star u_lo u_top "
+                                "power ok")
+
+
+def _tables(constellation, Hs, target):
+    """_Tables of the signal set on each channel of Hs.
+
+    Raises ValueError when a channel whose floor admits the target is
+    not finite.
+    """
+    Hs = np.ascontiguousarray(Hs, dtype=float)
+    floor, weight, root_a = bound_tables(constellation, Hs)
+    ok = floor <= target
+    total, q_star, u_lo, u_top = _bracket(floor, weight, root_a, ok, target)
+    row_sums = Hs.sum(axis=2)
+    power = np.sum(row_sums * row_sums, axis=1)
+    return _Tables(floor, weight, root_a, total, q_star, u_lo, u_top, power,
+                   ok)
+
+
+def _bracket(floor, weight, root_a, ok, target):
+    """(W, q_star, u_lo, u_top) per channel: the crossing lies in
+    [u_lo, u_top].
 
     In u = sqrt(gamma_tx), with W the total pair weight and W1 the
     weight of the closest pairs (root_a = r_min), every Q term lies
@@ -88,30 +157,41 @@ def _bracket(bound, target):
     bound(u) >= floor + W Q(u r_max). Solving each for the target gives
     u_lo and u_top; q_star = Q^-1((target - floor) / W). Exact in exact
     arithmetic only: the search evaluates the ends before trusting them.
+    Meaningful for the channels ok, whose floors admit the target; one
+    of them with a non-finite r_min raises ValueError.
     """
-    weight, root_a = bound.weight, bound.root_a
-    r_min = float(root_a.min())
-    if not math.isfinite(r_min):
+    r_min = np.where(weight > 0, root_a, np.inf).min(axis=1)
+    if not np.isfinite(r_min[ok]).all():
         raise ValueError("the channel must be finite")
-    excess = target - bound.floor
-    q_star = _qinv(excess / float(weight.sum()))
-    closest = float(weight[root_a == r_min].sum())
-    u_lo = q_star / float(root_a.max())
-    if excess / closest < 0.5:
-        u_lo = max(u_lo, _qinv(excess / closest) / r_min)
-    return q_star, u_lo, q_star / r_min
+    total = weight.sum(axis=1)
+    closest = np.where(root_a == r_min[:, None], weight, 0.0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = target - floor
+        q_star = _qinv(excess / total)
+        u_lo = q_star / root_a.max(axis=1)
+        near = excess / closest
+        u_lo = np.where(near < 0.5, np.maximum(
+            u_lo, _qinv(np.minimum(near, 0.5)) / r_min), u_lo)
+        return total, q_star, u_lo, q_star / r_min
 
 
-def _crossing_db(bound, target, tol_db):
-    """Transmit SNR hi (dB) where the bound crosses the target.
+def _rows(t, rows):
+    """The tables t of the channels rows only."""
+    return _Tables(*(field[rows] for field in t))
 
-    Returns hi with bound(hi) <= target such that some lo >= hi - tol_db
-    was evaluated with bound(lo) > target, or None when
-    bound(200 dB) > target. -220 dB counts as missing the target
-    without an evaluation, as it did for the bisection this search
-    replaced.
 
-    Starts in the middle of _bracket and takes Newton steps on
+def _search(t, n_active, target, tol_db):
+    """Transmit and received SNR (dB) where each bound crosses the target.
+
+    For the channels of the tables t, whose floors admit the target, of
+    sets with n_active sources (one count, or one per channel), returns
+    (hi, rx): hi with bound(hi) <= target such that some
+    lo >= hi - tol_db was evaluated with bound(lo) > target, or inf
+    where bound(200 dB) > target, and rx = hi / N_a^2 times the
+    received-power factor, as sm.received_snr computes it. -220 dB
+    counts as missing the target without an evaluation.
+
+    Starts in the middle of the bracket and takes Newton steps on
     y(u) = Q^-1(tail(u) / W) - q_star against u = sqrt(gamma_tx), which
     is exactly linear when all pairs are equally far apart and nearly
     so otherwise. Each point is put just past the Newton estimate, on
@@ -119,88 +199,107 @@ def _crossing_db(bound, target, tol_db):
     two evaluations tol_db apart finish the search. A Newton step that
     is not at most half the previous one, or leaves the bracket, is
     replaced by bisection. The analytic ends are widened when rounding
-    breaks them.
+    breaks them. Every channel takes its own steps; a channel drops out
+    of the evaluations once it is done.
     """
-    q_star, u_lo, u_top = _bracket(bound, target)
-    weight, root_a = bound.weight, bound.root_a
-    total = float(weight.sum())
+    n = len(t.floor)
+    hi = np.full(n, np.inf)
+    act = np.arange(n)
+    floor, total, q_star, weight, root_a = (t.floor, t.total, t.q_star,
+                                            t.weight, t.root_a)
+    weight_r = weight * root_a
     # lo misses the target and top meets it; each is trusted once seen
     # (evaluated). The analytic ends start unseen.
-    top, top_seen = min(max(_to_db(u_top), _MIN_DB), _MAX_DB), False
-    lo, lo_seen = min(_to_db(u_lo), top - tol_db), False
-    if lo <= _MIN_DB:
-        lo, lo_seen = _MIN_DB, True
-    weight_r = weight * root_a
+    top = np.clip(_to_db(t.u_top), _MIN_DB, _MAX_DB)
+    top_seen = np.zeros(n, dtype=bool)
+    lo = np.minimum(_to_db(t.u_lo), top - tol_db)
+    lo_seen = lo <= _MIN_DB
+    lo[lo_seen] = _MIN_DB
     x = 0.5 * (lo + top)
-    last_step = math.inf
-    while True:
-        gamma = float(db_to_linear(x))
-        tail = bound.tail(gamma)
-        met = bound.floor + tail <= target
-        if met:
-            top, top_seen = x, True
-            if x <= lo:
-                # rounding broke the analytic lo: widen as bisection did
-                lo = x - 20.0
-                lo_seen = lo <= _MIN_DB
-        elif x >= _MAX_DB:
-            return None
-        else:
-            lo, lo_seen = x, True
-            if x >= top:
-                # rounding broke the analytic top: search up to 200 dB
-                top = _MAX_DB
-        width = top - lo
-        if width <= tol_db:
-            if top_seen and lo_seen:
-                return top
-            x = top if not top_seen else lo
-            continue
+    last_step = np.full(n, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while act.size:
+            u = np.sqrt(db_to_linear(x))
+            z = u[:, None] * root_a
+            tail = bound_tails(weight, z)
+            met = floor + tail <= target
+            failed = ~met & (x >= _MAX_DB)
+            top = np.where(met, x, top)
+            top_seen |= met
+            # rounding broke the analytic lo: widen as bisection did
+            widen = met & (x <= lo)
+            lo = np.where(widen, x - 20.0, lo)
+            lo_seen = np.where(widen, lo <= _MIN_DB, lo_seen)
+            missed = ~met & ~failed
+            lo = np.where(missed, x, lo)
+            lo_seen |= missed
+            # rounding broke the analytic top: search up to 200 dB
+            top = np.where(missed & (x >= top), _MAX_DB, top)
+            width = top - lo
+            closed = width <= tol_db
+            done = closed & top_seen & lo_seen
+            hi[act[done]] = top[done]
 
-        guess = None
-        if tail > 0:
-            u = math.sqrt(gamma)
             q = _qinv(tail / total)
-            z = u * root_a
-            scale = total * math.exp(-0.5 * q * q)
-            slope = float(weight_r @ np.exp(-0.5 * z * z)) / scale \
-                if scale > 0 else 0.0
-            if slope > 0 and u > (q - q_star) / slope:
-                guess = _to_db(u - (q - q_star) / slope)
-        step = abs(guess - x) if guess is not None and lo < guess < top \
-            else math.inf
-        if step > 0.5 * last_step or step == math.inf:
-            x, last_step = 0.5 * (lo + top), math.inf
-        else:
-            last_step = step
-            if step < 0.97 * tol_db:
-                # the crossing lies within reach: close the bracket from x
-                x = x - 0.99 * tol_db if met else x + 0.99 * tol_db
-            else:
-                x = guess - 0.45 * tol_db if met else guess + 0.45 * tol_db
-        # keep strictly inside the evaluated ends
-        margin = 0.25 * min(tol_db, width)
-        x = min(max(x, lo + margin if lo_seen else lo),
-                top - margin if top_seen else top)
+            scale = total * np.exp(-0.5 * q * q)
+            z *= z
+            z *= -0.5
+            np.exp(z, out=z)
+            z *= weight_r
+            slope = np.where(scale > 0, np.sum(z, axis=1) / scale, 0.0)
+            shift = (q - q_star) / slope
+            newton = (tail > 0) & (slope > 0) & (u > shift)
+            guess = np.where(newton, _to_db(u - shift), np.nan)
+            step = np.where(newton & (lo < guess) & (guess < top),
+                            np.abs(guess - x), np.inf)
+            bisect = (step > 0.5 * last_step) | (step == np.inf)
+            # the crossing lies within reach: close the bracket from x
+            reach = np.where(met, x - 0.99 * tol_db, x + 0.99 * tol_db)
+            past = np.where(met, guess - 0.45 * tol_db, guess + 0.45 * tol_db)
+            nxt = np.where(bisect, 0.5 * (lo + top),
+                           np.where(step < 0.97 * tol_db, reach, past))
+            # keep strictly inside the evaluated ends
+            margin = 0.25 * np.minimum(tol_db, width)
+            nxt = np.minimum(np.maximum(nxt, np.where(lo_seen, lo + margin,
+                                                      lo)),
+                             np.where(top_seen, top - margin, top))
+            # a closed bracket evaluates its unseen end instead
+            x = np.where(closed, np.where(top_seen, lo, top), nxt)
+            last_step = np.where(closed, last_step,
+                                 np.where(bisect, np.inf, step))
+
+            keep = ~(done | failed)
+            if not keep.all():
+                (act, x, lo, top, lo_seen, top_seen, last_step, floor, total,
+                 q_star, weight, root_a, weight_r) = (
+                    a[keep] for a in (act, x, lo, top, lo_seen, top_seen,
+                                      last_step, floor, total, q_star, weight,
+                                      root_a, weight_r))
+        rx = linear_to_db(db_to_linear(hi) / np.square(n_active) * t.power)
+    return hi, rx
 
 
-def _to_db(u):
-    """sqrt(gamma) to dB."""
-    return 20.0 * math.log10(u) if u > 0 else -math.inf
-
-
-def _strength_order(H):
-    """Column indices by decreasing norm, ties to the smaller index."""
-    return np.argsort(-np.linalg.norm(H, axis=0), kind="stable")
+def _strength_order(Hs):
+    """Column indices of each channel of a (B, n_rx, n_tx) stack by
+    decreasing norm, ties to the smaller index. The squares are summed
+    row by row, so each channel's order is its own."""
+    sq = Hs[:, 0] * Hs[:, 0]
+    for r in range(1, Hs.shape[1]):
+        sq = sq + Hs[:, r] * Hs[:, r]
+    return np.argsort(-np.sqrt(sq), axis=1, kind="stable")
 
 
 def strongest_columns(H, n):
     """Indices of the n largest-norm columns, ascending index order.
 
-    Equal norms resolve to the smaller original index so selections are
-    deterministic.
+    H is (n_rx, n_tx), or a (B, n_rx, n_tx) stack, which gives a (B, n)
+    array. Equal norms resolve to the smaller original index so
+    selections are deterministic.
     """
-    return np.sort(_strength_order(np.atleast_2d(H))[:n])
+    H = np.asarray(H, dtype=float)
+    stack = np.atleast_2d(H)[None] if H.ndim < 3 else H
+    idx = np.sort(_strength_order(stack)[:, :n], axis=1)
+    return idx if H.ndim == 3 else idx[0]
 
 
 @dataclass(frozen=True)
@@ -219,26 +318,32 @@ def asm_select_downlink(H_full, target_ber, spectral_efficiency,
                         mean_power=1.0, candidates=(1, 2, 4, 8, 16)):
     """Pick the number and set of access points minimizing required SNR.
 
-    Each candidate count N_a uses the N_a strongest columns of H_full
-    and the PAM order M = 2^(R - log2 N_a); candidates that would need
-    M < 2 are skipped (every symbol must carry at least one level bit).
-    Ties in required received SNR go to the smaller N_a. Returns an
-    infeasible decision when no candidate can reach the target.
+    H_full is one (n_rx, n_tx) channel, which gives one AsmDecision, or
+    a (B, n_rx, n_tx) stack, which gives a list of B decisions, each the
+    one its channel alone gives. Each candidate count N_a uses the N_a
+    strongest columns of the channel and the PAM order
+    M = 2^(R - log2 N_a); candidates that would need M < 2 are skipped
+    (every symbol must carry at least one level bit). Ties in required
+    received SNR go to the smaller N_a. A channel gets an infeasible
+    decision when no candidate can reach the target.
 
-    The candidates are searched in the order of an analytic upper
-    bound on their received SNR, so the winner tends to come first.
-    Once a feasible best exists, a candidate whose bound still misses
-    the target at the transmit SNR that would give the best received
-    SNR is skipped without a search: the bound is monotone, so its
-    received SNR would exceed the best one. The decision is the one an
-    exhaustive search over the candidates gives.
+    Each channel's candidates are searched in the order of an analytic
+    upper bound on their received SNR, k u_top^2, so the winner tends
+    to come first. Once a channel has a feasible best, a candidate whose
+    bound still misses the target at the transmit SNR that would give
+    the best received SNR is skipped without a search: the bound is
+    monotone, so its received SNR would exceed the best one. The
+    decision is the one an exhaustive search over the candidates gives.
     """
     _check_target(target_ber)
-    H_full = np.atleast_2d(H_full)
-    order = _strength_order(H_full)
+    H_full = np.asarray(H_full, dtype=float)
+    if H_full.ndim < 3:
+        return asm_select_downlink(np.atleast_2d(H_full)[None], target_ber,
+                                   spectral_efficiency, mean_power,
+                                   candidates)[0]
     options = []
     for n_active in sorted(candidates):
-        if n_active > H_full.shape[1]:
+        if n_active > H_full.shape[2]:
             continue
         spatial_bits = np.log2(n_active)
         if spatial_bits != int(spatial_bits):
@@ -246,35 +351,86 @@ def asm_select_downlink(H_full, target_ber, spectral_efficiency,
         M = 2 ** int(round(spectral_efficiency - spatial_bits))
         if M < 2 or M * n_active != 2 ** spectral_efficiency:
             continue
-        idx = np.sort(order[:n_active])
-        H = H_full[:, idx]
-        c = build_constellation(M, n_active, mean_power)
-        bound = UnionBound(c, H)
-        if bound.floor > target_ber:
-            continue
-        # received SNR = k gamma_tx
-        row_sums = H.sum(axis=1)
-        k = float(row_sums @ row_sums) / n_active ** 2
-        u_top = _bracket(bound, target_ber)[2]
-        options.append((k * u_top ** 2, n_active, M, idx, c, H, bound, k))
+        options.append((n_active, M))
+    if not options:
+        return [AsmDecision(feasible=False)] * len(H_full)
+    K = options[0][0] * options[0][1]
+    out = []
+    for part in _parts(H_full, K):
+        out += _asm_part(part, target_ber, options, mean_power)
+    return out
 
-    best = AsmDecision(feasible=False)
-    for _, n_active, M, idx, c, H, bound, k in sorted(
-            options, key=lambda o: o[:2]):
+
+def _asm_part(Hs, target, options, mean_power):
+    """asm_select_downlink on one sub-stack, for the (N_a, M) options.
+
+    Every option's set has K = 2^R symbols with distinct labels, so all
+    their tables have one width, and the channels' candidates of one
+    rank are probed and searched as one stack.
+    """
+    order = _strength_order(Hs)
+    cands = []
+    for n_active, M in options:
+        idx = np.sort(order[:, :n_active], axis=1)
+        c = build_constellation(M, n_active, mean_power)
+        cands.append((idx, _tables(
+            c, np.take_along_axis(Hs, idx[:, None, :], axis=2), target)))
+    counts = np.array([n for n, _ in options])
+    # received SNR = k gamma_tx; rank by the bound k u_top^2 on it
+    k = np.stack([t.power for _, t in cands], axis=1) / counts ** 2
+    ok = np.stack([t.ok for _, t in cands], axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        key = k * np.stack([t.u_top for _, t in cands], axis=1) ** 2
+    rank = np.argsort(np.where(ok, key, np.inf), axis=1, kind="stable")
+
+    n_ch = len(Hs)
+    best = np.full(n_ch, -1)              # candidate index, -1: none yet
+    best_tx = np.full(n_ch, np.inf)
+    best_rx = np.full(n_ch, np.inf)
+    for r in range(len(cands)):
+        rows = np.flatnonzero(ok[np.arange(n_ch), rank[:, r]])
+        if not rows.size:
+            continue
+        # this rank's candidates of all channels as one stack, ordered by
+        # candidate, then by channel
+        ci = rank[rows, r]
+        by_cand = np.argsort(ci, kind="stable")
+        rows, ci = rows[by_cand], ci[by_cand]
+        t = _Tables(*(np.concatenate(f) for f in zip(
+            *(_rows(tc, rows[ci == i]) for i, (_, tc) in enumerate(cands)))))
         # a search could only find gamma_tx above this probe, and a
         # received SNR above the best
-        if best.feasible and k > 0 and bound(
-                float(db_to_linear(best.gamma_rx_db))
-                * (1.0 + _PRUNE_MARGIN) / k) > target_ber:
+        probe = np.flatnonzero((best[rows] >= 0) & (k[rows, ci] > 0))
+        if probe.size:
+            u = np.sqrt(db_to_linear(best_rx[rows[probe]])
+                        * (1.0 + _PRUNE_MARGIN) / k[rows[probe], ci[probe]])
+            missed = t.floor[probe] + bound_tails(
+                t.weight[probe], u[:, None] * t.root_a[probe]) > target
+            keep = np.ones(len(rows), dtype=bool)
+            keep[probe[missed]] = False
+            rows, ci, t = rows[keep], ci[keep], _rows(t, keep)
+        if not rows.size:
             continue
-        res = required_snr(c, H, target_ber)
-        if res.feasible and ((res.gamma_rx_db, n_active)
-                             < (best.gamma_rx_db, best.n_active)):
-            best = AsmDecision(feasible=True, n_active=n_active, M=M,
-                               active_set=tuple(int(i) for i in idx),
-                               gamma_tx_db=res.gamma_tx_db,
-                               gamma_rx_db=res.gamma_rx_db)
-    return best
+        hi, rx = _search(t, counts[ci], target, 0.01)
+        # rx == best_rx only where a best exists
+        better = np.isfinite(hi) & (
+            (rx < best_rx[rows])
+            | ((rx == best_rx[rows]) & (counts[ci] < counts[best[rows]])))
+        win = rows[better]
+        best[win], best_tx[win], best_rx[win] = ci[better], hi[better], \
+            rx[better]
+
+    out = []
+    for b in range(n_ch):
+        if best[b] < 0:
+            out.append(AsmDecision(feasible=False))
+            continue
+        (n_active, M), (idx, _) = options[best[b]], cands[best[b]]
+        out.append(AsmDecision(feasible=True, n_active=n_active, M=M,
+                               active_set=tuple(int(i) for i in idx[b]),
+                               gamma_tx_db=float(best_tx[b]),
+                               gamma_rx_db=float(best_rx[b])))
+    return out
 
 
 @dataclass(frozen=True)

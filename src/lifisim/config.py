@@ -35,6 +35,16 @@ PRESET_LOCATIONS = {
     "L3": (2.5, 0.5, 180.0),
 }
 
+#: Most realizations a scenario may ask for: the sitting lattice x facing
+#: directions x draws, and the estimated samples of its walk. The
+#: paper's default survey is 361 x 24 x 500 = 4.33 M realizations.
+MAX_REALIZATIONS = 10_000_000
+#: Most environment-mesh elements: the radiosity solve keeps dense
+#: n x n matrices (0.8 GB each at this limit).
+MAX_MESH_ELEMENTS = 10_000
+#: Most access points (n_ap_side squared).
+MAX_ACCESS_POINTS = 1024
+
 _CHOICES = {
     "direction": ("downlink", "uplink"),
     "device": ("sr", "mdr"),
@@ -274,11 +284,54 @@ def _validate(s):
         raise ConfigError(f"uplink_tse {s.uplink_tse:g} exceeds the "
                           f"{MAX_SYMBOLS}-symbol limit")
     s.uplink_pam_order()
+    _check_work(s)
     # The derived objects check their own ranges (semiangle, FOV, ...).
     try:
         s.room(), s.source(), s.blockage(), s.orwp()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_work(s):
+    """Reject a scenario whose work no run could finish.
+
+    Counted from the fields alone, before anything is built, whichever
+    command runs the scenario: the sitting lattice (points `grid_step`
+    apart, 0.25 m off the walls) x facing directions x draws; the walk,
+    about n_waypoints legs of at most the room diagonal, sampled every
+    `speed` x T_c (the shortest walking coherence time); the mesh cells
+    (round(side / mesh_resolution) per face axis) and the access points.
+    """
+    # in floats, which overflow to inf instead of growing without bound
+    def cells(length):
+        return max(1.0, float(np.round(length / s.mesh_resolution)))
+
+    def points(length):
+        return max(0.0, float(np.ceil((length - 0.5 + 1e-9) / s.grid_step)))
+
+    lattice = points(s.room_width) * points(s.room_depth)
+    sitting = lattice * s.n_directions * float(s.orientations_per_point)
+    if sitting > MAX_REALIZATIONS:
+        raise ConfigError(
+            f"the sitting survey asks for {sitting:.3g} realizations "
+            f"({lattice:.3g} points x {s.n_directions} directions x "
+            f"{s.orientations_per_point} draws), above {MAX_REALIZATIONS:,}")
+    t_c = min(BUILTIN_STATS["walking"].coherence_times)
+    diagonal = math.hypot(s.room_width, s.room_depth)
+    walk = s.n_waypoints * (diagonal / s.speed / t_c + 1.0)
+    if walk > MAX_REALIZATIONS:
+        raise ConfigError(
+            f"the walk asks for about {walk:.3g} samples ({s.n_waypoints} "
+            f"waypoints at {s.speed:g} m/s), above {MAX_REALIZATIONS:,}")
+    w, d, h = (cells(v) for v in (s.room_width, s.room_depth, s.room_height))
+    mesh = 2 * (w * d + w * h + d * h)
+    if mesh > MAX_MESH_ELEMENTS:
+        raise ConfigError(
+            f"mesh_resolution {s.mesh_resolution:g} gives {mesh:.3g} mesh "
+            f"elements, above {MAX_MESH_ELEMENTS:,}")
+    if s.n_ap_side ** 2 > MAX_ACCESS_POINTS:
+        raise ConfigError(f"n_ap_side {s.n_ap_side} gives more than "
+                          f"{MAX_ACCESS_POINTS} access points")
 
 
 def scenario_from_dict(overrides):

@@ -9,7 +9,10 @@ walking gives the ORWP trajectory samples. Four experiment kinds cover
 the evaluation campaign:
 
 * cdf map (sitting) and orwp run (walking): required SNR of the
-  configured downlink scheme, one row per realization;
+  configured downlink scheme, one row per realization. The tasks go in
+  blocks of SEARCH_BLOCK: each task of a block is realized on its own,
+  then the block's channels are searched in one batched call
+  (adaptive.required_snrs or asm_select_downlink);
 * ber sweep: one location, bound and Monte Carlo BER against received
   SNR, with fixed or random orientation;
 * uplink eval: transmit-SNR sweep with source selection, rate bounds
@@ -18,12 +21,14 @@ the evaluation campaign:
 Determinism contract: realization i draws all its randomness from
 SeedSequence([seed, 1, i]); Monte Carlo noise for realization i at
 sweep point g from SeedSequence([seed, 2, i, g]); the sequential
-trajectory stream is SeedSequence([seed, 0]). Results are therefore
+trajectory stream is SeedSequence([seed, 0]). A channel's search result
+does not depend on the block it is searched in. Results are therefore
 bit-identical for any worker count: workers only partition the
-realization list, and the merge preserves order. Each pool worker caps
-its OpenBLAS pools at one thread; a one-worker run leaves them as they
-are. A worker count outside 1..usable CPUs is a ConfigError (a
-ValueError) before any pool starts.
+realization list (the downlink surveys' list of blocks), and the merge
+preserves order. Each pool worker caps its OpenBLAS pools at one
+thread; a one-worker run leaves them as they are. A worker count
+outside 1..usable CPUs is a ConfigError (a ValueError) before any pool
+starts.
 """
 
 import csv
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import (asm_select_downlink, led_selection_uplink,
-                       required_snr, strongest_columns)
+                       required_snrs, strongest_columns)
 from .blockage import SegmentSet, place_blockers, segments_blocked
 from .channel import (ELEMENT_ORDER, RadiositySolver, build_environment_mesh,
                       los_gain_matrix, mesh_gains)
@@ -228,27 +233,46 @@ def _fixed_signal_set(sc):
     return M, build_constellation(M, sc.n_active)
 
 
-def _downlink_record(builder, task):
-    """CSV row of one realization at the scheme's operating point."""
-    idx, x, y, omega, angles = task
+#: Realizations whose required SNRs are searched together: large enough
+#: that the search's per-step cost is shared, small enough that its
+#: tables stay a few hundred KiB.
+SEARCH_BLOCK = 64
+
+
+def _downlink_block(builder, block):
+    """CSV rows of a block of realizations at the scheme's operating point.
+
+    Each task is realized on its own; the block's channels then go
+    through one batched search, whose per-channel results do not depend
+    on the block.
+    """
     sc = builder.sc
-    pose, blockers, H = builder.realize(idx, x, y, omega, angles)
+    realized = [builder.realize(*task) for task in block]
+    Hs = np.stack([H for _, _, H in realized])
     if sc.scheme == "asm":
-        d = asm_select_downlink(H, sc.target_ber, int(sc.spectral_efficiency))
-        feasible, n_a, M, grx_db = d.feasible, d.n_active, d.M, d.gamma_rx_db
+        picks = [(d.feasible, d.n_active, d.M, d.gamma_rx_db)
+                 for d in asm_select_downlink(Hs, sc.target_ber,
+                                              int(sc.spectral_efficiency))]
     else:
-        n_a = sc.n_active
         M, c = _fixed_signal_set(sc)
-        res = required_snr(c, H[:, strongest_columns(H, n_a)], sc.target_ber)
-        feasible, grx_db = res.feasible, res.gamma_rx_db
-    a, b, g = pose.angles_deg
-    return {
-        "realization": idx, "x": x, "y": y, "omega_deg": omega,
-        "alpha_deg": a, "beta_deg": b, "gamma_deg": g,
-        "n_blockers": len(blockers), "n_active": n_a, "pam_order": M,
-        "gamma_rx_db": grx_db if feasible else np.inf,
-        "feasible": int(feasible),
-    }
+        cols = strongest_columns(Hs, sc.n_active)
+        picks = [(r.feasible, sc.n_active, M, r.gamma_rx_db)
+                 for r in required_snrs(
+                     c, np.take_along_axis(Hs, cols[:, None, :], axis=2),
+                     sc.target_ber)]
+    rows = []
+    for (idx, x, y, omega, _), (pose, blockers, _), pick in zip(
+            block, realized, picks):
+        feasible, n_a, M, grx_db = pick
+        a, b, g = pose.angles_deg
+        rows.append({
+            "realization": idx, "x": x, "y": y, "omega_deg": omega,
+            "alpha_deg": a, "beta_deg": b, "gamma_deg": g,
+            "n_blockers": len(blockers), "n_active": n_a, "pam_order": M,
+            "gamma_rx_db": grx_db if feasible else np.inf,
+            "feasible": int(feasible),
+        })
+    return rows
 
 
 def _sweep_channel(builder, task):
@@ -431,7 +455,11 @@ def _downlink_survey(sc, workers, command, activity, kind):
         raise ConfigError(f"{command} uses the {activity} statistics")
     if sc.scheme != "asm":
         _fixed_signal_set(sc)             # fail before any realization
-    rows = _run_tasks(sc, _downlink_record, _tasks(sc), workers)
+    tasks = _tasks(sc)
+    blocks = [tasks[i:i + SEARCH_BLOCK]
+              for i in range(0, len(tasks), SEARCH_BLOCK)]
+    rows = [row for part in _run_tasks(sc, _downlink_block, blocks, workers)
+            for row in part]
     outage = float(np.mean([r["feasible"] == 0 for r in rows]))
     return RunResult(kind=kind, columns=CDF_COLUMNS, rows=rows,
                      scenario=sc, meta={"outage_fraction": outage})

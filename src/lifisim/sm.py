@@ -16,7 +16,11 @@ and the Hamming-weighted union bound over all ordered symbol pairs an
 upper estimate of the bit error rate. The bound is symmetric in the
 pair, so it is summed over the upper triangle i < j with twice the
 weight; signal sets are memoized per argument tuple, with read-only
-arrays, so that this pair table is built once per set. Monte Carlo
+arrays, so that this pair table is built once per set. bound_tables
+lays the bound of one set out over a stack of channels, one row per
+channel, and bound_tails sums it row by row; UnionBound is their
+one-channel case, so the bound a caller evaluates is the one the
+batched required-SNR search evaluated. Monte Carlo
 detection counts bit errors through the set's cached K x K table of
 label Hamming distances.
 """
@@ -246,31 +250,63 @@ def union_bound_ber(constellation, H, gamma_tx):
     return UnionBound(constellation, H)(gamma_tx)
 
 
+def bound_tables(constellation, Hs):
+    """Union-bound tables of one signal set on a stack of channels.
+
+    Hs is (B, n_rx, n_active). Returns (floor, weight, root_a): floor
+    has shape (B,), weight and root_a (B, n_pairs) over the set's
+    PairTable, with root_a = ||H (s_i - s_j)|| / (2 I). The squared
+    distances are those of pairwise_sq_distances (the Gram form), so a
+    pair counts as inseparable exactly when that K x K table holds 0
+    for it; such a pair keeps Q(0) = 1/2 at every SNR, its d_H goes into
+    floor, and its weight and root_a are 0. Every row is computed on its
+    own, from a C-contiguous copy of the stack where it is not one, so a
+    channel's tables do not depend on the rest of the stack or on its
+    memory layout.
+    """
+    c = constellation
+    pairs = c.pairs
+    K = c.K
+    Hs = np.ascontiguousarray(Hs, dtype=float)
+    X = np.matmul(Hs, c.S)                               # (B, n_rx, K)
+    g = np.matmul(X.transpose(0, 2, 1), X).reshape(len(X), K * K)
+    sq = g[:, ::K + 1]
+    i, j = np.divmod(pairs.flat, K)
+    # take keeps the rows C-contiguous, so that each row sum over the
+    # pairs is reduced alike in any stack
+    d2 = sq.take(i, axis=1) + sq.take(j, axis=1) - 2.0 * g.take(pairs.flat,
+                                                                 axis=1)
+    zero = d2 <= 0.0
+    floor = (np.where(zero, pairs.d_ham, 0).sum(axis=1)
+             / (c.K * c.bits_per_symbol))
+    weight = np.where(zero, 0.0, pairs.weight)
+    root_a = np.sqrt(np.maximum(d2, 0.0)) / (2.0 * c.mean_power)
+    return floor, weight, root_a
+
+
+def bound_tails(weight, z):
+    """(B,) row sums of weight * Q(z): the separable pairs' part of each
+    bound, for z = sqrt(gamma_tx) * root_a of each row's channel."""
+    return np.sum(weight * qfunc(z), axis=1)
+
+
 class UnionBound:
     """The union bound of one signal set on one channel, against SNR.
 
-    bound(gamma_tx) = floor + tail(gamma_tx), where tail sums
-    weight * Q(sqrt(gamma_tx) * root_a) over the pairs of the set's
-    PairTable that the channel separates, with
-    root_a = ||H (s_i - s_j)|| / (2 I). Pairs mapped to one point keep
-    Q(0) = 1/2 at every SNR and make up floor. Their squared distances
-    are those of pairwise_sq_distances, so a pair counts as
-    inseparable exactly when that K x K table holds 0 for it.
+    bound(gamma_tx) = floor + tail(gamma_tx): the one-channel case of
+    bound_tables and bound_tails, so that it evaluates to the very
+    values the batched required-SNR search sees.
     """
 
     def __init__(self, constellation, H):
-        c = constellation
-        pairs = c.pairs
-        d2 = pairwise_sq_distances(H @ c.S).take(pairs.flat)
-        zero = d2 <= 0.0
-        self.floor = (float(pairs.d_ham[zero].sum())
-                      / (c.K * c.bits_per_symbol))
-        self.weight = pairs.weight[~zero]
-        self.root_a = np.sqrt(d2[~zero]) / (2.0 * c.mean_power)
+        floor, self.weight, self.root_a = bound_tables(
+            constellation, np.atleast_2d(H)[None])
+        self.floor = float(floor[0])
 
     def tail(self, gamma_tx):
         """The separable pairs' part of the bound at gamma_tx."""
-        return float(self.weight @ qfunc(math.sqrt(gamma_tx) * self.root_a))
+        z = math.sqrt(gamma_tx) * self.root_a
+        return float(bound_tails(self.weight, z)[0])
 
     def __call__(self, gamma_tx):
         return self.floor + self.tail(gamma_tx)

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import lifisim.adaptive as adaptive
-from lifisim import (AsmDecision, RequiredSnr, admissible_group_starts,
+from lifisim import (AsmDecision, admissible_group_starts,
                      asm_select_downlink, build_constellation,
                      build_mimo_constellation, hamming_matrix,
                      led_selection_uplink, pairwise_sq_distances,
@@ -262,10 +262,11 @@ _SIGNAL_SETS = st.one_of(
 
 
 @st.composite
-def _channels(draw, n_tx):
+def _channels(draw, n_tx, n_rx=None):
     """Nonnegative (n_rx, n_tx) channels, some with a zero column, a
     duplicate column or a column scaled onto another."""
-    n_rx = draw(st.integers(1, 4))
+    if n_rx is None:
+        n_rx = draw(st.integers(1, 4))
     H = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_rx * n_tx,
                                max_size=n_rx * n_tx))).reshape(n_rx, n_tx)
     if n_tx > 1:
@@ -403,17 +404,89 @@ def test_pruned_asm_matches_exhaustive_loop_on_near_ties():
 
 def test_asm_tie_goes_to_smaller_count(monkeypatch):
     # every candidate is made to need exactly 100 dB, far above what it
-    # really needs, so the bound test at the best SNR prunes none of them
-    def constant(constellation, H, target_ber, tol_db=0.01):
-        calls.append(constellation.n_active)
-        return RequiredSnr(feasible=True, gamma_tx_db=90.0,
-                           gamma_rx_db=100.0)
+    # really needs, so the bound test at the best SNR prunes none of them;
+    # the fake stands in for the batched search every candidate goes
+    # through
+    def constant(t, n_active, target, tol_db):
+        n = len(t.floor)
+        calls.extend(np.broadcast_to(n_active, n).tolist())
+        return np.full(n, 90.0), np.full(n, 100.0)
 
     calls = []
-    monkeypatch.setattr(adaptive, "required_snr", constant)
+    monkeypatch.setattr(adaptive, "_search", constant)
     decision = asm_select_downlink(_good_channel(9, (4, 8)), TARGET, 5)
     assert sorted(calls) == [1, 2, 4, 8]
     assert calls[0] != 1            # the smallest count was not searched first
     assert (decision.n_active, decision.M) == (1, 32)
     assert decision.active_set == tuple(strongest_columns(
         _good_channel(9, (4, 8)), 1))
+
+
+# -- a stack of channels against each channel alone ------------------------
+
+@st.composite
+def _stacks(draw, n_tx):
+    """(B, n_rx, n_tx) stacks of _channels, each scaled by its own factor
+    and some all-zero or too weak to reach any target below 200 dB."""
+    n_rx = draw(st.integers(1, 4))
+    stack = []
+    for _ in range(draw(st.integers(1, 9))):
+        H = draw(_channels(n_tx, n_rx))
+        kind = draw(st.sampled_from(["scaled", "scaled", "zero", "weak"]))
+        if kind == "scaled":
+            H = H * 10.0 ** draw(st.floats(-4.0, 4.0))
+        elif kind == "zero":
+            H = np.zeros_like(H)
+        else:
+            H = H * 1e-12
+        stack.append(H)
+    return np.stack(stack)
+
+
+def _pieces(data, Hs):
+    """Permutation of the stack's channels and the stack cut into
+    consecutive pieces of that order."""
+    perm = np.array(data.draw(st.permutations(range(len(Hs)))))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(Hs)), max_size=3)))
+    bounds = [0, *cuts, len(Hs)]
+    return perm, [Hs[perm[a:b]] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), signal_set=_SIGNAL_SETS,
+       target=st.sampled_from([1e-6, TARGET, 0.047]),
+       budget=st.sampled_from([1, 2, None]))
+def test_stacked_required_snrs_equal_single_channel_calls(data, signal_set,
+                                                          target, budget):
+    build, M, n = signal_set
+    c = build(M, n)
+    Hs = data.draw(_stacks(n))
+    alone = [required_snr(c, H, target) for H in Hs]
+    perm, pieces = _pieces(data, Hs)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:      # stacks searched in parts of budget
+            mp.setattr(adaptive, "_TABLE_ENTRIES", budget * c.K ** 2)
+        stacked = [r for piece in pieces
+                   for r in adaptive.required_snrs(c, piece, target)]
+    assert stacked == [alone[i] for i in perm]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), R=st.integers(1, 6),
+       n_tx=st.sampled_from([2, 4, 8, 16]),
+       target=st.sampled_from([1e-4, TARGET, 0.05]),
+       budget=st.sampled_from([1, 2, None]))
+def test_stacked_asm_equals_single_channel_calls(data, R, n_tx, target,
+                                                 budget):
+    Hs = data.draw(_stacks(n_tx))
+    alone = [asm_select_downlink(H, target, R) for H in Hs]
+    assert all(isinstance(d, AsmDecision) for d in alone)
+    perm, pieces = _pieces(data, Hs)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:      # stacks searched in parts of budget
+            mp.setattr(adaptive, "_TABLE_ENTRIES", budget * 4 ** R)
+        stacked = [d for piece in pieces
+                   for d in asm_select_downlink(piece, target, R)]
+    assert stacked == [alone[i] for i in perm]

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import lifisim
 from lifisim import RadiosityError, load_scenario, read_csv, scenario_hash
-from lifisim import cli
+from lifisim import cli, harness
 
 
 TINY_MAP = """
@@ -109,6 +110,33 @@ def test_validate_config_accepts_alphabet_at_the_limit(tmp_path, capsys,
     cfg = write_config(tmp_path, text)
     assert cli.main(["validate-config", "--config", cfg]) == 0
     assert capsys.readouterr().out.startswith("ok ")
+
+
+@pytest.mark.parametrize("text,match", [
+    ("speed: 1.0e-9\n", "walk"),
+    ("orientations_per_point: 1000000000000000000\n", "sitting survey"),
+    ("n_ap_side: 1000000000000000000\n", "access points"),
+    ("mesh_resolution: 1.0e-4\n", "mesh elements"),
+])
+def test_validate_config_rejects_unbounded_work_fast(tmp_path, capsys, text,
+                                                      match):
+    cfg = write_config(tmp_path, text)
+    start = time.perf_counter()
+    assert cli.main(["validate-config", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "config error" in err and match in err
+
+
+@pytest.mark.parametrize("text", [
+    "",                                    # 361 x 24 x 500 realizations
+    "activity: walking\nn_waypoints: 500\n",
+    "n_ap_side: 32\n",
+    "mesh_resolution: 0.25\n",
+])
+def test_validate_config_admits_the_default_survey_and_walk(tmp_path, text):
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["validate-config", "--config", cfg]) == 0
 
 
 def test_out_of_range_semiangle_is_config_error_not_numerical(tmp_path,
@@ -226,6 +254,33 @@ def test_workers_flag_gives_identical_output(tmp_path):
     with open(os.path.join(out2, "cdf_map.csv")) as fh:
         second = fh.read()
     assert first == second
+
+
+@pytest.mark.parametrize("command,text,name", [
+    ("cdf-map", TINY_MAP.replace("orientations_per_point: 1",
+                                 "orientations_per_point: 4"), "cdf_map.csv"),
+    ("orwp-run", TINY_ORWP.replace("n_waypoints: 2", "n_waypoints: 5")
+     + "scheme: sm\nn_active: 4\n", "orwp_run.csv"),
+])
+def test_batched_search_rows_identical_across_worker_counts(tmp_path, command,
+                                                            text, name):
+    # more tasks than one search block, and not a whole number of blocks:
+    # the two-worker run splits the blocks, the last one partial, between
+    # two processes
+    if _usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    cfg = write_config(tmp_path, text)
+    outputs = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / workers)
+        assert cli.main([command, "--config", cfg, "--out", out,
+                         "--workers", workers]) == 0
+        with open(os.path.join(out, name)) as fh:
+            outputs.append(fh.read())
+    n_rows = len(read_csv(os.path.join(out, name))[2])
+    assert n_rows > harness.SEARCH_BLOCK
+    assert n_rows % harness.SEARCH_BLOCK
+    assert outputs[0] == outputs[1]
 
 
 def _usable_cpus():
