@@ -19,12 +19,11 @@ from .channel import (LambertianSource, RadiosityError, RadiositySolver,
 from .config import (ConfigError, PRESET_LOCATIONS, Scenario, load_scenario,
                      scenario_from_dict, scenario_hash)
 from .geometry import (APLayout, DeviceLayout, DevicePose, Room, ap_positions,
-                       device_layout, element_world_pose, mdr_layout,
-                       rotation_matrix, sr_layout)
+                       device_layout, element_world_pose, grid_positions,
+                       mdr_layout, rotation_matrix, sr_layout)
 from .harness import (ChannelBuilder, RunResult, emit, empirical_cdf,
-                      facing_directions, grid_positions, read_csv,
-                      run_ber_sweep, run_cdf_map, run_orwp_eval,
-                      run_uplink_eval, write_csv)
+                      facing_directions, read_csv, run_ber_sweep, run_cdf_map,
+                      run_orwp_eval, run_uplink_eval, write_csv)
 from .orientation import (AR1Params, BUILTIN_STATS, OrientationStats,
                           OrwpConfig, SITTING_STATS, TrajectorySample,
                           WALKING_STATS, ar1_params, ar1_sequence, ar1_step,

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .sm import bound_tables, bound_tails, build_constellation, union_bound_ber
+from .sm import (bound_tables, bound_tails, build_constellation,
+                 received_snr, union_bound_ber)
 from .util import db_to_linear, linear_to_db
 
 #: The search never looks above this transmit SNR: a bound still above
@@ -90,8 +91,7 @@ def required_snrs(constellation, Hs, target_ber, tol_db=0.01):
         rows = np.flatnonzero(t.ok)
         hi = np.full(len(part), np.inf)
         rx_db = np.full(len(part), np.inf)
-        hi[rows], rx_db[rows] = _search(
-            _rows(t, rows), constellation.n_active, target_ber, tol_db)
+        hi[rows], rx_db[rows] = _search(_rows(t, rows), target_ber, tol_db)
         out += [RequiredSnr(feasible=True, gamma_tx_db=float(h),
                             gamma_rx_db=float(r))
                 if np.isfinite(h) else RequiredSnr(feasible=False)
@@ -124,10 +124,10 @@ def _to_db(u):
 
 #: Per-channel search inputs of one signal set: the bound tables,
 #: _bracket's total pair weight, q_star, u_lo and u_top, the channel's
-#: received-power factor sum_i (sum_j h_ij)^2, and whether the floor
-#: admits the target.
+#: received SNR per unit transmit SNR (sm.received_snr at gamma_tx = 1),
+#: and whether the floor admits the target.
 _Tables = namedtuple("_Tables", "floor weight root_a total q_star u_lo u_top "
-                                "power ok")
+                                "gain ok")
 
 
 def _tables(constellation, Hs, target):
@@ -140,10 +140,8 @@ def _tables(constellation, Hs, target):
     floor, weight, root_a = bound_tables(constellation, Hs)
     ok = floor <= target
     total, q_star, u_lo, u_top = _bracket(floor, weight, root_a, ok, target)
-    row_sums = Hs.sum(axis=2)
-    power = np.sum(row_sums * row_sums, axis=1)
-    return _Tables(floor, weight, root_a, total, q_star, u_lo, u_top, power,
-                   ok)
+    gain = received_snr(Hs, constellation.n_active, 1.0)
+    return _Tables(floor, weight, root_a, total, q_star, u_lo, u_top, gain, ok)
 
 
 def _bracket(floor, weight, root_a, ok, target):
@@ -180,16 +178,14 @@ def _rows(t, rows):
     return _Tables(*(field[rows] for field in t))
 
 
-def _search(t, n_active, target, tol_db):
+def _search(t, target, tol_db):
     """Transmit and received SNR (dB) where each bound crosses the target.
 
-    For the channels of the tables t, whose floors admit the target, of
-    sets with n_active sources (one count, or one per channel), returns
-    (hi, rx): hi with bound(hi) <= target such that some
+    For the channels of the tables t, whose floors admit the target,
+    returns (hi, rx): hi with bound(hi) <= target such that some
     lo >= hi - tol_db was evaluated with bound(lo) > target, or inf
-    where bound(200 dB) > target, and rx = hi / N_a^2 times the
-    received-power factor, as sm.received_snr computes it. -220 dB
-    counts as missing the target without an evaluation.
+    where bound(200 dB) > target, and rx = hi times the channel's gain.
+    -220 dB counts as missing the target without an evaluation.
 
     Starts in the middle of the bracket and takes Newton steps on
     y(u) = Q^-1(tail(u) / W) - q_star against u = sqrt(gamma_tx), which
@@ -275,18 +271,16 @@ def _search(t, n_active, target, tol_db):
                     a[keep] for a in (act, x, lo, top, lo_seen, top_seen,
                                       last_step, floor, total, q_star, weight,
                                       root_a, weight_r))
-        rx = linear_to_db(db_to_linear(hi) / np.square(n_active) * t.power)
+        rx = linear_to_db(db_to_linear(hi) * t.gain)
     return hi, rx
 
 
 def _strength_order(Hs):
     """Column indices of each channel of a (B, n_rx, n_tx) stack by
-    decreasing norm, ties to the smaller index. The squares are summed
-    row by row, so each channel's order is its own."""
-    sq = Hs[:, 0] * Hs[:, 0]
-    for r in range(1, Hs.shape[1]):
-        sq = sq + Hs[:, r] * Hs[:, r]
-    return np.argsort(-np.sqrt(sq), axis=1, kind="stable")
+    decreasing norm, ties to the smaller index. On a C-ordered stack the
+    norms are summed row by row, so each channel's order is its own."""
+    norms = np.linalg.norm(np.ascontiguousarray(Hs), axis=1)
+    return np.argsort(-norms, axis=1, kind="stable")
 
 
 def strongest_columns(H, n):
@@ -377,7 +371,7 @@ def _asm_part(Hs, target, options, mean_power):
             c, np.take_along_axis(Hs, idx[:, None, :], axis=2), target)))
     counts = np.array([n for n, _ in options])
     # received SNR = k gamma_tx; rank by the bound k u_top^2 on it
-    k = np.stack([t.power for _, t in cands], axis=1) / counts ** 2
+    k = np.stack([t.gain for _, t in cands], axis=1)
     ok = np.stack([t.ok for _, t in cands], axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         key = k * np.stack([t.u_top for _, t in cands], axis=1) ** 2
@@ -411,7 +405,7 @@ def _asm_part(Hs, target, options, mean_power):
             rows, ci, t = rows[keep], ci[keep], _rows(t, keep)
         if not rows.size:
             continue
-        hi, rx = _search(t, counts[ci], target, 0.01)
+        hi, rx = _search(t, target, 0.01)
         # rx == best_rx only where a best exists
         better = np.isfinite(hi) & (
             (rx < best_rx[rows])

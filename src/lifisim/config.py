@@ -19,7 +19,7 @@ import yaml
 
 from .blockage import BlockageConfig
 from .channel import LambertianSource
-from .geometry import Room, ap_positions, device_layout
+from .geometry import Room, ap_positions, device_layout, grid_size
 from .orientation import BUILTIN_STATS, OrwpConfig
 from .sm import MAX_SYMBOLS
 
@@ -296,9 +296,9 @@ def _check_work(s):
     """Reject a scenario whose work no run could finish.
 
     Counted from the fields alone, before anything is built, whichever
-    command runs the scenario: the sitting lattice (points `grid_step`
-    apart, 0.25 m off the walls) x facing directions x draws; the walk,
-    about n_waypoints legs of at most the room diagonal, sampled every
+    command runs the scenario: the sitting lattice (grid_size at
+    `grid_step`) x facing directions x draws; the walk, about
+    n_waypoints legs of at most the room diagonal, sampled every
     `speed` x T_c (the shortest walking coherence time); the mesh cells
     (round(side / mesh_resolution) per face axis) and the access points.
     """
@@ -306,10 +306,7 @@ def _check_work(s):
     def cells(length):
         return max(1.0, float(np.round(length / s.mesh_resolution)))
 
-    def points(length):
-        return max(0.0, float(np.ceil((length - 0.5 + 1e-9) / s.grid_step)))
-
-    lattice = points(s.room_width) * points(s.room_depth)
+    lattice = grid_size(s.room_width, s.room_depth, s.grid_step)
     sitting = lattice * s.n_directions * float(s.orientations_per_point)
     if sitting > MAX_REALIZATIONS:
         raise ConfigError(

@@ -100,6 +100,27 @@ def ap_positions(room, n_per_side=4, height=2.95):
     return APLayout(positions=pos, normals=nrm)
 
 
+def _lattice_span(length, margin):
+    """[start, stop) of the evaluation lattice along one room side."""
+    return margin, length - margin + 1e-9
+
+
+def grid_positions(width, depth, step, margin=0.25):
+    """Evaluation lattice: points `step` apart, `margin` off the walls."""
+    xs = np.arange(*_lattice_span(width, margin), step)
+    ys = np.arange(*_lattice_span(depth, margin), step)
+    return [(float(x), float(y)) for y in ys for x in xs]
+
+
+def grid_size(width, depth, step, margin=0.25):
+    """len(grid_positions(width, depth, step, margin)) without building
+    the lattice; a float, which a tiny step takes to inf, not overflow."""
+    def points(length):
+        start, stop = _lattice_span(length, margin)
+        return max(0.0, float(np.ceil((stop - start) / step)))
+    return points(width) * points(depth)
+
+
 # Device body dimensions (m): length along local y, width along local x,
 # thickness along local z.
 DEVICE_LENGTH = 0.14

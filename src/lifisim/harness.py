@@ -9,10 +9,10 @@ walking gives the ORWP trajectory samples. Four experiment kinds cover
 the evaluation campaign:
 
 * cdf map (sitting) and orwp run (walking): required SNR of the
-  configured downlink scheme, one row per realization. The tasks go in
-  blocks of SEARCH_BLOCK: each task of a block is realized on its own,
-  then the block's channels are searched in one batched call
-  (adaptive.required_snrs or asm_select_downlink);
+  configured downlink scheme, one row per realization. Each worker's
+  chunk of tasks goes in blocks of SEARCH_BLOCK: each task of a block
+  is realized on its own, then the block's channels are searched in one
+  batched call (adaptive.required_snrs or asm_select_downlink);
 * ber sweep: one location, bound and Monte Carlo BER against received
   SNR, with fixed or random orientation;
 * uplink eval: transmit-SNR sweep with source selection, rate bounds
@@ -24,11 +24,10 @@ sweep point g from SeedSequence([seed, 2, i, g]); the sequential
 trajectory stream is SeedSequence([seed, 0]). A channel's search result
 does not depend on the block it is searched in. Results are therefore
 bit-identical for any worker count: workers only partition the
-realization list (the downlink surveys' list of blocks), and the merge
-preserves order. Each pool worker caps its OpenBLAS pools at one
-thread; a one-worker run leaves them as they are. A worker count
-outside 1..usable CPUs is a ConfigError (a ValueError) before any pool
-starts.
+realization list, and the merge preserves order. Each pool worker caps
+its OpenBLAS pools at one thread; a one-worker run leaves them as they
+are. A worker count outside 1..usable CPUs is a ConfigError (a
+ValueError) before any pool starts.
 """
 
 import csv
@@ -46,7 +45,7 @@ from .blockage import SegmentSet, place_blockers, segments_blocked
 from .channel import (ELEMENT_ORDER, RadiositySolver, build_environment_mesh,
                       los_gain_matrix, mesh_gains)
 from .config import ConfigError, Scenario, scenario_hash
-from .geometry import DevicePose, element_world_pose
+from .geometry import DevicePose, element_world_pose, grid_positions
 from .orientation import orwp_generate, sample_static_orientation
 from .rates import energy_efficiency, mi_monte_carlo, rate_bounds
 from .sm import (UnionBound, build_constellation, build_mimo_constellation,
@@ -81,13 +80,6 @@ class RunResult:
             except (TypeError, ValueError):
                 out.append(np.nan)
         return np.asarray(out)
-
-
-def grid_positions(width, depth, step, margin=0.25):
-    """Evaluation lattice: points `step` apart, `margin` off the walls."""
-    xs = np.arange(margin, width - margin + 1e-9, step)
-    ys = np.arange(margin, depth - margin + 1e-9, step)
-    return [(float(x), float(y)) for y in ys for x in xs]
 
 
 def facing_directions(n):
@@ -239,6 +231,15 @@ def _fixed_signal_set(sc):
 SEARCH_BLOCK = 64
 
 
+def _downlink_rows(builder, tasks):
+    """CSV rows of realizations at the scheme's operating point, searched
+    in blocks of SEARCH_BLOCK."""
+    rows = []
+    for i in range(0, len(tasks), SEARCH_BLOCK):
+        rows += _downlink_block(builder, tasks[i:i + SEARCH_BLOCK])
+    return rows
+
+
 def _downlink_block(builder, block):
     """CSV rows of a block of realizations at the scheme's operating point.
 
@@ -388,9 +389,15 @@ def _worker_init(scenario):
     _single_blas_thread()
 
 
+def _map_chunk(fn, builder, tasks, batched):
+    if batched:
+        return fn(builder, tasks)
+    return [fn(builder, t) for t in tasks]
+
+
 def _worker_chunk(payload):
-    fn, tasks = payload
-    return [fn(_BUILDER, t) for t in tasks]
+    fn, tasks, batched = payload
+    return _map_chunk(fn, _BUILDER, tasks, batched)
 
 
 def check_workers(workers, option="workers"):
@@ -408,15 +415,18 @@ def check_workers(workers, option="workers"):
                           f"got {workers}")
 
 
-def _run_tasks(scenario, fn, tasks, workers):
-    """Map fn over tasks, preserving order; workers > 1 forks a pool."""
+def _run_tasks(scenario, fn, tasks, workers, batched=False):
+    """Map fn over tasks, preserving order; workers > 1 forks a pool.
+
+    batched: fn takes the builder and a list of tasks, a worker's chunk
+    or all of them, and returns their results in order.
+    """
     check_workers(workers)
     if workers == 1 or len(tasks) < 2:
-        builder = ChannelBuilder(scenario)
-        return [fn(builder, t) for t in tasks]
+        return _map_chunk(fn, ChannelBuilder(scenario), tasks, batched)
     n_chunks = min(len(tasks), workers * 4)
     chunks = [list(c) for c in np.array_split(np.arange(len(tasks)), n_chunks)]
-    payloads = [(fn, [tasks[i] for i in c]) for c in chunks if c]
+    payloads = [(fn, [tasks[i] for i in c], batched) for c in chunks if c]
     results = []
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                              initargs=(scenario,)) as pool:
@@ -455,11 +465,7 @@ def _downlink_survey(sc, workers, command, activity, kind):
         raise ConfigError(f"{command} uses the {activity} statistics")
     if sc.scheme != "asm":
         _fixed_signal_set(sc)             # fail before any realization
-    tasks = _tasks(sc)
-    blocks = [tasks[i:i + SEARCH_BLOCK]
-              for i in range(0, len(tasks), SEARCH_BLOCK)]
-    rows = [row for part in _run_tasks(sc, _downlink_block, blocks, workers)
-            for row in part]
+    rows = _run_tasks(sc, _downlink_rows, _tasks(sc), workers, batched=True)
     outage = float(np.mean([r["feasible"] == 0 for r in rows]))
     return RunResult(kind=kind, columns=CDF_COLUMNS, rows=rows,
                      scenario=sc, meta={"outage_fraction": outage})

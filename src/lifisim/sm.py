@@ -316,13 +316,18 @@ def received_snr(H, n_active, gamma_tx):
     """Received SNR aggregated over all detectors.
 
     gamma_rx = gamma_tx / N_a^2 * sum_i (sum_j h_ij)^2 for the active
-    columns of H.
+    columns of H. H is (n_rx, n_active), which gives a float, or a
+    (B, n_rx, n_active) stack, which gives B values; every channel is
+    reduced on its own, so its value does not depend on the stack.
     """
-    H = np.atleast_2d(H)
-    if H.shape[1] != n_active:
+    H = np.ascontiguousarray(np.atleast_2d(H), dtype=float)
+    if H.shape[-1] != n_active:
         raise ValueError("H must hold exactly the active columns")
-    row_sums = H.sum(axis=1)
-    return gamma_tx / n_active ** 2 * float(np.dot(row_sums, row_sums))
+    row_sums = H.sum(axis=-1)[..., None, :]
+    # one dot product per channel, as np.dot sums it
+    power = (row_sums @ row_sums.swapaxes(-1, -2))[..., 0, 0]
+    snr = gamma_tx / n_active ** 2 * power
+    return float(snr) if H.ndim == 2 else snr
 
 
 def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):

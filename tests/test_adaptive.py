@@ -406,20 +406,24 @@ def test_asm_tie_goes_to_smaller_count(monkeypatch):
     # every candidate is made to need exactly 100 dB, far above what it
     # really needs, so the bound test at the best SNR prunes none of them;
     # the fake stands in for the batched search every candidate goes
-    # through
-    def constant(t, n_active, target, tol_db):
+    # through, and tells the candidates apart by their gains
+    H = _good_channel(9, (4, 8))
+    count_of = {received_snr(H[:, strongest_columns(H, n)], n, 1.0): n
+                for n in (1, 2, 4, 8)}
+    assert len(count_of) == 4
+
+    def constant(t, target, tol_db):
         n = len(t.floor)
-        calls.extend(np.broadcast_to(n_active, n).tolist())
+        calls.extend(count_of[g] for g in t.gain.tolist())
         return np.full(n, 90.0), np.full(n, 100.0)
 
     calls = []
     monkeypatch.setattr(adaptive, "_search", constant)
-    decision = asm_select_downlink(_good_channel(9, (4, 8)), TARGET, 5)
+    decision = asm_select_downlink(H, TARGET, 5)
     assert sorted(calls) == [1, 2, 4, 8]
     assert calls[0] != 1            # the smallest count was not searched first
     assert (decision.n_active, decision.M) == (1, 32)
-    assert decision.active_set == tuple(strongest_columns(
-        _good_channel(9, (4, 8)), 1))
+    assert decision.active_set == tuple(strongest_columns(H, 1))
 
 
 # -- a stack of channels against each channel alone ------------------------

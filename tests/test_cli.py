@@ -243,12 +243,13 @@ def test_radiosity_failure_exit_code(monkeypatch, capsys):
     assert "numerical failure" in err and "diverges" in err
 
 
-def test_workers_flag_gives_identical_output(tmp_path):
+def test_workers_flag_gives_identical_output(tmp_path, pool_starts):
     cfg = write_config(tmp_path, TINY_MAP)
     out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
     assert cli.main(["cdf-map", "--config", cfg, "--out", out1]) == 0
     assert cli.main(["cdf-map", "--config", cfg, "--out", out2,
                      "--workers", "2"]) == 0
+    assert pool_starts == [2]
     with open(os.path.join(out1, "cdf_map.csv")) as fh:
         first = fh.read()
     with open(os.path.join(out2, "cdf_map.csv")) as fh:
@@ -262,11 +263,11 @@ def test_workers_flag_gives_identical_output(tmp_path):
     ("orwp-run", TINY_ORWP.replace("n_waypoints: 2", "n_waypoints: 5")
      + "scheme: sm\nn_active: 4\n", "orwp_run.csv"),
 ])
-def test_batched_search_rows_identical_across_worker_counts(tmp_path, command,
-                                                            text, name):
+def test_batched_search_rows_identical_across_worker_counts(
+        tmp_path, pool_starts, command, text, name):
     # more tasks than one search block, and not a whole number of blocks:
-    # the two-worker run splits the blocks, the last one partial, between
-    # two processes
+    # one worker searches a full block and a partial one, two workers
+    # search each of their chunks of tasks as a partial block
     if _usable_cpus() < 2:
         pytest.skip("needs two usable CPUs")
     cfg = write_config(tmp_path, text)
@@ -280,6 +281,7 @@ def test_batched_search_rows_identical_across_worker_counts(tmp_path, command,
     n_rows = len(read_csv(os.path.join(out, name))[2])
     assert n_rows > harness.SEARCH_BLOCK
     assert n_rows % harness.SEARCH_BLOCK
+    assert pool_starts == [2]
     assert outputs[0] == outputs[1]
 
 

@@ -37,7 +37,7 @@ from lifisim import harness
 from lifisim.blockage import blockage_mask
 from lifisim.channel import (ELEMENT_FOV_DEG, ELEMENT_ORDER, los_gain_matrix,
                              nlos_gain)
-from lifisim.geometry import element_world_pose
+from lifisim.geometry import element_world_pose, grid_size
 from lifisim.harness import BER_COLUMNS, CDF_COLUMNS, EE_COLUMNS, RunResult
 from lifisim.util import db_to_linear
 
@@ -190,6 +190,14 @@ def test_grid_positions_margin():
     assert ys == pytest.approx([0.5, 1.5, 2.5])
 
 
+@pytest.mark.parametrize("width,depth,step,margin", [
+    (5.0, 5.0, 0.25, 0.25), (5.0, 5.0, 0.1, 0.25), (4.0, 3.0, 1.0, 0.5),
+    (5.0, 5.0, 0.3, 0.25), (0.5, 0.5, 0.25, 0.25), (0.4, 3.0, 0.2, 0.25)])
+def test_grid_size_counts_grid_positions(width, depth, step, margin):
+    assert grid_size(width, depth, step, margin) == len(
+        grid_positions(width, depth, step, margin))
+
+
 def test_facing_directions():
     assert facing_directions(8) == pytest.approx(
         [0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0])
@@ -251,21 +259,23 @@ def test_cdf_map_prerequisites():
         run_cdf_map(tiny_map_scenario(direction="uplink", scheme="sm"))
 
 
-def test_cdf_map_worker_determinism():
+def test_cdf_map_worker_determinism(pool_starts):
     sc = tiny_map_scenario()
     seq = run_cdf_map(sc, workers=1)
     par = run_cdf_map(sc, workers=2)
+    assert pool_starts == [2]
     assert seq.rows == par.rows
     assert seq.meta == par.meta
 
 
-def test_cdf_map_worker_determinism_with_reflections():
+def test_cdf_map_worker_determinism_with_reflections(pool_starts):
     # the workers factor the reflection system before dropping to one
     # BLAS thread: OpenBLAS rounds the LU factors of this 440-element
     # mesh differently with another thread count
     sc = tiny_map_scenario(include_nlos=True, mesh_resolution=0.5,
                            kappa_b=0.0)
     assert run_cdf_map(sc, workers=1).rows == run_cdf_map(sc, workers=2).rows
+    assert pool_starts == [2]
 
 
 def _blas_threads(builder, task):

@@ -294,6 +294,20 @@ def test_received_snr():
         received_snr(H, 4, 1.0)
 
 
+def test_received_snr_of_a_stack_is_each_channels_own():
+    rng = np.random.default_rng(10)
+    for n_rx, n_a in [(1, 1), (4, 2), (16, 8), (9, 16)]:
+        Hs = rng.uniform(0, 1, size=(37, n_rx, n_a))
+        stacked = received_snr(Hs, n_a, 3.0)
+        assert stacked.shape == (37,)
+        # every channel, in any layout, gives the bits np.dot gives
+        for b, H in enumerate(Hs):
+            rows = H.sum(axis=1)
+            assert stacked[b] == 3.0 / n_a ** 2 * float(np.dot(rows, rows))
+            assert stacked[b] == received_snr(np.asfortranarray(H), n_a, 3.0)
+        assert np.array_equal(received_snr(Hs[5:9], n_a, 3.0), stacked[5:9])
+
+
 def _reference_monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng,
                                chunk=100_000):
     """monte_carlo_ber as it was before the (n, K) score layout and the
