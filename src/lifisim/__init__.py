@@ -12,10 +12,10 @@ from .adaptive import (AsmDecision, LedSelection, RequiredSnr,
                        led_selection_uplink, required_snr, required_snrs,
                        strongest_columns)
 from .blockage import (Blocker, BlockageConfig, blockage_mask,
-                       place_blockers, segment_blocked, segments_blocked)
+                       place_blockers, segments_blocked)
 from .channel import (LambertianSource, RadiosityError, RadiositySolver,
-                      SurfaceMesh, build_environment_mesh, los_gain,
-                      los_gain_matrix, nlos_gain)
+                      SurfaceMesh, build_environment_mesh, los_gain_matrix,
+                      nlos_gain)
 from .config import (ConfigError, PRESET_LOCATIONS, Scenario, load_scenario,
                      scenario_from_dict, scenario_hash)
 from .geometry import (APLayout, DeviceLayout, DevicePose, Room, ap_positions,

@@ -8,6 +8,8 @@ volume; the test is an exact slab intersection in the prism's frame,
 run only on the (segment, prism) pairs whose bounding boxes meet. A
 SegmentSet keeps those boxes for segments whose endpoints never move,
 so that only the cull and the slab tests are repeated per blocker list.
+One call can also test the links of many realizations, each group of
+segments against its own blocker list.
 """
 
 from dataclasses import dataclass
@@ -147,17 +149,9 @@ def _segment_prism_hits(a, b, cos, sin, center, lo, hi):
     return (t_enter <= t_exit) & (t_exit > 0.0) & (t_enter < 1.0)
 
 
-def segment_blocked(a, b, blocker):
-    """True when the open segment (a, b) intersects one prism."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.array_equal(a, b):
-        raise ValueError("segment endpoints must differ")
-    return bool(segments_blocked(a[None, :], b[None, :], [blocker])[0])
-
-
 class SegmentSet:
-    """Fixed segments a->b, tested against one blocker list at a time.
+    """Fixed segments a->b, tested against one blocker list at a time
+    (or one list per group of segments).
 
     Only (segment, prism) pairs that can meet go through the slab test.
     Segments lying wholly above the tallest prism are dropped; the rest
@@ -203,12 +197,19 @@ class SegmentSet:
         self._boxes[top] = boxes
         return boxes
 
-    def blocked(self, blockers):
-        """(n,) bool: which segments any of the blockers occludes."""
+    def blocked(self, blockers, group=None):
+        """(n,) bool: which segments any of the blockers occludes.
+
+        With group, blockers is a sequence of blocker lists and segment k
+        is tested only against blockers[group[k]]: the links of many
+        realizations, each among its own prisms, in one call.
+        """
         hit = np.zeros(self.a.shape[1], dtype=bool)
-        if not blockers:
+        prisms = blockers if group is None else [
+            blocker for part in blockers for blocker in part]
+        if not prisms:
             return hit
-        cos, sin, center, lo, hi = _prism_frames(blockers)
+        cos, sin, center, lo, hi = _prism_frames(prisms)
         seg, box_lo, box_hi = self._below(hi[2].max() + _CULL_MARGIN)
 
         # Axis-aligned box around each rotated footprint rectangle, padded
@@ -216,13 +217,28 @@ class SegmentSet:
         abs_c, abs_s = np.abs(cos), np.abs(sin)
         ex = abs_c * hi[0] + abs_s * hi[1] + 2 * _CULL_MARGIN
         ey = abs_s * hi[0] + abs_c * hi[1] + 2 * _CULL_MARGIN
-        # (prism, segment) layout: long rows make the comparisons cheap.
-        near = ((box_lo[0] <= (center[0] + ex)[:, None])
-                & (box_hi[0] >= (center[0] - ex)[:, None])
-                & (box_lo[1] <= (center[1] + ey)[:, None])
-                & (box_hi[1] >= (center[1] - ey)[:, None]))
+        # (prism slot, segment) layout: long rows make the comparisons
+        # cheap. Ungrouped, slot i is prism i for every segment; grouped,
+        # it is the i-th prism of the segment's own group, where it has one.
+        if group is None:
+            prism, valid = np.arange(len(prisms))[:, None], True
+        else:
+            group = np.asarray(group, dtype=np.intp)
+            if seg is not None:
+                group = group.take(seg)
+            counts = np.array([len(part) for part in blockers], dtype=np.intp)
+            slot = np.arange(counts.max())[:, None]
+            valid = slot < counts.take(group)
+            prism = np.where(valid, (np.cumsum(counts) - counts).take(group)
+                             + slot, 0)
+        near = (valid
+                & (box_lo[0] <= (center[0] + ex).take(prism))
+                & (box_hi[0] >= (center[0] - ex).take(prism))
+                & (box_lo[1] <= (center[1] + ey).take(prism))
+                & (box_hi[1] >= (center[1] - ey).take(prism)))
 
-        bi, si = np.divmod(np.flatnonzero(near), near.shape[1])
+        slots, si = np.nonzero(near)
+        bi = slots if group is None else prism[slots, si]
         if seg is not None:
             si = seg.take(si)
         hits = _segment_prism_hits(
@@ -233,12 +249,13 @@ class SegmentSet:
         return hit
 
 
-def segments_blocked(a, b, blockers):
+def segments_blocked(a, b, blockers, group=None):
     """(n,) bool: which of n segments a->b any of the blockers occludes.
 
-    The one-off form of SegmentSet(a, b).blocked(blockers).
+    The one-off form of SegmentSet(a, b).blocked(blockers, group): with
+    group, segment k is tested only against the list blockers[group[k]].
     """
-    return SegmentSet(a, b).blocked(blockers)
+    return SegmentSet(a, b).blocked(blockers, group)
 
 
 def blockage_mask(tx_positions, rx_positions, blockers, where=None):

@@ -19,8 +19,8 @@ diagonal, t the source-to-element and r the element-to-detector gains
 (Schulze, IEEE Trans. Commun. 2016). A dense LU factorization of the
 reflection system is computed once per mesh and the gains come from
 the adjoint system (I - E G_rho)^T w = G_rho r, whose right-hand side
-has one column per detector: h_nlos = w^T t. No explicit inverse is
-formed.
+has one column per detector: h_nlos = w^T t. The detectors of a whole
+block of poses share one solve. No explicit inverse is formed.
 """
 
 from dataclasses import dataclass
@@ -98,18 +98,6 @@ def los_gain_matrix(tx_pos, tx_normal, rx_pos, rx_normal, order, area, fov_deg):
     return np.where(visible, gain, 0.0)
 
 
-def los_gain(tx_pos, tx_normal, rx_pos, rx_normal, source):
-    """Scalar LOS gain for a single link; see los_gain_matrix."""
-    tx_pos = np.asarray(tx_pos, dtype=float)
-    rx_pos = np.asarray(rx_pos, dtype=float)
-    if np.array_equal(tx_pos, rx_pos):
-        raise ValueError("transmitter and receiver positions must differ")
-    g = los_gain_matrix(tx_pos[None, :], np.asarray(tx_normal, dtype=float)[None, :],
-                        rx_pos[None, :], np.asarray(rx_normal, dtype=float)[None, :],
-                        source.order, source.area, source.fov_deg)
-    return float(g[0, 0])
-
-
 @dataclass(frozen=True)
 class SurfaceMesh:
     """Flat tiling of the room boundary into reflecting elements."""
@@ -179,9 +167,9 @@ class RadiositySolver:
     """Infinite-reflection solver bound to one mesh.
 
     Builds the element-to-element transfer matrix and factorizes
-    (I - E G_rho) once; gains for any transmitter/receiver poses then
-    cost one pair of triangular solves of the transposed system, with
-    one right-hand side per receiver.
+    (I - E G_rho) once; the gains of any block of transmitter/receiver
+    poses then cost one pair of triangular solves of the transposed
+    system, with one right-hand side per receiver of every pose.
     """
 
     def __init__(self, mesh):
@@ -210,28 +198,35 @@ class RadiositySolver:
             raise RadiosityError(
                 f"reflection series diverges (spectral radius ~ {lam:.3f})")
 
-    def solve(self, t):
-        """x with (I - E G_rho) x = t; t may hold several columns."""
-        return lu_solve(self._lu, t)
+    def solve(self, t, r=None):
+        """Forward solve, or with r the diffuse gains of a block of poses.
 
-    def gains(self, t, r):
-        """Diffuse gains for source-to-element t and element-to-detector r.
+        Without r: x with (I - E G_rho) x = t; t may hold several columns.
 
-        Solves the adjoint system (I - E G_rho)^T w = G_rho r and returns
-        w^T t, which equals r^T G_rho (I - E G_rho)^(-1) t.
+        With r: the adjoint system (I - E G_rho)^T w = G_rho r^T is solved
+        once, one right-hand side per detector of every pose, and pose k's
+        gains are w_k^T t_k, which equals
+        r_k G_rho (I - E G_rho)^(-1) t_k.
 
         Args:
-            t: (n_elements, n_tx) LOS gains from each transmitter into
-                the mesh (elements as detectors of their own area).
-            r: (n_elements, n_rx) LOS gains from each element (as an
-                order-1 emitter) to each receiver.
+            t: (n_elements, m) right-hand sides; with r, a sequence of B
+                (n_elements, n_tx) LOS gain matrices from each pose's
+                transmitters into the mesh (elements as detectors of
+                their own area).
+            r: (B * n_rx, n_elements) LOS gains from each element (as an
+                order-1 emitter) to each detector, pose k's detectors in
+                rows k * n_rx to (k + 1) * n_rx.
 
         Returns:
-            (n_rx, n_tx) diffuse gain matrix.
+            x, or the (B, n_rx, n_tx) stack of diffuse gain matrices.
         """
-        w = lu_solve(self._lu, self.mesh.rho[:, None] * np.atleast_2d(r),
-                     trans=1, check_finite=False)
-        return w.T @ np.asarray(t, dtype=float)
+        if r is None:
+            return lu_solve(self._lu, t)
+        w = lu_solve(self._lu, self.mesh.rho[:, None] * r.T, trans=1,
+                     check_finite=False)
+        n_rx = w.shape[1] // len(t)
+        return np.stack([w[:, k * n_rx:(k + 1) * n_rx].T @ tk
+                         for k, tk in enumerate(t)])
 
 
 def mesh_gains(tx_pos, tx_normal, tx_order, mesh):
@@ -251,7 +246,8 @@ def nlos_gain(tx_pos, tx_normal, tx_order, rx_pos, rx_normal, rx_area, rx_fov_de
     Blockage cuts the transmitter-to-element and element-to-receiver
     segments; shadowing between mesh elements is not modeled. The
     one-pose reference form: harness.ChannelBuilder computes the same
-    gains with the transmitter-to-mesh part built once per scenario.
+    gains for a block of poses, with the transmitter-to-mesh part built
+    once per scenario.
     """
     mesh = solver.mesh
     t = mesh_gains(tx_pos, tx_normal, tx_order, mesh)
@@ -262,4 +258,4 @@ def nlos_gain(tx_pos, tx_normal, tx_order, rx_pos, rx_normal, rx_area, rx_fov_de
                                    where=t > 0), 0.0, t)
         r = np.where(blockage_mask(mesh.centers, rx_pos, blockers,
                                    where=r > 0), 0.0, r)
-    return solver.gains(t, r.T)
+    return solver.solve([t], r)[0]

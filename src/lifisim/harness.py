@@ -1,28 +1,30 @@
 """Seeded experiment orchestration and file emission.
 
 Every experiment maps one evaluator over an ordered task list of
-realizations (idx, x, y, omega_deg, angles_deg), each turned into a
-channel by ChannelBuilder.realize. _tasks builds the list from the
-scenario's activity: sitting gives the lattice of positions x facing
-directions x orientation draws, with the angles drawn in realize;
-walking gives the ORWP trajectory samples. Four experiment kinds cover
-the evaluation campaign:
+realizations (idx, x, y, omega_deg, angles_deg). _tasks builds the list
+from the scenario's activity: sitting gives the lattice of positions x
+facing directions x orientation draws, with the angles drawn in
+realize; walking gives the ORWP trajectory samples. Each worker gets a
+chunk of tasks, and ChannelBuilder.channels turns a block of them into
+channels: ChannelBuilder.realize draws each realization once, then the
+block's channels are built together. Four experiment kinds cover the
+evaluation campaign:
 
 * cdf map (sitting) and orwp run (walking): required SNR of the
-  configured downlink scheme, one row per realization. Each worker's
-  chunk of tasks goes in blocks of SEARCH_BLOCK: each task of a block
-  is realized on its own, then the block's channels are searched in one
-  batched call (adaptive.required_snrs or asm_select_downlink);
+  configured downlink scheme, one row per realization. A chunk goes in
+  blocks of SEARCH_BLOCK, whose channels are searched in one batched
+  call (adaptive.required_snrs or asm_select_downlink);
 * ber sweep: one location, bound and Monte Carlo BER against received
-  SNR, with fixed or random orientation;
+  SNR, with fixed or random orientation, one record per draw;
 * uplink eval: transmit-SNR sweep with source selection, rate bounds
   and energy efficiency averaged over the activity's realizations.
 
 Determinism contract: realization i draws all its randomness from
 SeedSequence([seed, 1, i]); Monte Carlo noise for realization i at
 sweep point g from SeedSequence([seed, 2, i, g]); the sequential
-trajectory stream is SeedSequence([seed, 0]). A channel's search result
-does not depend on the block it is searched in. Results are therefore
+trajectory stream is SeedSequence([seed, 0]). A channel does not depend
+on the block it is built in, nor its search result on the block it is
+searched in. Results are therefore
 bit-identical for any worker count: workers only partition the
 realization list, and the merge preserves order. Each pool worker caps
 its OpenBLAS pools at one thread; a one-worker run leaves them as they
@@ -95,6 +97,12 @@ def empirical_cdf(values):
     return x, np.arange(1, x.size + 1) / x.size
 
 
+#: Photodiode x mesh-element pairs of one channel sub-block: 16 poses of
+#: a four-photodiode device on the 440-element 0.5 m mesh. It bounds the
+#: LOS and right-hand-side arrays a sub-block holds at once.
+SUB_BLOCK_PAIRS = 16 * 4 * 440
+
+
 class ChannelBuilder:
     """Per-scenario channel factory shared across realizations.
 
@@ -102,11 +110,12 @@ class ChannelBuilder:
     unblocked AP-to-mesh gains and a SegmentSet over their lit links are
     built once here, since the APs and the mesh do not move. The
     blocked AP-to-mesh gains are kept for the last blocker list, which
-    consecutive draws at one sitting spot share. Each downlink pose then
-    costs the device-side LOS matrices, one segments_blocked call over
-    all its lit AP-to-device and mesh-to-device links and one pair of
-    triangular solves with one column per photodiode. Uplink channels
-    keep only the LOS part.
+    consecutive draws at one sitting spot share. realize draws one
+    realization; channels builds the channels of a block of them
+    sub_block poses at a time, with one LOS call per link kind, one
+    segments_blocked call over all the lit device links (each among its
+    own realization's prisms) and one adjoint solve with a column per
+    photodiode of every pose. Uplink channels keep only the LOS part.
     """
 
     def __init__(self, scenario):
@@ -120,6 +129,7 @@ class ChannelBuilder:
         self.h_r = scenario.ue_height_m()
         self.solver = None
         self.ap_to_mesh = None
+        cells = len(self.aps.positions)
         if scenario.direction == "downlink" and scenario.include_nlos:
             mesh = build_environment_mesh(self.room,
                                           scenario.mesh_resolution)
@@ -131,10 +141,15 @@ class ChannelBuilder:
             self._ap_mesh = SegmentSet(self.aps.positions[self._lit[1]],
                                        mesh.centers[self._lit[0]])
             self._last = (None, None)     # blocker list, blocked gains
+            cells = mesh.n_elements
+        pairs = len(self.layout.local_positions) * cells
+        self.sub_block = max(1, SUB_BLOCK_PAIRS // pairs)
 
     def _blocked_ap_to_mesh(self, blockers):
         """AP-to-mesh gains with the links the blockers cut zeroed;
         remembered for the last blocker list."""
+        if not blockers:
+            return self.ap_to_mesh
         if blockers != self._last[0]:
             hit = self._ap_mesh.blocked(blockers)
             t = self.ap_to_mesh.copy()
@@ -143,34 +158,13 @@ class ChannelBuilder:
             self._last = (list(blockers), t)
         return self._last[1]
 
-    def channel(self, pose, blockers):
-        """(n_rx, n_tx) DC gain matrix of the pose among its blockers."""
-        elem_pos, elem_nrm = element_world_pose(pose, self.layout)
-        sc = self.sc
-        if sc.direction == "downlink":
-            tx_pos, tx_nrm = self.aps.positions, self.aps.normals
-            rx_pos, rx_nrm = elem_pos, elem_nrm
-        else:
-            tx_pos, tx_nrm = elem_pos, elem_nrm
-            rx_pos, rx_nrm = self.aps.positions, self.aps.normals
-        H = los_gain_matrix(tx_pos, tx_nrm, rx_pos, rx_nrm,
-                            self.source.order, sc.pd_area, sc.fov_deg)
-        if self.solver is None:
-            if blockers:
-                _zero_blocked(blockers, (H, tx_pos, rx_pos))
-            return H
-        mesh = self.solver.mesh
-        r = los_gain_matrix(mesh.centers, mesh.normals, rx_pos, rx_nrm,
-                            ELEMENT_ORDER, sc.pd_area, sc.fov_deg)
-        t = self.ap_to_mesh
-        if blockers:
-            _zero_blocked(blockers, (H, tx_pos, rx_pos),
-                          (r, mesh.centers, rx_pos))
-            t = self._blocked_ap_to_mesh(blockers)
-        return H + self.solver.gains(t, r.T)
-
     def realize(self, idx, x, y, omega_deg, angles_deg=None):
-        """Orientation, blockers and channel for realization idx."""
+        """Pose, blockers and blocked AP-to-mesh gains of realization idx.
+
+        All of its randomness comes from SeedSequence([seed, 1, idx]).
+        The gains (None without a reflection mesh) are read-only and
+        shared by consecutive draws with the same blockers.
+        """
         rng = np.random.default_rng(
             np.random.SeedSequence([self.sc.seed, 1, idx]))
         if angles_deg is None:
@@ -178,25 +172,71 @@ class ChannelBuilder:
         pose = DevicePose(position=(x, y, self.h_r), omega_deg=omega_deg,
                           angles_deg=tuple(angles_deg))
         blockers = place_blockers(self.block_cfg, self.room, pose, rng)
-        return pose, blockers, self.channel(pose, blockers)
+        t = None if self.solver is None else self._blocked_ap_to_mesh(blockers)
+        return pose, blockers, t
 
+    def channels(self, tasks):
+        """Realize a nonempty block of tasks, once each and in order.
 
-def _zero_blocked(blockers, *links):
-    """Zero in place the lit gains whose segment a blocker cuts.
+        Returns ([(pose, blockers)], H): H is the (B, n_rx, n_tx) stack of
+        DC gain matrices, each bit-identical to the one-pose computation
+        of its realization whatever the block or sub-block.
+        """
+        realized, stacks = [], []
+        for i in range(0, len(tasks), self.sub_block):
+            part = [self.realize(*task)
+                    for task in tasks[i:i + self.sub_block]]
+            stacks.append(self._stack(part))
+            realized += [(pose, blockers) for pose, blockers, _ in part]
+        return realized, np.concatenate(stacks)
 
-    Each link group is (gain, tx, rx): an (n_rx, n_tx) gain matrix and
-    the positions of its transmitters and receivers. The lit links of
-    every group go through one segments_blocked call.
-    """
-    lit = [np.nonzero(gain > 0) for gain, _, _ in links]
-    a = np.concatenate([tx[j] for (_, tx, _), (_, j) in zip(links, lit)])
-    b = np.concatenate([rx[i] for (_, _, rx), (i, _) in zip(links, lit)])
-    hit = segments_blocked(a, b, blockers)
-    start = 0
-    for (gain, _, _), (i, j) in zip(links, lit):
-        cut = hit[start:start + i.size]
-        gain[i[cut], j[cut]] = 0.0
-        start += i.size
+    def _stack(self, part):
+        """(B, n_rx, n_tx) channels of a list of realize results."""
+        sc = self.sc
+        n = len(part)
+        elems = [element_world_pose(pose, self.layout) for pose, _, _ in part]
+        pos = np.concatenate([p for p, _ in elems])       # (n * n_el, 3)
+        nrm = np.concatenate([q for _, q in elems])
+        aps = self.aps.positions
+        n_ap = len(aps)
+        dev = pos.reshape(n, -1, 3)
+        order = self.source.order
+        # Each link kind is (gains, tx, rx): an (n, n_rx, n_tx) stack and
+        # the (n, n_tx, 3) and (n, n_rx, 3) positions of its ends.
+        if sc.direction == "downlink":
+            H = los_gain_matrix(aps, self.aps.normals, pos, nrm, order,
+                                sc.pd_area, sc.fov_deg).reshape(n, -1, n_ap)
+            links = [(H, np.broadcast_to(aps, (n, n_ap, 3)), dev)]
+        else:
+            H = los_gain_matrix(pos, nrm, aps, self.aps.normals, order,
+                                sc.pd_area, sc.fov_deg)
+            H = np.ascontiguousarray(H.reshape(n_ap, n, -1).swapaxes(0, 1))
+            links = [(H, dev, np.broadcast_to(aps, (n, n_ap, 3)))]
+        if self.solver is not None:
+            mesh = self.solver.mesh
+            r = los_gain_matrix(mesh.centers, mesh.normals, pos, nrm,
+                                ELEMENT_ORDER, sc.pd_area, sc.fov_deg)
+            links.append((r.reshape(n, -1, mesh.n_elements),
+                          np.broadcast_to(mesh.centers,
+                                          (n, mesh.n_elements, 3)), dev))
+        blockers = [b for _, b, _ in part]
+        if any(blockers):
+            # every lit link of every pose in one test, zeroed where cut
+            lit = [np.nonzero(gain > 0) for gain, _, _ in links]
+            a = np.concatenate([tx[k, j]
+                                for (_, tx, _), (k, _, j) in zip(links, lit)])
+            b = np.concatenate([rx[k, i]
+                                for (_, _, rx), (k, i, _) in zip(links, lit)])
+            hit = segments_blocked(a, b, blockers,
+                                   np.concatenate([k for k, _, _ in lit]))
+            start = 0
+            for (gain, _, _), (k, i, j) in zip(links, lit):
+                cut = hit[start:start + k.size]
+                gain[k[cut], i[cut], j[cut]] = 0.0
+                start += k.size
+        if self.solver is None:
+            return H
+        return H + self.solver.solve([t for _, _, t in part], r)
 
 
 # -- per-realization evaluation ---------------------------------------------
@@ -243,13 +283,11 @@ def _downlink_rows(builder, tasks):
 def _downlink_block(builder, block):
     """CSV rows of a block of realizations at the scheme's operating point.
 
-    Each task is realized on its own; the block's channels then go
-    through one batched search, whose per-channel results do not depend
-    on the block.
+    The block's channels are built together, then go through one batched
+    search, whose per-channel results do not depend on the block.
     """
     sc = builder.sc
-    realized = [builder.realize(*task) for task in block]
-    Hs = np.stack([H for _, _, H in realized])
+    realized, Hs = builder.channels(block)
     if sc.scheme == "asm":
         picks = [(d.feasible, d.n_active, d.M, d.gamma_rx_db)
                  for d in asm_select_downlink(Hs, sc.target_ber,
@@ -262,7 +300,7 @@ def _downlink_block(builder, block):
                      c, np.take_along_axis(Hs, cols[:, None, :], axis=2),
                      sc.target_ber)]
     rows = []
-    for (idx, x, y, omega, _), (pose, blockers, _), pick in zip(
+    for (idx, x, y, omega, _), (pose, blockers), pick in zip(
             block, realized, picks):
         feasible, n_a, M, grx_db = pick
         a, b, g = pose.angles_deg
@@ -276,10 +314,45 @@ def _downlink_block(builder, block):
     return rows
 
 
-def _sweep_channel(builder, task):
-    """Realized channel restricted to its n_active strongest columns."""
-    H = builder.realize(*task)[2]
-    return H[:, strongest_columns(H, builder.sc.n_active)]
+def _sweep_records(builder, tasks):
+    """(bounds, error bits) of each orientation draw over the SNR grid.
+
+    The sweep grid is the target received SNR; a draw reaches each point
+    through its own transmit SNR. A draw whose channel carries no power
+    counts as coin-flip bit errors. Each draw's union bound is built once
+    and evaluated at every point. The error bits mean nothing when
+    mc_symbols is 0.
+    """
+    sc = builder.sc
+    _, c = _fixed_signal_set(sc)
+    mc, bps = _sweep_symbols(sc), c.bits_per_symbol
+    records = []
+    for (i, *_), H in zip(tasks, builder.channels(tasks)[1]):
+        H_sub = H[:, strongest_columns(H, sc.n_active)]
+        factor = received_snr(H_sub, sc.n_active, 1.0)
+        union = UnionBound(c, H_sub) if factor > 0.0 else None
+        bounds, errors = [], []
+        for g, grx_db in enumerate(sc.snr_grid_db()):
+            ber = 0.5
+            if union is None:
+                bounds.append(0.5)
+            else:
+                gtx = db_to_linear(grx_db) / factor
+                bounds.append(union(gtx))
+                if sc.mc_symbols > 0:
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence([sc.seed, 2, i, g]))
+                    ber, _ = monte_carlo_ber(c, H_sub, gtx, mc, rng)
+            errors.append(ber * mc * bps)
+        records.append((bounds, errors))
+    return records
+
+
+def _sweep_symbols(sc):
+    """Monte Carlo symbols of each orientation draw of a BER sweep."""
+    if sc.orientation == "fixed":
+        return sc.mc_symbols
+    return max(1000, sc.mc_symbols // sc.orientations_per_point)
 
 
 #: Per-SNR-point fields of one uplink realization, in column order;
@@ -288,17 +361,22 @@ _UPLINK_FIELDS = ("n_active", "gamma_rx_db", "ber", "rate", "ee", "l1", "l2",
                   "mi", "mi_se")
 
 
-def _uplink_record(builder, task):
-    """(n_snr, len(_UPLINK_FIELDS)) array across the transmit-SNR grid.
+def _uplink_records(builder, tasks):
+    """_uplink_record of each task, its channels built as one block."""
+    return [_uplink_record(builder, idx, H)
+            for (idx, *_), H in zip(tasks, builder.channels(tasks)[1])]
+
+
+def _uplink_record(builder, idx, H):
+    """(n_snr, len(_UPLINK_FIELDS)) array of realization idx, channel H,
+    across the transmit-SNR grid.
 
     Rows of sweep points in outage (selection failure or no received
     power) are all NaN; mi and mi_se stay NaN when mi_samples is 0.
     Transmit power is normalized to I = 1, so gamma_tx = 1/sigma^2 and
     the absolute symbol energy enters only the efficiency denominator.
     """
-    idx, x, y, omega, angles = task
     sc = builder.sc
-    _, _, H = builder.realize(idx, x, y, omega, angles)
     M = sc.uplink_pam_order()
     grid = sc.uplink_snr_grid_db()
     out = np.full((grid.size, len(_UPLINK_FIELDS)), np.nan)
@@ -378,26 +456,20 @@ def _worker_init(scenario):
     """Pool worker set-up: the channel builder, then one BLAS thread.
 
     Each forked worker inherits the parent's BLAS pools, so two workers
-    would run four BLAS threads on two cores, and the small per-pose
+    would run four BLAS threads on two cores, and the small block
     solves would thrash. The builder comes first because OpenBLAS's LU
     factorization rounds differently with another thread count, and no
-    row may depend on the worker count; the per-pose triangular solves
-    and products give the same bits with one thread.
+    row may depend on the worker count; the triangular solves and
+    products give the same bits with one thread.
     """
     global _BUILDER
     _BUILDER = ChannelBuilder(scenario)
     _single_blas_thread()
 
 
-def _map_chunk(fn, builder, tasks, batched):
-    if batched:
-        return fn(builder, tasks)
-    return [fn(builder, t) for t in tasks]
-
-
 def _worker_chunk(payload):
-    fn, tasks, batched = payload
-    return _map_chunk(fn, _BUILDER, tasks, batched)
+    fn, tasks = payload
+    return fn(_BUILDER, tasks)
 
 
 def check_workers(workers, option="workers"):
@@ -415,18 +487,18 @@ def check_workers(workers, option="workers"):
                           f"got {workers}")
 
 
-def _run_tasks(scenario, fn, tasks, workers, batched=False):
-    """Map fn over tasks, preserving order; workers > 1 forks a pool.
+def _run_tasks(scenario, fn, tasks, workers):
+    """Results of fn over tasks, in order; workers > 1 forks a pool.
 
-    batched: fn takes the builder and a list of tasks, a worker's chunk
-    or all of them, and returns their results in order.
+    fn takes the builder and a list of tasks, a worker's chunk or all of
+    them, and returns one result per task.
     """
     check_workers(workers)
     if workers == 1 or len(tasks) < 2:
-        return _map_chunk(fn, ChannelBuilder(scenario), tasks, batched)
+        return fn(ChannelBuilder(scenario), tasks)
     n_chunks = min(len(tasks), workers * 4)
     chunks = [list(c) for c in np.array_split(np.arange(len(tasks)), n_chunks)]
-    payloads = [(fn, [tasks[i] for i in c], batched) for c in chunks if c]
+    payloads = [(fn, [tasks[i] for i in c]) for c in chunks if c]
     results = []
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                              initargs=(scenario,)) as pool:
@@ -465,7 +537,7 @@ def _downlink_survey(sc, workers, command, activity, kind):
         raise ConfigError(f"{command} uses the {activity} statistics")
     if sc.scheme != "asm":
         _fixed_signal_set(sc)             # fail before any realization
-    rows = _run_tasks(sc, _downlink_rows, _tasks(sc), workers, batched=True)
+    rows = _run_tasks(sc, _downlink_rows, _tasks(sc), workers)
     outage = float(np.mean([r["feasible"] == 0 for r in rows]))
     return RunResult(kind=kind, columns=CDF_COLUMNS, rows=rows,
                      scenario=sc, meta={"outage_fraction": outage})
@@ -489,8 +561,10 @@ def run_ber_sweep(scenario, workers=1):
     Draws whose channel cannot carry any power (all entries blocked or
     out of view) count as coin-flip bit errors, which is what creates
     the high-SNR floors of LOS-only configurations. The asm scheme is
-    swept with the sm signal set of n_active sources. Each draw's union
-    bound is built once and evaluated at every sweep point.
+    swept with the sm signal set of n_active sources. Each draw's bound
+    and Monte Carlo errors over the whole grid are one task record
+    (_sweep_records); the error bits are summed in draw order, so the
+    rows do not depend on the worker count.
     """
     sc = scenario
     if sc.direction != "downlink":
@@ -502,45 +576,25 @@ def run_ber_sweep(scenario, workers=1):
     n_draws = 1 if fixed else sc.orientations_per_point
     angles = sc.stats().means(omega) if fixed else None
     tasks = [(i, x, y, omega, angles) for i in range(n_draws)]
-    subsets = _run_tasks(sc, _sweep_channel, tasks, workers)
-    n_cols = sc.n_active
-    factors = [received_snr(H_sub, n_cols, 1.0) for H_sub in subsets]
-    unions = [UnionBound(constellation, H_sub) for H_sub in subsets]
-    bits_ps = constellation.bits_per_symbol
-    mc_per_draw = sc.mc_symbols if fixed else max(
-        1000, sc.mc_symbols // n_draws)
-
+    records = _run_tasks(sc, _sweep_records, tasks, workers)
+    total_bits = 0
+    if sc.mc_symbols > 0:
+        total_bits = n_draws * _sweep_symbols(sc) * constellation.bits_per_symbol
     rows = []
     for g, grx_db in enumerate(sc.snr_grid_db()):
-        grx = db_to_linear(grx_db)
-        bounds = []
         err_bits = 0.0
-        total_bits = 0
-        for i, H_sub in enumerate(subsets):
-            if factors[i] <= 0.0:
-                bounds.append(0.5)
-                if sc.mc_symbols > 0:
-                    err_bits += 0.5 * mc_per_draw * bits_ps
-                    total_bits += mc_per_draw * bits_ps
-                continue
-            gtx = grx / factors[i]
-            bounds.append(unions[i](gtx))
-            if sc.mc_symbols > 0:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([sc.seed, 2, i, g]))
-                ber, _ = monte_carlo_ber(constellation, H_sub, gtx,
-                                         mc_per_draw, rng)
-                err_bits += ber * mc_per_draw * bits_ps
-                total_bits += mc_per_draw * bits_ps
         if total_bits:
+            for _, errors in records:
+                err_bits += errors[g]
             ber_mc = err_bits / total_bits
             ci_low, ci_high = wilson_interval(err_bits, total_bits)
         else:
             ber_mc, ci_low, ci_high = np.nan, np.nan, np.nan
         rows.append({
-            "snr_db": float(grx_db), "ber_bound": float(np.mean(bounds)),
+            "snr_db": float(grx_db),
+            "ber_bound": float(np.mean([bounds[g] for bounds, _ in records])),
             "ber_mc": ber_mc, "ci_low": ci_low, "ci_high": ci_high,
-            "scheme": sc.scheme, "N_a": n_cols, "M": M,
+            "scheme": sc.scheme, "N_a": sc.n_active, "M": M,
         })
     return RunResult(kind="ber", columns=BER_COLUMNS, rows=rows, scenario=sc)
 
@@ -558,7 +612,7 @@ def run_uplink_eval(scenario, workers=1):
         raise ConfigError("uplink-ee evaluates the uplink")
     if sc.scheme not in ("sm", "asm"):
         raise ConfigError("uplink supports the sm and asm schemes")
-    stack = np.stack(_run_tasks(sc, _uplink_record, _tasks(sc), workers))
+    stack = np.stack(_run_tasks(sc, _uplink_records, _tasks(sc), workers))
     M = sc.uplink_pam_order()
     ber_rows, ee_rows, outage_list = [], [], []
     for g, gtx_db in enumerate(sc.uplink_snr_grid_db()):

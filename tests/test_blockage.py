@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lifisim import (BlockageConfig, Blocker, DevicePose, Room,
                      blockage_mask, element_world_pose, place_blockers,
-                     scenario_from_dict, segment_blocked, segments_blocked)
+                     scenario_from_dict, segments_blocked)
 from lifisim.blockage import SegmentSet
 from lifisim.harness import ChannelBuilder
 
@@ -30,6 +30,11 @@ def _sampled_hit(a, b, blocker, n=10_000):
     t = (np.arange(n) + 0.5) / n
     pts = a[None, :] + t[:, None] * (b - a)[None, :]
     return bool(_point_in_prism(pts, blocker).any())
+
+
+def segment_blocked(a, b, blocker):
+    """The one-segment, one-prism case of segments_blocked."""
+    return bool(segments_blocked([a], [b], [blocker])[0])
 
 
 def test_segment_through_prism():
@@ -57,12 +62,6 @@ def test_endpoint_touch_does_not_count():
     # far endpoint exactly on the face, segment otherwise outside
     assert not segment_blocked([5.0, 0, 1.0], [0.1, 0, 1.0], blocker)
     assert not segment_blocked([0.1, 0, 1.0], [5.0, 0, 1.0], blocker)
-
-
-def test_segment_blocked_rejects_degenerate():
-    blocker = Blocker(center=(0.0, 0.0), facing_deg=0.0)
-    with pytest.raises(ValueError):
-        segment_blocked([1, 1, 1], [1, 1, 1], blocker)
 
 
 def test_vertical_segment_inside_footprint():
@@ -357,3 +356,35 @@ def test_culled_test_on_walking_user_segments():
         np.testing.assert_array_equal(got, _oracle_blocked(a, b, blockers))
         n_blocked += int(got.sum())
     assert n_blocked > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grouped_segments_blocked_equals_one_call_per_group(data):
+    # groups with no segments and groups with no blockers included
+    lists = data.draw(st.lists(st.lists(BLOCKER, max_size=3), min_size=1,
+                               max_size=5))
+    a, b = data.draw(segment_set([bl for blockers in lists
+                                  for bl in blockers]))
+    group = np.array(data.draw(st.lists(
+        st.integers(0, len(lists) - 1), min_size=len(a), max_size=len(a))))
+    got = segments_blocked(a, b, lists, group)
+    assert got.shape == (a.shape[0],) and got.dtype == bool
+    for g, blockers in enumerate(lists):
+        mine = group == g
+        np.testing.assert_array_equal(
+            got[mine], segments_blocked(a[mine], b[mine], blockers))
+        np.testing.assert_array_equal(
+            got[mine], _oracle_blocked(a[mine], b[mine], blockers))
+
+
+def test_grouped_segments_blocked_without_segments_or_blockers():
+    blocker = Blocker(center=(0.0, 0.0), facing_deg=0.0)
+    none = np.empty((0, 3))
+    assert segments_blocked(none, none, [[blocker]], []).shape == (0,)
+    a = np.array([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+    b = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    # the same segment is cut in the group of its prism only
+    assert segments_blocked(a, b, [[], [blocker]], [0, 1]).tolist() == [
+        False, True]
+    assert not segments_blocked(a, b, [[], []], [0, 1]).any()

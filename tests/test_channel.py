@@ -5,8 +5,7 @@ import pytest
 
 from lifisim import (Blocker, LambertianSource, RadiosityError,
                      RadiositySolver, Room, SurfaceMesh,
-                     build_environment_mesh, los_gain, los_gain_matrix,
-                     nlos_gain)
+                     build_environment_mesh, los_gain_matrix, nlos_gain)
 from lifisim.channel import ELEMENT_FOV_DEG, ELEMENT_ORDER
 
 SRC = LambertianSource(semiangle_deg=60.0, area=0.25e-4, fov_deg=60.0)
@@ -25,6 +24,12 @@ def test_source_validation():
         LambertianSource(area=0.0)
     with pytest.raises(ValueError):
         LambertianSource(fov_deg=120.0)
+
+
+def los_gain(tx_pos, tx_normal, rx_pos, rx_normal, source):
+    """The one-link case of los_gain_matrix."""
+    return los_gain_matrix([tx_pos], [tx_normal], [rx_pos], [rx_normal],
+                           source.order, source.area, source.fov_deg)[0, 0]
 
 
 def test_los_gain_aligned_hand_value():
@@ -59,11 +64,6 @@ def test_los_gain_fov_cutoff():
     assert los_gain(tx, [0, 0, 1], rx, [0, 0, 1], SRC) == 0.0
 
 
-def test_los_gain_rejects_coincident_points():
-    with pytest.raises(ValueError):
-        los_gain([1, 1, 1], [0, 0, 1], [1, 1, 1], [0, 0, 1], SRC)
-
-
 def test_los_gain_matrix_matches_scalar():
     rng = np.random.default_rng(3)
     tx = rng.uniform([0, 0, 2.5], [5, 5, 3.0], size=(5, 3))
@@ -76,8 +76,16 @@ def test_los_gain_matrix_matches_scalar():
     assert (got >= 0).all()
     for i in range(4):
         for j in range(5):
-            s = los_gain(tx[j], txn[j], rx[i], rxn[i], SRC)
-            assert got[i, j] == pytest.approx(s, abs=1e-18)
+            # the gain formula, link by link
+            d = rx[i] - tx[j]
+            dist = np.linalg.norm(d)
+            cos_phi = txn[j] @ d / dist
+            cos_psi = -rxn[i] @ d / dist
+            lit = cos_phi > 0 and cos_psi >= np.cos(np.deg2rad(SRC.fov_deg))
+            s = (SRC.order + 1) / (2 * np.pi * dist ** 2) * SRC.area * (
+                cos_phi ** SRC.order * cos_psi) if lit else 0.0
+            assert got[i, j] == pytest.approx(s, rel=1e-12, abs=1e-30)
+            assert got[i, j] == los_gain(tx[j], txn[j], rx[i], rxn[i], SRC)
 
 
 def test_los_gain_matrix_zero_for_coincident():

@@ -285,6 +285,30 @@ def test_batched_search_rows_identical_across_worker_counts(
     assert outputs[0] == outputs[1]
 
 
+def test_ber_sweep_rows_identical_across_worker_counts(tmp_path,
+                                                      pool_starts):
+    # random orientation with reflections: more draws than one channel
+    # sub-block, each draw's bound and Monte Carlo run in its worker
+    if _usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    cfg = write_config(tmp_path, TINY_SWEEP.replace(
+        "orientation: fixed", "orientation: random\n"
+        "orientations_per_point: 21\ninclude_nlos: true").replace(
+        "include_nlos: false\n", "").replace(
+        "mc_symbols: 500", "mc_symbols: 21000"))
+    outputs = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / workers)
+        assert cli.main(["ber-sweep", "--config", cfg, "--out", out,
+                         "--workers", workers]) == 0
+        with open(os.path.join(out, "ber_sweep.csv")) as fh:
+            outputs.append(fh.read())
+    rows = read_csv(os.path.join(out, "ber_sweep.csv"))[2]
+    assert len(rows) == 3 and 0.0 < rows[0]["ber_mc"] < 0.5
+    assert pool_starts == [2]
+    assert outputs[0] == outputs[1]
+
+
 def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

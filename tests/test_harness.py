@@ -1,12 +1,15 @@
 """Experiment harness: lattices, runners, worker determinism, CSV I/O."""
 
 import ctypes
+import functools
 import math
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifisim import (
     ChannelBuilder,
@@ -93,17 +96,18 @@ def test_realize_matches_recompute_and_forward_solve(resolution, n_poses):
     rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 0]))
     samples = orwp_generate(sc.orwp(), sc.stats(), rng)[:n_poses]
     assert len(samples) == n_poses
-    for i, s in enumerate(samples):
-        pose, blockers, H = builder.realize(i, s.position[0], s.position[1],
-                                            s.omega_deg, s.angles_deg)
+    realized, Hs = builder.channels(
+        [(i, s.position[0], s.position[1], s.omega_deg, s.angles_deg)
+         for i, s in enumerate(samples)])
+    for (pose, blockers), H in zip(realized, Hs):
         assert len(blockers) == 6
         ref = _reference_channel(builder, pose, blockers)
         np.testing.assert_allclose(H, ref, rtol=1e-12, atol=0.0)
 
 
 def _nlos_gain_channel(builder, pose, blockers):
-    """H the way ChannelBuilder.channel composed it from nlos_gain: the
-    blocked LOS matrix plus the diffuse gains of the pose."""
+    """The one-pose oracle of ChannelBuilder.channels, composed from
+    nlos_gain: the blocked LOS matrix plus the diffuse gains of the pose."""
     sc = builder.sc
     elem_pos, elem_nrm = element_world_pose(pose, builder.layout)
     aps = (builder.aps.positions, builder.aps.normals)
@@ -146,8 +150,8 @@ def test_channel_equals_nlos_gain_path_bit_for_bit(monkeypatch, over, reuse):
 
         monkeypatch.setattr(builder._ap_mesh, "blocked", counted)
     blocker_lists = []
-    for task in harness._tasks(sc)[:24]:
-        pose, blockers, H = builder.realize(*task)
+    realized, Hs = builder.channels(harness._tasks(sc)[:24])
+    for (pose, blockers), H in zip(realized, Hs):
         np.testing.assert_array_equal(
             H, _nlos_gain_channel(builder, pose, blockers))
         blocker_lists.append(blockers)
@@ -159,6 +163,103 @@ def test_channel_equals_nlos_gain_path_bit_for_bit(monkeypatch, over, reuse):
     assert len(tests) == changes
     if reuse:
         assert 0 < changes < len(blocker_lists)     # hits and misses
+
+
+# Scenario kinds the block stage must reproduce: sitting draws that reuse
+# the blocked AP-to-mesh gains, ambient blockers, walking, LOS only and
+# the uplink.
+_BLOCK_KINDS = {
+    "sitting_reuse": dict(activity="sitting", kappa_b=0.0),
+    "sitting_blockers": dict(activity="sitting", kappa_b=0.2),
+    "walking": dict(activity="walking", kappa_b=0.2, n_waypoints=2),
+    "los_only": dict(activity="sitting", kappa_b=0.2, include_nlos=False),
+    "uplink": dict(activity="sitting", kappa_b=0.2, direction="uplink"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _block_oracle(kind):
+    """(builder, tasks, {idx: (pose, blockers, oracle H)}) of a kind."""
+    base = dict(device="mdr", scheme="sm", n_active=4,
+                spectral_efficiency=5, include_nlos=True,
+                mesh_resolution=0.5, grid_step=2.0, n_directions=2,
+                orientations_per_point=3, seed=6)
+    sc = scenario_from_dict({**base, **_BLOCK_KINDS[kind]})
+    builder = ChannelBuilder(sc)
+    tasks = harness._tasks(sc)[:40]
+    oracle = {}
+    for task in tasks:
+        pose, blockers, _ = builder.realize(*task)
+        oracle[task[0]] = (pose, blockers,
+                           _nlos_gain_channel(builder, pose, blockers))
+    return builder, tasks, oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_channels_equal_one_pose_oracle_for_any_split(data):
+    # any subset of the tasks, in any order, cut into any blocks and
+    # built in sub-blocks of any size
+    kind = data.draw(st.sampled_from(sorted(_BLOCK_KINDS)))
+    builder, tasks, oracle = _block_oracle(kind)
+    order = data.draw(st.permutations(tasks))
+    order = order[:data.draw(st.integers(1, len(order)))]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(order) - 1)))
+                  if len(order) > 1 else [])
+    sub_block = builder.sub_block
+    builder.sub_block = data.draw(st.integers(1, 12))
+    try:
+        for start, stop in zip([0] + cuts, cuts + [len(order)]):
+            block = order[start:stop]
+            realized, Hs = builder.channels(block)
+            assert Hs.shape[0] == len(block) == len(realized)
+            for task, (pose, blockers), H in zip(block, realized, Hs):
+                ref_pose, ref_blockers, ref = oracle[task[0]]
+                assert pose == ref_pose and blockers == ref_blockers
+                np.testing.assert_array_equal(H, ref)
+    finally:
+        builder.sub_block = sub_block
+
+
+def test_sub_block_follows_the_pair_budget():
+    def sub_block(**over):
+        return ChannelBuilder(tiny_map_scenario(**over)).sub_block
+    assert sub_block(include_nlos=True, mesh_resolution=0.5) == 16
+    assert sub_block(include_nlos=True, mesh_resolution=0.25) == 4
+    # LOS only: photodiode x access-point pairs
+    assert sub_block() == harness.SUB_BLOCK_PAIRS // (4 * 16)
+
+
+@pytest.mark.parametrize("run,over", [
+    (run_cdf_map, dict(include_nlos=True, mesh_resolution=0.5)),
+    (run_orwp_eval, dict(activity="walking", n_waypoints=2,
+                         include_nlos=True, scheme="sm", n_active=4,
+                         spectral_efficiency=5)),
+    (run_ber_sweep, dict(orientation="random", orientations_per_point=20,
+                         location="L1", scheme="sm", n_active=4,
+                         spectral_efficiency=5, include_nlos=True,
+                         mc_symbols=0)),
+    (run_uplink_eval, dict(direction="uplink", scheme="sm",
+                           uplink_snr_start_db=150.0,
+                           uplink_snr_stop_db=150.0)),
+])
+def test_runners_realize_each_task_once(monkeypatch, run, over):
+    # one realize call per realization, in task order: the benchmark
+    # times set-up to the first call and counts realizations by them
+    sc = tiny_map_scenario(**over)
+    calls = []
+    realize = ChannelBuilder.realize
+
+    def counted(self, idx, *args):
+        calls.append(idx)
+        return realize(self, idx, *args)
+
+    monkeypatch.setattr(ChannelBuilder, "realize", counted)
+    run(sc, workers=1)
+    n = (sc.orientations_per_point if run is run_ber_sweep
+         else len(harness._tasks(sc)))
+    assert n > 16                       # more than one sub-block
+    assert calls == list(range(n))
 
 
 # -- evaluation lattice ----------------------------------------------------
@@ -278,7 +379,7 @@ def test_cdf_map_worker_determinism_with_reflections(pool_starts):
     assert pool_starts == [2]
 
 
-def _blas_threads(builder, task):
+def _blas_threads():
     """Thread count of each OpenBLAS library loaded in this process."""
     counts = {}
     for lib in harness._loaded_blas():
@@ -292,16 +393,20 @@ def _blas_threads(builder, task):
     return counts
 
 
+def _blas_threads_of_tasks(builder, tasks):
+    return [_blas_threads() for _ in tasks]
+
+
 def test_pool_workers_run_one_blas_thread():
     if _usable_cpus() < 2:
         pytest.skip("needs two usable CPUs")
-    before = _blas_threads(None, None)
+    before = _blas_threads()
     if not before:
         pytest.skip("no scipy-openblas library is loaded")
-    inside = harness._run_tasks(tiny_map_scenario(), _blas_threads,
+    inside = harness._run_tasks(tiny_map_scenario(), _blas_threads_of_tasks,
                                 list(range(8)), workers=2)
     assert inside == [dict.fromkeys(before, 1)] * 8
-    assert _blas_threads(None, None) == before     # the parent keeps its pools
+    assert _blas_threads() == before     # the parent keeps its pools
 
 
 @pytest.mark.parametrize("run,over,match", [
@@ -347,8 +452,8 @@ def test_fixed_scheme_rows_match_required_snr_on_realized_channel(
     c = signal_set(M, 4)
     picks = set()
     for row in res.rows:
-        pose, _, H = builder.realize(row["realization"], row["x"], row["y"],
-                                     row["omega_deg"])
+        [(pose, _)], [H] = builder.channels([(
+            row["realization"], row["x"], row["y"], row["omega_deg"], None)])
         assert pose.angles_deg == (row["alpha_deg"], row["beta_deg"],
                                    row["gamma_deg"])
         idx = strongest_columns(H, 4)
@@ -467,7 +572,7 @@ def test_ber_sweep_bound_is_mean_of_per_draw_union_bounds(scheme):
     x, y = sc.location_xy()
     subsets = []
     for i in range(sc.orientations_per_point):
-        H = builder.realize(i, x, y, sc.omega(), None)[2]
+        H = builder.channels([(i, x, y, sc.omega(), None)])[1][0]
         subsets.append(H[:, strongest_columns(H, 4)])
     assert len({H.tobytes() for H in subsets}) == len(subsets)
     c = (build_constellation(64, 4) if scheme == "sm"
