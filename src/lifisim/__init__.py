@@ -7,10 +7,9 @@ efficiency for fixed, adaptive and multiplexing schemes on both link
 directions.
 """
 
-from .adaptive import (AsmDecision, LedSelection, RequiredSnr,
-                       admissible_group_starts, asm_select_downlink,
-                       led_selection_uplink, required_snr, required_snrs,
-                       strongest_columns)
+from .adaptive import (AsmDecision, LedSelection, admissible_group_starts,
+                       asm_select_downlink, asm_signal_sets,
+                       led_selection_uplink, required_snr, strongest_columns)
 from .blockage import (Blocker, BlockageConfig, blockage_mask,
                        place_blockers, segments_blocked)
 from .channel import (LambertianSource, RadiosityError, RadiositySolver,

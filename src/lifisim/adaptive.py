@@ -1,21 +1,23 @@
 """Adaptive source selection for both link directions.
 
-Downlink: for a target spectral efficiency R and target bit error rate,
-try every admissible number of active access points, pair it with the
-PAM order that keeps R fixed, and keep the choice with the lowest
-required received SNR. The required-SNR search works on a stack of B
-channels of one signal set at once: sm.bound_tables builds one
-(B, n_pairs) table per signal set, _bracket brackets every channel's
-crossing analytically by its closest symbol pairs, and _search runs a
-safeguarded Newton iteration on all of them with per-channel masks,
-dropping each channel once it is done. Every row is computed on its
-own, with row-wise reductions of one length per signal set, so a
-channel's result is bit-identical whatever stack it comes in.
-required_snrs (fixed schemes) and asm_select_downlink call the search;
-required_snr is its one-channel form. asm_select_downlink builds each
-candidate's table once per channel, searches every channel's best-ranked
-candidate, then skips, after one vectorized bound evaluation, every
-candidate that provably cannot beat the best so far.
+Downlink: asm_select_downlink is the one operating-point selector. It
+tries each of a list of signal sets of one alphabet size on each
+channel's strongest columns, as many as the set has sources, and keeps
+the set of lowest required received SNR. ASM, for a target spectral
+efficiency R, passes asm_signal_sets(R): every admissible number of
+active access points with the PAM order that keeps R fixed. The fixed
+schemes (sm and mimo) pass their one set; required_snr is the
+one-channel, one-set form. The required-SNR search works on a stack of
+B channels at once: sm.bound_tables builds one (B, n_pairs) table per
+signal set, _bracket brackets every channel's crossing analytically by
+its closest symbol pairs, and _search runs a safeguarded Newton
+iteration on all of them with per-channel masks, dropping each channel
+once it is done. Every row is computed on its own, with row-wise
+reductions of one length per signal set, so a channel's result is
+bit-identical whatever stack it comes in. Each set's table is built
+once per channel; every channel's best-ranked set is searched first,
+then, after one vectorized bound evaluation, every set that provably
+cannot beat the best so far is skipped.
 
 Uplink: order the transmit sources by channel column norm and activate
 the largest power-of-two group whose weakest member alone sustains
@@ -37,6 +39,8 @@ from .util import db_to_linear, linear_to_db
 _MAX_DB = 200.0
 #: Transmit SNR taken to miss the target without an evaluation.
 _MIN_DB = -_MAX_DB - 20.0
+#: Width in dB of the bracket a search closes on each crossing.
+_TOL_DB = 0.01
 
 #: Margin on the pruning test of asm_select_downlink, so that rounding
 #: in the received-SNR conversion can never prune a candidate that ties.
@@ -46,57 +50,20 @@ _PRUNE_MARGIN = 1e-9
 #: stacks are searched in parts, which gives the same results.
 _TABLE_ENTRIES = 1 << 20
 
-
-@dataclass(frozen=True)
-class RequiredSnr:
-    """Required-SNR search result for one constellation and channel."""
-
-    feasible: bool
-    gamma_tx_db: float = np.inf
-    gamma_rx_db: float = np.inf
+#: Numbers of active access points that ASM chooses among.
+ASM_COUNTS = (1, 2, 4, 8, 16)
 
 
-def required_snr(constellation, H, target_ber, tol_db=0.01):
+def required_snr(constellation, H, target_ber):
     """Smallest SNR whose union-bound BER meets the target.
 
-    The one-channel form of required_snrs: H is (n_rx, n_active).
+    The one-channel, one-set form of asm_select_downlink: H is
+    (n_rx, n_active), and the AsmDecision uses all of its columns.
     """
-    return required_snrs(constellation, np.atleast_2d(H)[None], target_ber,
-                         tol_db)[0]
-
-
-def required_snrs(constellation, Hs, target_ber, tol_db=0.01):
-    """Required SNR of one signal set on each channel of a stack.
-
-    Hs is (B, n_rx, n_active); returns a list of B RequiredSnr. For each
-    channel, finds the transmit SNR in dB where the monotone bound
-    crosses the target, to within tol_db, and reports the matching
-    received SNR. The answer hi always meets the target
-    (union_bound_ber(hi) <= target) and a point at most tol_db below it
-    was evaluated and misses it. Pairs mapped to identical channel
-    outputs put a floor under the bound; when that floor, or the bound
-    at 200 dB, exceeds the target the search is infeasible (the device
-    has to move or rotate instead). Each result is the one a stack of
-    that channel alone gives.
-    """
-    _check_target(target_ber)
-    if not tol_db > 0:
-        raise ValueError("tol_db must be positive")
-    Hs = np.asarray(Hs, dtype=float)
-    if Hs.ndim != 3 or Hs.shape[2] != constellation.n_active:
-        raise ValueError("Hs must be a (B, n_rx, n_active) stack")
-    out = []
-    for part in _parts(Hs, constellation.K):
-        t = _tables(constellation, part, target_ber)
-        rows = np.flatnonzero(t.ok)
-        hi = np.full(len(part), np.inf)
-        rx_db = np.full(len(part), np.inf)
-        hi[rows], rx_db[rows] = _search(_rows(t, rows), target_ber, tol_db)
-        out += [RequiredSnr(feasible=True, gamma_tx_db=float(h),
-                            gamma_rx_db=float(r))
-                if np.isfinite(h) else RequiredSnr(feasible=False)
-                for h, r in zip(hi, rx_db)]
-    return out
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    if H.ndim != 2 or H.shape[1] != constellation.n_active:
+        raise ValueError("H must be (n_rx, n_active)")
+    return asm_select_downlink(H, target_ber, [constellation])
 
 
 def _check_target(target_ber):
@@ -284,21 +251,16 @@ def _strength_order(Hs):
 
 
 def strongest_columns(H, n):
-    """Indices of the n largest-norm columns, ascending index order.
-
-    H is (n_rx, n_tx), or a (B, n_rx, n_tx) stack, which gives a (B, n)
-    array. Equal norms resolve to the smaller original index so
-    selections are deterministic.
-    """
-    H = np.asarray(H, dtype=float)
-    stack = np.atleast_2d(H)[None] if H.ndim < 3 else H
-    idx = np.sort(_strength_order(stack)[:, :n], axis=1)
-    return idx if H.ndim == 3 else idx[0]
+    """Indices of the n largest-norm columns of an (n_rx, n_tx) channel,
+    ascending. Equal norms resolve to the smaller original index so
+    selections are deterministic."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    return np.sort(_strength_order(H[None])[0, :n])
 
 
 @dataclass(frozen=True)
 class AsmDecision:
-    """Chosen operating point of the downlink adaptive scheme."""
+    """Chosen operating point of a downlink signal-set choice."""
 
     feasible: bool
     n_active: int = 0
@@ -308,68 +270,73 @@ class AsmDecision:
     gamma_rx_db: float = np.inf
 
 
-def asm_select_downlink(H_full, target_ber, spectral_efficiency,
-                        mean_power=1.0, candidates=(1, 2, 4, 8, 16)):
-    """Pick the number and set of access points minimizing required SNR.
+def asm_signal_sets(R):
+    """The spatial-modulation sets ASM chooses among at R bits per symbol.
+
+    One set per count N_a of ASM_COUNTS, ascending, with the PAM order
+    M = 2^R / N_a; counts that would need M < 2 are left out (every
+    symbol must carry at least one level bit). R is an integer.
+    """
+    return [build_constellation(2 ** R // n, n) for n in ASM_COUNTS
+            if 2 ** R >= 2 * n]
+
+
+def asm_select_downlink(H_full, target_ber, signal_sets):
+    """The signal set and active access points of least required SNR.
 
     H_full is one (n_rx, n_tx) channel, which gives one AsmDecision, or
     a (B, n_rx, n_tx) stack, which gives a list of B decisions, each the
-    one its channel alone gives. Each candidate count N_a uses the N_a
-    strongest columns of the channel and the PAM order
-    M = 2^(R - log2 N_a); candidates that would need M < 2 are skipped
-    (every symbol must carry at least one level bit). Ties in required
-    received SNR go to the smaller N_a. A channel gets an infeasible
-    decision when no candidate can reach the target.
+    one its channel alone gives. The sets must share one alphabet size
+    K. Each set c is tried on the c.n_active strongest columns of the
+    channel (strongest_columns); sets wider than the channel are
+    skipped. For each set, the search finds the transmit SNR in dB
+    where the monotone union bound crosses the target, to within
+    _TOL_DB: the answer meets the target (union_bound_ber <= target)
+    and a point at most _TOL_DB below it was evaluated and misses it.
+    Pairs mapped to identical channel outputs put a floor under the
+    bound; when that floor, or the bound at 200 dB, exceeds the target,
+    the set cannot reach it. The decision keeps the set of lowest
+    received SNR, ties to the smaller n_active, and is infeasible when
+    no set reaches the target (the device has to move or rotate
+    instead).
 
-    Each channel's candidates are searched in the order of an analytic
-    upper bound on their received SNR, k u_top^2, so the winner tends
-    to come first. Once a channel has a feasible best, a candidate whose
-    bound still misses the target at the transmit SNR that would give
-    the best received SNR is skipped without a search: the bound is
-    monotone, so its received SNR would exceed the best one. The
-    decision is the one an exhaustive search over the candidates gives.
+    Each channel's sets are searched in the order of an analytic upper
+    bound on their received SNR, k u_top^2, so the winner tends to come
+    first. Once a channel has a feasible best, a set whose bound still
+    misses the target at the transmit SNR that would give the best
+    received SNR is skipped without a search: the bound is monotone, so
+    its received SNR would exceed the best one. The decision is the one
+    an exhaustive search over the sets gives.
     """
     _check_target(target_ber)
     H_full = np.asarray(H_full, dtype=float)
     if H_full.ndim < 3:
         return asm_select_downlink(np.atleast_2d(H_full)[None], target_ber,
-                                   spectral_efficiency, mean_power,
-                                   candidates)[0]
-    options = []
-    for n_active in sorted(candidates):
-        if n_active > H_full.shape[2]:
-            continue
-        spatial_bits = np.log2(n_active)
-        if spatial_bits != int(spatial_bits):
-            raise ValueError("candidate counts must be powers of two")
-        M = 2 ** int(round(spectral_efficiency - spatial_bits))
-        if M < 2 or M * n_active != 2 ** spectral_efficiency:
-            continue
-        options.append((n_active, M))
-    if not options:
+                                   signal_sets)[0]
+    if len({c.K for c in signal_sets}) > 1:
+        raise ValueError("the signal sets must share one alphabet size")
+    sets = [c for c in signal_sets if c.n_active <= H_full.shape[2]]
+    if not sets:
         return [AsmDecision(feasible=False)] * len(H_full)
-    K = options[0][0] * options[0][1]
     out = []
-    for part in _parts(H_full, K):
-        out += _asm_part(part, target_ber, options, mean_power)
+    for part in _parts(H_full, sets[0].K):
+        out += _asm_part(part, target_ber, sets)
     return out
 
 
-def _asm_part(Hs, target, options, mean_power):
-    """asm_select_downlink on one sub-stack, for the (N_a, M) options.
+def _asm_part(Hs, target, sets):
+    """asm_select_downlink on one sub-stack, for the signal sets.
 
-    Every option's set has K = 2^R symbols with distinct labels, so all
-    their tables have one width, and the channels' candidates of one
-    rank are probed and searched as one stack.
+    All the sets' tables have one width, so the channels' candidates of
+    one rank are probed and searched as one stack.
     """
     order = _strength_order(Hs)
     cands = []
-    for n_active, M in options:
-        idx = np.sort(order[:, :n_active], axis=1)
-        c = build_constellation(M, n_active, mean_power)
+    for c in sets:
+        idx = np.sort(order[:, :c.n_active], axis=1)
         cands.append((idx, _tables(
             c, np.take_along_axis(Hs, idx[:, None, :], axis=2), target)))
-    counts = np.array([n for n, _ in options])
+    counts = np.array([c.n_active for c in sets])
     # received SNR = k gamma_tx; rank by the bound k u_top^2 on it
     k = np.stack([t.gain for _, t in cands], axis=1)
     ok = np.stack([t.ok for _, t in cands], axis=1)
@@ -405,7 +372,7 @@ def _asm_part(Hs, target, options, mean_power):
             rows, ci, t = rows[keep], ci[keep], _rows(t, keep)
         if not rows.size:
             continue
-        hi, rx = _search(t, target, 0.01)
+        hi, rx = _search(t, target, _TOL_DB)
         # rx == best_rx only where a best exists
         better = np.isfinite(hi) & (
             (rx < best_rx[rows])
@@ -419,8 +386,8 @@ def _asm_part(Hs, target, options, mean_power):
         if best[b] < 0:
             out.append(AsmDecision(feasible=False))
             continue
-        (n_active, M), (idx, _) = options[best[b]], cands[best[b]]
-        out.append(AsmDecision(feasible=True, n_active=n_active, M=M,
+        c, (idx, _) = sets[best[b]], cands[best[b]]
+        out.append(AsmDecision(feasible=True, n_active=c.n_active, M=c.M,
                                active_set=tuple(int(i) for i in idx[b]),
                                gamma_tx_db=float(best_tx[b]),
                                gamma_rx_db=float(best_rx[b])))
@@ -445,7 +412,7 @@ def admissible_group_starts(n_tx):
             if float(np.log2(n_tx - i + 1)).is_integer()]
 
 
-def led_selection_uplink(H, M, gamma_tx, target_ber, mean_power=1.0):
+def led_selection_uplink(H, M, gamma_tx, target_ber):
     """Power-of-two source group selection for the uplink.
 
     Columns are sorted ascending by norm (stable, so equal norms keep
@@ -467,7 +434,7 @@ def led_selection_uplink(H, M, gamma_tx, target_ber, mean_power=1.0):
     n_tx = H.shape[1]
     norms = np.linalg.norm(H, axis=0)
     order = np.argsort(norms, kind="stable")      # ascending
-    single = build_constellation(M, 1, mean_power)
+    single = build_constellation(M, 1)
 
     for start in admissible_group_starts(n_tx):
         weakest = H[:, order[start - 1]][:, None]

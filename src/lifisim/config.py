@@ -44,6 +44,8 @@ MAX_REALIZATIONS = 10_000_000
 MAX_MESH_ELEMENTS = 10_000
 #: Most access points (n_ap_side squared).
 MAX_ACCESS_POINTS = 1024
+#: Most points of either SNR grid.
+MAX_SNR_POINTS = 10_000
 
 _CHOICES = {
     "direction": ("downlink", "uplink"),
@@ -300,7 +302,8 @@ def _check_work(s):
     `grid_step`) x facing directions x draws; the walk, about
     n_waypoints legs of at most the room diagonal, sampled every
     `speed` x T_c (the shortest walking coherence time); the mesh cells
-    (round(side / mesh_resolution) per face axis) and the access points.
+    (round(side / mesh_resolution) per face axis), the access points
+    and the points of both SNR grids.
     """
     # in floats, which overflow to inf instead of growing without bound
     def cells(length):
@@ -329,6 +332,13 @@ def _check_work(s):
     if s.n_ap_side ** 2 > MAX_ACCESS_POINTS:
         raise ConfigError(f"n_ap_side {s.n_ap_side} gives more than "
                           f"{MAX_ACCESS_POINTS} access points")
+    for grid in ("snr", "uplink_snr"):
+        start, stop, step = (getattr(s, f"{grid}_{end}_db")
+                             for end in ("start", "stop", "step"))
+        points = (stop - start) / step + 1.0
+        if points > MAX_SNR_POINTS:
+            raise ConfigError(f"{grid}_step_db {step:g} gives {points:.3g} "
+                              f"SNR points, above {MAX_SNR_POINTS:,}")
 
 
 def scenario_from_dict(overrides):

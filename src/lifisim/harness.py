@@ -13,7 +13,8 @@ evaluation campaign:
 * cdf map (sitting) and orwp run (walking): required SNR of the
   configured downlink scheme, one row per realization. A chunk goes in
   blocks of SEARCH_BLOCK, whose channels are searched in one batched
-  call (adaptive.required_snrs or asm_select_downlink);
+  adaptive.asm_select_downlink call for every scheme: ASM chooses among
+  asm_signal_sets, sm and mimo pass their one signal set;
 * ber sweep: one location, bound and Monte Carlo BER against received
   SNR, with fixed or random orientation, one record per draw;
 * uplink eval: transmit-SNR sweep with source selection, rate bounds
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import (asm_select_downlink, led_selection_uplink,
-                       required_snrs, strongest_columns)
+from .adaptive import (asm_select_downlink, asm_signal_sets,
+                       led_selection_uplink, strongest_columns)
 from .blockage import SegmentSet, place_blockers, segments_blocked
 from .channel import (ELEMENT_ORDER, RadiositySolver, build_environment_mesh,
                       los_gain_matrix, mesh_gains)
@@ -50,8 +51,9 @@ from .config import ConfigError, Scenario, scenario_hash
 from .geometry import DevicePose, element_world_pose, grid_positions
 from .orientation import orwp_generate, sample_static_orientation
 from .rates import energy_efficiency, mi_monte_carlo, rate_bounds
-from .sm import (UnionBound, build_constellation, build_mimo_constellation,
-                 monte_carlo_ber, received_snr, union_bound_ber)
+from .sm import (bound_tables, bound_tails, build_constellation,
+                 build_mimo_constellation, monte_carlo_ber, received_snr,
+                 union_bound_ber)
 from .util import db_to_linear, linear_to_db, wilson_interval
 
 CDF_COLUMNS = ["realization", "x", "y", "omega_deg", "alpha_deg", "beta_deg",
@@ -265,6 +267,16 @@ def _fixed_signal_set(sc):
     return M, build_constellation(M, sc.n_active)
 
 
+def _downlink_sets(sc):
+    """(signal sets, (n_active, pam_order) of an infeasible row) of the
+    downlink scheme: ASM's sets and (0, 0), or the fixed scheme's one set
+    and its own values."""
+    if sc.scheme == "asm":
+        return asm_signal_sets(int(sc.spectral_efficiency)), (0, 0)
+    M, c = _fixed_signal_set(sc)
+    return [c], (sc.n_active, M)
+
+
 #: Realizations whose required SNRs are searched together: large enough
 #: that the search's per-step cost is shared, small enough that its
 #: tables stay a few hundred KiB.
@@ -288,30 +300,24 @@ def _downlink_block(builder, block):
     """
     sc = builder.sc
     realized, Hs = builder.channels(block)
-    if sc.scheme == "asm":
-        picks = [(d.feasible, d.n_active, d.M, d.gamma_rx_db)
-                 for d in asm_select_downlink(Hs, sc.target_ber,
-                                              int(sc.spectral_efficiency))]
-    else:
-        M, c = _fixed_signal_set(sc)
-        cols = strongest_columns(Hs, sc.n_active)
-        picks = [(r.feasible, sc.n_active, M, r.gamma_rx_db)
-                 for r in required_snrs(
-                     c, np.take_along_axis(Hs, cols[:, None, :], axis=2),
-                     sc.target_ber)]
+    sets, infeasible = _downlink_sets(sc)
     rows = []
-    for (idx, x, y, omega, _), (pose, blockers), pick in zip(
-            block, realized, picks):
-        feasible, n_a, M, grx_db = pick
+    for (idx, x, y, omega, _), (pose, blockers), d in zip(
+            block, realized, asm_select_downlink(Hs, sc.target_ber, sets)):
         a, b, g = pose.angles_deg
+        n_a, M = (d.n_active, d.M) if d.feasible else infeasible
         rows.append({
             "realization": idx, "x": x, "y": y, "omega_deg": omega,
             "alpha_deg": a, "beta_deg": b, "gamma_deg": g,
             "n_blockers": len(blockers), "n_active": n_a, "pam_order": M,
-            "gamma_rx_db": grx_db if feasible else np.inf,
-            "feasible": int(feasible),
+            "gamma_rx_db": d.gamma_rx_db, "feasible": int(d.feasible),
         })
     return rows
+
+
+#: Pair terms (SNR points x symbol pairs) of one bound evaluation in a
+#: BER sweep; a longer grid is bounded in parts, with the same results.
+SWEEP_TERMS = 1 << 22
 
 
 def _sweep_records(builder, tasks):
@@ -319,32 +325,37 @@ def _sweep_records(builder, tasks):
 
     The sweep grid is the target received SNR; a draw reaches each point
     through its own transmit SNR. A draw whose channel carries no power
-    counts as coin-flip bit errors. Each draw's union bound is built once
-    and evaluated at every point. The error bits mean nothing when
-    mc_symbols is 0.
+    counts as coin-flip bit errors. Each draw's bound tables are built
+    once and its bound evaluated over the grid, SWEEP_TERMS pair terms
+    at a time. The error bits mean nothing when mc_symbols is 0.
     """
     sc = builder.sc
     _, c = _fixed_signal_set(sc)
     mc, bps = _sweep_symbols(sc), c.bits_per_symbol
+    grid = sc.snr_grid_db()
     records = []
     for (i, *_), H in zip(tasks, builder.channels(tasks)[1]):
         H_sub = H[:, strongest_columns(H, sc.n_active)]
         factor = received_snr(H_sub, sc.n_active, 1.0)
-        union = UnionBound(c, H_sub) if factor > 0.0 else None
-        bounds, errors = [], []
-        for g, grx_db in enumerate(sc.snr_grid_db()):
+        if not factor > 0.0:
+            records.append(([0.5] * grid.size, [0.5 * mc * bps] * grid.size))
+            continue
+        gtx = db_to_linear(grid) / factor
+        floor, weight, root_a = bound_tables(c, H_sub[None])
+        step = max(1, SWEEP_TERMS // weight.shape[1])
+        bounds = np.concatenate([
+            floor[0] + bound_tails(weight, np.sqrt(gtx[k:k + step, None])
+                                   * root_a)
+            for k in range(0, grid.size, step)])
+        errors = []
+        for g, gamma in enumerate(gtx):
             ber = 0.5
-            if union is None:
-                bounds.append(0.5)
-            else:
-                gtx = db_to_linear(grx_db) / factor
-                bounds.append(union(gtx))
-                if sc.mc_symbols > 0:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence([sc.seed, 2, i, g]))
-                    ber, _ = monte_carlo_ber(c, H_sub, gtx, mc, rng)
+            if sc.mc_symbols > 0:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([sc.seed, 2, i, g]))
+                ber, _ = monte_carlo_ber(c, H_sub, gamma, mc, rng)
             errors.append(ber * mc * bps)
-        records.append((bounds, errors))
+        records.append((bounds.tolist(), errors))
     return records
 
 
@@ -535,8 +546,7 @@ def _downlink_survey(sc, workers, command, activity, kind):
         raise ConfigError(f"{command} evaluates the downlink")
     if sc.activity != activity:
         raise ConfigError(f"{command} uses the {activity} statistics")
-    if sc.scheme != "asm":
-        _fixed_signal_set(sc)             # fail before any realization
+    _downlink_sets(sc)                    # fail before any realization
     rows = _run_tasks(sc, _downlink_rows, _tasks(sc), workers)
     outage = float(np.mean([r["feasible"] == 0 for r in rows]))
     return RunResult(kind=kind, columns=CDF_COLUMNS, rows=rows,

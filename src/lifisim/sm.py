@@ -18,11 +18,11 @@ pair, so it is summed over the upper triangle i < j with twice the
 weight; signal sets are memoized per argument tuple, with read-only
 arrays, so that this pair table is built once per set. bound_tables
 lays the bound of one set out over a stack of channels, one row per
-channel, and bound_tails sums it row by row; UnionBound is their
-one-channel case, so the bound a caller evaluates is the one the
-batched required-SNR search evaluated. Monte Carlo
-detection counts bit errors through the set's cached K x K table of
-label Hamming distances.
+channel, and bound_tails sums it row by row; union_bound_ber is their
+one-channel, one-SNR case, so the bound a caller evaluates is the one
+the batched required-SNR search evaluated. Monte Carlo detection counts
+bit errors through the set's cached K x K table of label Hamming
+distances.
 """
 
 import math
@@ -241,13 +241,15 @@ def union_bound_ber(constellation, H, gamma_tx):
     """Union-bound estimate of the ML bit error rate.
 
     (1 / (K log2 K)) * sum over all ordered pairs of
-    d_H(b1, b2) Q(sqrt(gamma_tx / (4 I^2) ||H (s1 - s2)||^2)), summed
-    as UnionBound does. Monotone decreasing in gamma_tx; may exceed 1
-    at low SNR.
+    d_H(b1, b2) Q(sqrt(gamma_tx / (4 I^2) ||H (s1 - s2)||^2)): the
+    floor of bound_tables plus the tail of bound_tails, on the stack of
+    H alone. Monotone decreasing in gamma_tx; may exceed 1 at low SNR.
     """
     if not gamma_tx > 0:
         raise ValueError("gamma_tx must be positive")
-    return UnionBound(constellation, H)(gamma_tx)
+    floor, weight, root_a = bound_tables(constellation, np.atleast_2d(H)[None])
+    return float(floor[0] + bound_tails(weight,
+                                        math.sqrt(gamma_tx) * root_a)[0])
 
 
 def bound_tables(constellation, Hs):
@@ -288,28 +290,6 @@ def bound_tails(weight, z):
     """(B,) row sums of weight * Q(z): the separable pairs' part of each
     bound, for z = sqrt(gamma_tx) * root_a of each row's channel."""
     return np.sum(weight * qfunc(z), axis=1)
-
-
-class UnionBound:
-    """The union bound of one signal set on one channel, against SNR.
-
-    bound(gamma_tx) = floor + tail(gamma_tx): the one-channel case of
-    bound_tables and bound_tails, so that it evaluates to the very
-    values the batched required-SNR search sees.
-    """
-
-    def __init__(self, constellation, H):
-        floor, self.weight, self.root_a = bound_tables(
-            constellation, np.atleast_2d(H)[None])
-        self.floor = float(floor[0])
-
-    def tail(self, gamma_tx):
-        """The separable pairs' part of the bound at gamma_tx."""
-        z = math.sqrt(gamma_tx) * self.root_a
-        return float(bound_tails(self.weight, z)[0])
-
-    def __call__(self, gamma_tx):
-        return self.floor + self.tail(gamma_tx)
 
 
 def received_snr(H, n_active, gamma_tx):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import lifisim.adaptive as adaptive
 from lifisim import (AsmDecision, admissible_group_starts,
-                     asm_select_downlink, build_constellation,
-                     build_mimo_constellation, hamming_matrix,
+                     asm_select_downlink, asm_signal_sets,
+                     build_constellation, build_mimo_constellation,
+                     hamming_matrix,
                      led_selection_uplink, pairwise_sq_distances,
                      received_snr, required_snr, strongest_columns,
                      union_bound_ber)
@@ -84,11 +85,13 @@ def test_required_snr_validation():
     with pytest.raises(ValueError):
         required_snr(c, np.eye(2), 0.6)
     with pytest.raises(ValueError):
-        required_snr(c, np.eye(2), TARGET, tol_db=0.0)
-    with pytest.raises(ValueError):
         required_snr(c, np.array([[1.0, np.nan], [0.0, 1.0]]), TARGET)
     with pytest.raises(ValueError):
-        asm_select_downlink(np.eye(4), 0.0, 4)
+        asm_select_downlink(np.eye(4), 0.0, asm_signal_sets(4))
+    with pytest.raises(ValueError, match="n_rx, n_active"):
+        required_snr(c, np.eye(3), TARGET)            # not the set's width
+    with pytest.raises(ValueError, match="one alphabet size"):
+        asm_select_downlink(np.eye(4), TARGET, [c, build_constellation(4, 1)])
 
 
 def test_strongest_columns():
@@ -102,7 +105,7 @@ def test_strongest_columns():
 
 def test_asm_minimizes_over_candidates():
     H = _good_channel(5)
-    decision = asm_select_downlink(H, TARGET, 5)
+    decision = asm_select_downlink(H, TARGET, asm_signal_sets(5))
     assert decision.feasible
     assert decision.M * decision.n_active == 32
     # exhaustive oracle over the admissible (N_a, M) pairs
@@ -121,7 +124,7 @@ def test_asm_single_strong_column():
     # only one usable source: every multi-source candidate is infeasible
     H = np.zeros((4, 4))
     H[0, 2] = 1.0
-    decision = asm_select_downlink(H, TARGET, 5)
+    decision = asm_select_downlink(H, TARGET, asm_signal_sets(5))
     assert decision.feasible
     assert decision.n_active == 1
     assert decision.M == 32
@@ -129,7 +132,8 @@ def test_asm_single_strong_column():
 
 
 def test_asm_infeasible_channel():
-    decision = asm_select_downlink(np.zeros((4, 4)), TARGET, 5)
+    decision = asm_select_downlink(np.zeros((4, 4)), TARGET,
+                                   asm_signal_sets(5))
     assert not decision.feasible
     assert decision.n_active == 0
 
@@ -137,16 +141,23 @@ def test_asm_infeasible_channel():
 def test_asm_skips_sub_binary_pam():
     # R = 2 with 4 sources would need M = 1; only N_a in {1, 2} qualify
     H = _good_channel(6)
-    decision = asm_select_downlink(H, TARGET, 2)
+    decision = asm_select_downlink(H, TARGET, asm_signal_sets(2))
     assert decision.feasible
     assert decision.n_active in (1, 2)
     assert decision.M * decision.n_active == 4
     assert decision.M >= 2
 
 
+def test_asm_signal_sets_keep_r_fixed():
+    assert [(c.n_active, c.M) for c in asm_signal_sets(5)] == \
+        [(1, 32), (2, 16), (4, 8), (8, 4), (16, 2)]
+    assert [(c.n_active, c.M) for c in asm_signal_sets(2)] == [(1, 4), (2, 2)]
+    assert asm_signal_sets(0) == []
+
+
 def test_asm_respects_candidate_limit():
     H = _good_channel(7, (4, 2))     # only two physical sources
-    decision = asm_select_downlink(H, TARGET, 3)
+    decision = asm_select_downlink(H, TARGET, asm_signal_sets(3))
     assert decision.feasible
     assert decision.n_active <= 2
 
@@ -387,8 +398,9 @@ def _assert_same_decision(got, want):
        target=st.sampled_from([1e-4, TARGET, 0.05]))
 def test_pruned_asm_matches_exhaustive_loop(data, R, n_tx, target):
     H = data.draw(_channels(n_tx))
-    _assert_same_decision(asm_select_downlink(H, target, R),
-                          _exhaustive_asm(H, target, R))
+    _assert_same_decision(
+        asm_select_downlink(H, target, asm_signal_sets(R)),
+        _exhaustive_asm(H, target, R))
 
 
 def test_pruned_asm_matches_exhaustive_loop_on_near_ties():
@@ -398,8 +410,9 @@ def test_pruned_asm_matches_exhaustive_loop_on_near_ties():
     for _ in range(40):
         H = 0.5 + 1e-6 * rng.standard_normal((4, 8))
         for R in (3, 5):
-            _assert_same_decision(asm_select_downlink(H, TARGET, R),
-                                  _exhaustive_asm(H, TARGET, R))
+            _assert_same_decision(
+                asm_select_downlink(H, TARGET, asm_signal_sets(R)),
+                _exhaustive_asm(H, TARGET, R))
 
 
 def test_asm_tie_goes_to_smaller_count(monkeypatch):
@@ -419,7 +432,7 @@ def test_asm_tie_goes_to_smaller_count(monkeypatch):
 
     calls = []
     monkeypatch.setattr(adaptive, "_search", constant)
-    decision = asm_select_downlink(H, TARGET, 5)
+    decision = asm_select_downlink(H, TARGET, asm_signal_sets(5))
     assert sorted(calls) == [1, 2, 4, 8]
     assert calls[0] != 1            # the smallest count was not searched first
     assert (decision.n_active, decision.M) == (1, 32)
@@ -461,8 +474,8 @@ def _pieces(data, Hs):
 @given(data=st.data(), signal_set=_SIGNAL_SETS,
        target=st.sampled_from([1e-6, TARGET, 0.047]),
        budget=st.sampled_from([1, 2, None]))
-def test_stacked_required_snrs_equal_single_channel_calls(data, signal_set,
-                                                          target, budget):
+def test_stacked_one_set_asm_equals_single_channel_calls(data, signal_set,
+                                                         target, budget):
     build, M, n = signal_set
     c = build(M, n)
     Hs = data.draw(_stacks(n))
@@ -471,8 +484,8 @@ def test_stacked_required_snrs_equal_single_channel_calls(data, signal_set,
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:      # stacks searched in parts of budget
             mp.setattr(adaptive, "_TABLE_ENTRIES", budget * c.K ** 2)
-        stacked = [r for piece in pieces
-                   for r in adaptive.required_snrs(c, piece, target)]
+        stacked = [d for piece in pieces
+                   for d in asm_select_downlink(piece, target, [c])]
     assert stacked == [alone[i] for i in perm]
 
 
@@ -485,12 +498,12 @@ def test_stacked_required_snrs_equal_single_channel_calls(data, signal_set,
 def test_stacked_asm_equals_single_channel_calls(data, R, n_tx, target,
                                                  budget):
     Hs = data.draw(_stacks(n_tx))
-    alone = [asm_select_downlink(H, target, R) for H in Hs]
+    alone = [asm_select_downlink(H, target, asm_signal_sets(R)) for H in Hs]
     assert all(isinstance(d, AsmDecision) for d in alone)
     perm, pieces = _pieces(data, Hs)
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:      # stacks searched in parts of budget
             mp.setattr(adaptive, "_TABLE_ENTRIES", budget * 4 ** R)
-        stacked = [d for piece in pieces
-                   for d in asm_select_downlink(piece, target, R)]
+        stacked = [d for piece in pieces for d in asm_select_downlink(
+            piece, target, asm_signal_sets(R))]
     assert stacked == [alone[i] for i in perm]

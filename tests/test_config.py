@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lifisim import (ConfigError, PRESET_LOCATIONS, Scenario, load_scenario,
                      run_ber_sweep, run_cdf_map, run_orwp_eval,
                      run_uplink_eval, scenario_from_dict, scenario_hash)
-from lifisim.config import _CHOICES
+from lifisim.config import MAX_SNR_POINTS, _CHOICES
 
 
 def test_defaults_are_the_measurement_setup():
@@ -136,6 +136,17 @@ def test_range_validation():
     with pytest.raises(ConfigError):
         scenario_from_dict({"mi_samples": 50})        # too few to estimate
     assert scenario_from_dict({"mi_samples": 1000}).mi_samples == 1000
+
+
+@pytest.mark.parametrize("name", ["snr_step_db", "uplink_snr_step_db"])
+def test_snr_grids_have_a_size_limit(name):
+    # a 1e-9 dB step asks for 7e10 (downlink) or 8e10 (uplink) points
+    with pytest.raises(ConfigError, match=f"^{name} .* SNR points, above"):
+        scenario_from_dict({name: 1e-9})
+    # the largest grid allowed still validates
+    start, stop = (0.0, 70.0) if name == "snr_step_db" else (100.0, 180.0)
+    step = (stop - start) / (MAX_SNR_POINTS - 1)
+    assert scenario_from_dict({name: step})
 
 
 def test_scheme_consistency():

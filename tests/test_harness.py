@@ -468,6 +468,17 @@ def test_fixed_scheme_rows_match_required_snr_on_realized_channel(
     assert len(picks) > 1
 
 
+def test_infeasible_asm_rows_report_no_operating_point():
+    # a 30-degree field of view leaves some poses with no usable link:
+    # no signal set reaches the target, so no count or PAM order is chosen
+    res = run_cdf_map(tiny_map_scenario(fov_deg=30.0))
+    infeasible = [r for r in res.rows if r["feasible"] == 0]
+    assert 0 < len(infeasible) < len(res.rows)
+    for r in infeasible:
+        assert (r["n_active"], r["pam_order"]) == (0, 0)
+        assert r["gamma_rx_db"] == math.inf
+
+
 # -- ORWP run --------------------------------------------------------------
 
 def test_orwp_eval_matches_trajectory():
