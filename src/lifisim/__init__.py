@@ -7,7 +7,7 @@ efficiency for fixed, adaptive and multiplexing schemes on both link
 directions.
 """
 
-from .adaptive import (AsmDecision, LedSelection, admissible_group_starts,
+from .adaptive import (AsmDecision, admissible_group_starts,
                        asm_select_downlink, asm_signal_sets,
                        led_selection_uplink, required_snr, strongest_columns)
 from .blockage import (Blocker, BlockageConfig, blockage_mask,

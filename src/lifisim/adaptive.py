@@ -21,7 +21,10 @@ cannot beat the best so far is skipped.
 
 Uplink: order the transmit sources by channel column norm and activate
 the largest power-of-two group whose weakest member alone sustains
-M-PAM at the target error rate.
+M-PAM at the target error rate. led_selection_uplink selects at every
+point of a transmit-SNR grid in one call: the weakest columns of all
+admissible groups are stacked into one bound_tables call and bounded
+at every point by sm.grid_bounds; a single SNR is the one-point case.
 """
 
 from collections import namedtuple
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .sm import (bound_tables, bound_tails, build_constellation,
-                 received_snr, union_bound_ber)
-from .util import db_to_linear, linear_to_db
+from .sm import (bound_tables, bound_tails, build_constellation, grid_bounds,
+                 received_snr)
+from .util import db_to_linear, linear_to_db, positive
 
 #: The search never looks above this transmit SNR: a bound still above
 #: the target there makes the point infeasible.
@@ -394,18 +397,6 @@ def _asm_part(Hs, target, sets):
     return out
 
 
-@dataclass(frozen=True)
-class LedSelection:
-    """Outcome of the uplink source-selection sweep."""
-
-    n_active: int                 # 0 means communication failed
-    active_set: tuple             # original column indices
-
-    @property
-    def failed(self):
-        return self.n_active == 0
-
-
 def admissible_group_starts(n_tx):
     """Sorted start indices i with log2(n_tx - i + 1) integer (1-based)."""
     return [i for i in range(1, n_tx + 1)
@@ -419,27 +410,34 @@ def led_selection_uplink(H, M, gamma_tx, target_ber):
     their original order). Scanning the admissible group starts from
     the largest group down, the first group whose weakest column alone
     achieves the single-source M-PAM union-bound BER at or below the
-    target is activated; n_active = 0 signals that communication fails
-    and the user should change orientation or location.
+    target is activated; an empty group signals that communication
+    fails and the user should change orientation or location.
+
+    The weakest columns of all admissible groups are stacked and their
+    single-source tables built in one bound_tables call; grid_bounds
+    then bounds every group at every SNR, each bound the one a
+    one-point union_bound_ber call on that column gives.
 
     Args:
         H: (n_rx, n_tx) channel matrix.
         M: PAM order per source (2 ** target spectral efficiency).
-        gamma_tx: transmit SNR I^2 / sigma_n^2, linear.
+        gamma_tx: transmit SNR I^2 / sigma_n^2, linear: one value, or
+            a 1-D grid.
 
     Returns:
-        LedSelection with the active original column indices.
+        The active original column indices, ascending, as a tuple, or
+        for a grid a list of one such tuple per point.
     """
     H = np.atleast_2d(H)
+    gamma_tx = positive(gamma_tx, "gamma_tx")
     n_tx = H.shape[1]
-    norms = np.linalg.norm(H, axis=0)
-    order = np.argsort(norms, kind="stable")      # ascending
-    single = build_constellation(M, 1)
-
-    for start in admissible_group_starts(n_tx):
-        weakest = H[:, order[start - 1]][:, None]
-        if union_bound_ber(single, weakest, gamma_tx) <= target_ber:
-            active = np.sort(order[start - 1:])
-            return LedSelection(n_active=n_tx - start + 1,
-                                active_set=tuple(int(i) for i in active))
-    return LedSelection(n_active=0, active_set=())
+    order = np.argsort(np.linalg.norm(H, axis=0), kind="stable")
+    starts = np.array(admissible_group_starts(n_tx))
+    weakest = H.T[order[starts - 1], :, None]       # (groups, n_rx, 1)
+    met = grid_bounds(bound_tables(build_constellation(M, 1), weakest),
+                      gamma_tx.ravel()) <= target_ber   # (points, groups)
+    first = np.where(met.any(axis=1), met.argmax(axis=1), len(starts))
+    groups = [tuple(int(i) for i in np.sort(order[start - 1:]))
+              for start in starts] + [()]
+    out = [groups[k] for k in first]
+    return out[0] if gamma_tx.ndim == 0 else out

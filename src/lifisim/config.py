@@ -170,15 +170,17 @@ class Scenario:
         return int(M)
 
     def snr_grid_db(self):
-        n = int(round((self.snr_stop_db - self.snr_start_db)
-                      / self.snr_step_db)) + 1
-        return np.linspace(self.snr_start_db, self.snr_stop_db, n)
+        return _grid(self.snr_start_db, self.snr_stop_db, self.snr_step_db)
 
     def uplink_snr_grid_db(self):
-        n = int(round((self.uplink_snr_stop_db - self.uplink_snr_start_db)
-                      / self.uplink_snr_step_db)) + 1
-        return np.linspace(self.uplink_snr_start_db,
-                           self.uplink_snr_stop_db, n)
+        return _grid(self.uplink_snr_start_db, self.uplink_snr_stop_db,
+                     self.uplink_snr_step_db)
+
+
+def _grid(start, stop, step):
+    """start, start + step, ..., stop, for a step that divides the span
+    (_check_work makes sure it does)."""
+    return np.linspace(start, stop, int(round((stop - start) / step)) + 1)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
@@ -282,10 +284,14 @@ def _validate(s):
     if r > max_bits:
         raise ConfigError(f"spectral_efficiency above {max_bits:g} exceeds "
                           f"the {MAX_SYMBOLS}-symbol limit")
-    if s.uplink_tse + np.log2(s.layout().n_elements) > max_bits:
+    n_el = s.layout().n_elements
+    if s.uplink_tse + np.log2(n_el) > max_bits:
         raise ConfigError(f"uplink_tse {s.uplink_tse:g} exceeds the "
                           f"{MAX_SYMBOLS}-symbol limit")
     s.uplink_pam_order()
+    if s.direction == "uplink" and s.scheme == "sm" and s.n_active > n_el:
+        raise ConfigError(f"n_active {s.n_active} exceeds the {n_el} "
+                          "elements of the device")
     _check_work(s)
     # The derived objects check their own ranges (semiangle, FOV, ...).
     try:
@@ -303,7 +309,8 @@ def _check_work(s):
     n_waypoints legs of at most the room diagonal, sampled every
     `speed` x T_c (the shortest walking coherence time); the mesh cells
     (round(side / mesh_resolution) per face axis), the access points
-    and the points of both SNR grids.
+    and the points of both SNR grids, whose steps must also divide
+    their spans.
     """
     # in floats, which overflow to inf instead of growing without bound
     def cells(length):
@@ -339,6 +346,10 @@ def _check_work(s):
         if points > MAX_SNR_POINTS:
             raise ConfigError(f"{grid}_step_db {step:g} gives {points:.3g} "
                               f"SNR points, above {MAX_SNR_POINTS:,}")
+        # the grid keeps the step only where it divides the span
+        if not math.isclose(points, round(points), rel_tol=1e-9):
+            raise ConfigError(f"{grid}_step_db {step:g} does not divide the "
+                              f"{start:g} to {stop:g} dB span")
 
 
 def scenario_from_dict(overrides):

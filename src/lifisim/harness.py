@@ -51,9 +51,8 @@ from .config import ConfigError, Scenario, scenario_hash
 from .geometry import DevicePose, element_world_pose, grid_positions
 from .orientation import orwp_generate, sample_static_orientation
 from .rates import energy_efficiency, mi_monte_carlo, rate_bounds
-from .sm import (bound_tables, bound_tails, build_constellation,
-                 build_mimo_constellation, monte_carlo_ber, received_snr,
-                 union_bound_ber)
+from .sm import (build_constellation, build_mimo_constellation,
+                 monte_carlo_ber, received_snr, union_bound_ber)
 from .util import db_to_linear, linear_to_db, wilson_interval
 
 CDF_COLUMNS = ["realization", "x", "y", "omega_deg", "alpha_deg", "beta_deg",
@@ -315,19 +314,14 @@ def _downlink_block(builder, block):
     return rows
 
 
-#: Pair terms (SNR points x symbol pairs) of one bound evaluation in a
-#: BER sweep; a longer grid is bounded in parts, with the same results.
-SWEEP_TERMS = 1 << 22
-
-
 def _sweep_records(builder, tasks):
     """(bounds, error bits) of each orientation draw over the SNR grid.
 
     The sweep grid is the target received SNR; a draw reaches each point
     through its own transmit SNR. A draw whose channel carries no power
-    counts as coin-flip bit errors. Each draw's bound tables are built
-    once and its bound evaluated over the grid, SWEEP_TERMS pair terms
-    at a time. The error bits mean nothing when mc_symbols is 0.
+    counts as coin-flip bit errors. Each draw's bound is evaluated over
+    the grid in one union_bound_ber call, from one table. The error
+    bits mean nothing when mc_symbols is 0.
     """
     sc = builder.sc
     _, c = _fixed_signal_set(sc)
@@ -341,12 +335,7 @@ def _sweep_records(builder, tasks):
             records.append(([0.5] * grid.size, [0.5 * mc * bps] * grid.size))
             continue
         gtx = db_to_linear(grid) / factor
-        floor, weight, root_a = bound_tables(c, H_sub[None])
-        step = max(1, SWEEP_TERMS // weight.shape[1])
-        bounds = np.concatenate([
-            floor[0] + bound_tails(weight, np.sqrt(gtx[k:k + step, None])
-                                   * root_a)
-            for k in range(0, grid.size, step)])
+        bounds = union_bound_ber(c, H_sub, gtx)
         errors = []
         for g, gamma in enumerate(gtx):
             ber = 0.5
@@ -382,41 +371,48 @@ def _uplink_record(builder, idx, H):
     """(n_snr, len(_UPLINK_FIELDS)) array of realization idx, channel H,
     across the transmit-SNR grid.
 
-    Rows of sweep points in outage (selection failure or no received
-    power) are all NaN; mi and mi_se stay NaN when mi_samples is 0.
-    Transmit power is normalized to I = 1, so gamma_tx = 1/sigma^2 and
-    the absolute symbol energy enters only the efficiency denominator.
+    The realization is evaluated over the whole grid at once: ASM
+    selects the sources of every point in one led_selection_uplink
+    call, and sm takes the n_active strongest columns at every point.
+    The points that share an active set go through union_bound_ber,
+    rate_bounds and mi_monte_carlo together, so the set's tables are
+    built once; each point still draws its MI samples from its own
+    Generator. Rows of sweep points in outage (selection failure or no
+    received power) are all NaN; mi and mi_se stay NaN when mi_samples
+    is 0. Transmit power is normalized to I = 1, so gamma_tx =
+    1/sigma^2 and the absolute symbol energy enters only the efficiency
+    denominator.
     """
     sc = builder.sc
     M = sc.uplink_pam_order()
-    grid = sc.uplink_snr_grid_db()
-    out = np.full((grid.size, len(_UPLINK_FIELDS)), np.nan)
-    for g, gtx_db in enumerate(grid):
-        gtx = db_to_linear(gtx_db)
-        if sc.scheme == "asm":
-            sel = led_selection_uplink(H, M, gtx, sc.target_ber)
-            if sel.failed:
-                continue
-            active = list(sel.active_set)
-        else:
-            active = list(range(H.shape[1]))
-        H_sub = H[:, active]
+    # one point at a time: numpy's vectorized power can round
+    # differently from its scalar one, which would change the rows
+    gtx = np.array([db_to_linear(g) for g in sc.uplink_snr_grid_db()])
+    out = np.full((gtx.size, len(_UPLINK_FIELDS)), np.nan)
+    sets = (led_selection_uplink(H, M, gtx, sc.target_ber)
+            if sc.scheme == "asm"
+            else [tuple(strongest_columns(H, sc.n_active))] * gtx.size)
+    for active in set(sets) - {()}:
+        H_sub = H[:, list(active)]
         n_a = len(active)
         c = build_constellation(M, n_a)
-        grx = received_snr(H_sub, n_a, gtx)
-        if grx <= 0:
+        pts = np.array([g for g, a in enumerate(sets) if a == active])
+        grx = received_snr(H_sub, n_a, gtx[pts])
+        pts, grx = pts[~(grx <= 0)], grx[~(grx <= 0)]
+        if not pts.size:
             continue
-        sigma2 = 1.0 / gtx
+        sigma2 = 1.0 / gtx[pts]
         bounds = rate_bounds(c, H_sub, sigma2)
         mi = se = np.nan
         if sc.mi_samples > 0:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([sc.seed, 2, idx, g]))
-            mi, se = mi_monte_carlo(c, H_sub, sigma2, sc.mi_samples, rng)
-        ee = energy_efficiency(bounds.rate, sc.noise_power * gtx,
+            rngs = [np.random.default_rng(np.random.SeedSequence(
+                [sc.seed, 2, idx, int(g)])) for g in pts]
+            mi, se = mi_monte_carlo(c, H_sub, sigma2, sc.mi_samples, rngs)
+        ee = energy_efficiency(bounds.rate, sc.noise_power * gtx[pts],
                                sc.symbol_rate)
-        out[g] = (n_a, linear_to_db(grx), union_bound_ber(c, H_sub, gtx),
-                  bounds.rate, ee, bounds.l1, bounds.l2, mi, se)
+        out[pts] = np.stack(np.broadcast_arrays(
+            n_a, linear_to_db(grx), union_bound_ber(c, H_sub, gtx[pts]),
+            bounds.rate, ee, bounds.l1, bounds.l2, mi, se), axis=1)
     return out
 
 
@@ -592,10 +588,8 @@ def run_ber_sweep(scenario, workers=1):
         total_bits = n_draws * _sweep_symbols(sc) * constellation.bits_per_symbol
     rows = []
     for g, grx_db in enumerate(sc.snr_grid_db()):
-        err_bits = 0.0
         if total_bits:
-            for _, errors in records:
-                err_bits += errors[g]
+            err_bits = sum(errors[g] for _, errors in records)
             ber_mc = err_bits / total_bits
             ci_low, ci_high = wilson_interval(err_bits, total_bits)
         else:
@@ -687,18 +681,17 @@ def read_csv(path):
             meta[key] = value
         elif line:
             body.append(line)
-    rows = list(csv.reader(body))
-    columns, data = rows[0], rows[1:]
-    parsed = []
-    for raw in data:
-        row = {}
-        for name, cell in zip(columns, raw):
-            try:
-                row[name] = float(cell)
-            except ValueError:
-                row[name] = cell
-        parsed.append(row)
-    return meta, columns, parsed
+    columns, *data = csv.reader(body)
+    return meta, columns, [{name: _cell(text) for name, text
+                            in zip(columns, raw)} for raw in data]
+
+
+def _cell(text):
+    """A CSV cell as a float, or the text itself where it is not one."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 _SVG_W, _SVG_H = 500, 400

@@ -18,21 +18,21 @@ pair, so it is summed over the upper triangle i < j with twice the
 weight; signal sets are memoized per argument tuple, with read-only
 arrays, so that this pair table is built once per set. bound_tables
 lays the bound of one set out over a stack of channels, one row per
-channel, and bound_tails sums it row by row; union_bound_ber is their
-one-channel, one-SNR case, so the bound a caller evaluates is the one
-the batched required-SNR search evaluated. Monte Carlo detection counts
-bit errors through the set's cached K x K table of label Hamming
-distances.
+channel, and bound_tails sums it row by row; grid_bounds evaluates such
+tables at every point of an SNR grid, and union_bound_ber is their
+one-channel case, at one SNR or over a grid, so the bound a caller
+evaluates is the one the batched required-SNR search evaluated. Monte
+Carlo detection counts bit errors through the set's cached K x K table
+of label Hamming distances.
 """
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .util import qfunc, wilson_interval
+from .util import positive, qfunc, wilson_interval
 
 #: Largest alphabet any signal set may have: the union bound and the
 #: detectors keep several K x K tables.
@@ -44,6 +44,10 @@ _CACHED_SETS = 32
 #: Symbols per block of monte_carlo_ber. Fixed, because the block size
 #: sets the order of the draws and so the result.
 MC_CHUNK = 100_000
+
+#: Most pair terms grid_bounds evaluates at once: a long grid or a large
+#: set is bounded in parts of this many terms, with the same results.
+BOUND_TERMS = 1 << 22
 
 #: Symbol pairs i < j whose labels differ: flat index i K + j into a
 #: K x K table, Hamming distance d_H, and union-bound weight
@@ -230,8 +234,7 @@ def ml_detect(y, H, constellation):
 
 def pep(s1, s2, H, gamma_tx, mean_power):
     """Pairwise error probability of mistaking symbol s1 for s2."""
-    if not gamma_tx > 0:
-        raise ValueError("gamma_tx must be positive")
+    gamma_tx = positive(gamma_tx, "gamma_tx")
     diff = H @ (np.asarray(s1, dtype=float) - np.asarray(s2, dtype=float))
     arg = np.sqrt(gamma_tx / (4.0 * mean_power ** 2) * np.dot(diff, diff))
     return float(qfunc(arg))
@@ -244,12 +247,14 @@ def union_bound_ber(constellation, H, gamma_tx):
     d_H(b1, b2) Q(sqrt(gamma_tx / (4 I^2) ||H (s1 - s2)||^2)): the
     floor of bound_tables plus the tail of bound_tails, on the stack of
     H alone. Monotone decreasing in gamma_tx; may exceed 1 at low SNR.
+    gamma_tx is one SNR, which gives a float, or a 1-D grid, which gives
+    the bound at each point from the one table (grid_bounds); each value
+    is the one-point call's.
     """
-    if not gamma_tx > 0:
-        raise ValueError("gamma_tx must be positive")
-    floor, weight, root_a = bound_tables(constellation, np.atleast_2d(H)[None])
-    return float(floor[0] + bound_tails(weight,
-                                        math.sqrt(gamma_tx) * root_a)[0])
+    gamma_tx = positive(gamma_tx, "gamma_tx")
+    bound = grid_bounds(bound_tables(constellation, np.atleast_2d(H)[None]),
+                        gamma_tx.ravel())[:, 0]
+    return float(bound[0]) if gamma_tx.ndim == 0 else bound
 
 
 def bound_tables(constellation, Hs):
@@ -286,6 +291,20 @@ def bound_tables(constellation, Hs):
     return floor, weight, root_a
 
 
+def grid_bounds(tables, gamma_tx):
+    """(n_points, B) union bounds of the B channels of bound_tables'
+    tables at each transmit SNR of the 1-D grid gamma_tx, summed by
+    bound_tails BOUND_TERMS pair terms at a time, so that each bound is
+    the one its channel alone gives at that SNR alone."""
+    floor, weight, root_a = tables
+    u = np.sqrt(gamma_tx)[:, None, None]
+    step = max(1, BOUND_TERMS // weight.size)
+    tails = [bound_tails(np.tile(weight, (len(part), 1)),
+                         (part * root_a).reshape(-1, weight.shape[1]))
+             for part in np.split(u, range(step, len(u), step))]
+    return floor + np.concatenate(tails).reshape(len(u), -1)
+
+
 def bound_tails(weight, z):
     """(B,) row sums of weight * Q(z): the separable pairs' part of each
     bound, for z = sqrt(gamma_tx) * root_a of each row's channel."""
@@ -298,7 +317,8 @@ def received_snr(H, n_active, gamma_tx):
     gamma_rx = gamma_tx / N_a^2 * sum_i (sum_j h_ij)^2 for the active
     columns of H. H is (n_rx, n_active), which gives a float, or a
     (B, n_rx, n_active) stack, which gives B values; every channel is
-    reduced on its own, so its value does not depend on the stack.
+    reduced on its own, so its value does not depend on the stack. A
+    2-D H also takes a grid of gamma_tx, which gives an array.
     """
     H = np.ascontiguousarray(np.atleast_2d(H), dtype=float)
     if H.shape[-1] != n_active:
@@ -307,7 +327,7 @@ def received_snr(H, n_active, gamma_tx):
     # one dot product per channel, as np.dot sums it
     power = (row_sums @ row_sums.swapaxes(-1, -2))[..., 0, 0]
     snr = gamma_tx / n_active ** 2 * power
-    return float(snr) if H.ndim == 2 else snr
+    return float(snr) if np.ndim(snr) == 0 else snr
 
 
 def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
@@ -324,8 +344,7 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
-    if not gamma_tx > 0:
-        raise ValueError("gamma_tx must be positive")
+    gamma_tx = positive(gamma_tx, "gamma_tx")
     x = H @ constellation.S                       # (n_r, K)
     K = constellation.K
     sigma = constellation.mean_power / np.sqrt(gamma_tx)

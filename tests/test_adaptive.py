@@ -167,14 +167,27 @@ def test_admissible_group_starts():
     assert admissible_group_starts(8) == [1, 5, 7, 8]
     assert admissible_group_starts(1) == [1]
     assert admissible_group_starts(16) == [1, 9, 13, 15, 16]
+    # over a grid from failure to all-pass, the selected group sizes are
+    # the admissible ones, n_tx - start + 1, and grow with the SNR
+    H = np.diag([0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6]) * 0.01
+    sizes = [len(sel) for sel in led_selection_uplink(
+        H, 4, db_to_linear(np.arange(0.0, 80.0, 0.5)), TARGET)]
+    assert set(sizes) == {0} | {8 - s + 1 for s in admissible_group_starts(8)}
+    assert sizes == sorted(sizes)
+
+
+#: Transmit SNRs every LED-selection test is checked at, point by point.
+_GAMMAS = db_to_linear(np.arange(0.0, 61.0, 3.0))
 
 
 def test_led_selection_all_pass():
     H = np.eye(4) * 5.0
-    sel = led_selection_uplink(H, 4, db_to_linear(40.0), TARGET)
-    assert sel.n_active == 4
-    assert sel.active_set == (0, 1, 2, 3)
-    assert not sel.failed
+    gammas = db_to_linear(np.array([40.0, 45.0, 50.0]))
+    for sel in led_selection_uplink(H, 4, gammas, TARGET):
+        assert len(sel) == 4
+        assert sel == (0, 1, 2, 3)
+        assert sel                          # communication did not fail
+    assert led_selection_uplink(H, 4, gammas[0], TARGET) == (0, 1, 2, 3)
 
 
 def test_led_selection_prunes_weak_sources():
@@ -185,44 +198,46 @@ def test_led_selection_prunes_weak_sources():
     H[:, 3] = 2e-6
     H[0, 0] = 1.0
     H[1, 2] = 1.1
-    gamma = db_to_linear(30.0)
+    gammas = db_to_linear(np.array([30.0, 33.0, 36.0]))
     single = build_constellation(4, 1)
-    assert union_bound_ber(single, H[:, [1]], gamma) > TARGET
-    assert union_bound_ber(single, H[:, [0]], gamma) <= TARGET
-    sel = led_selection_uplink(H, 4, gamma, TARGET)
-    assert sel.n_active == 2
-    assert sel.active_set == (0, 2)
+    sels = led_selection_uplink(H, 4, gammas, TARGET)
+    for gamma, sel in zip(gammas, sels):
+        assert union_bound_ber(single, H[:, [1]], gamma) > TARGET
+        assert union_bound_ber(single, H[:, [0]], gamma) <= TARGET
+        assert len(sel) == 2
+        assert sel == (0, 2)
 
 
 def test_led_selection_failure():
-    sel = led_selection_uplink(np.zeros((4, 4)), 4, 100.0, TARGET)
-    assert sel.failed
-    assert sel.active_set == ()
+    gammas = np.array([1.0, 10.0, 100.0])
+    assert led_selection_uplink(np.zeros((4, 4)), 4, gammas, TARGET) == \
+        [()] * 3
+    assert led_selection_uplink(np.zeros((4, 4)), 4, 100.0, TARGET) == ()
 
 
 def test_led_selection_weakest_gate_is_exact():
     # the returned group's weakest member must satisfy the target; the
     # next larger admissible group must not
     rng = np.random.default_rng(11)
-    gamma = db_to_linear(18.0)
     single = build_constellation(4, 1)
     for _ in range(50):
         H = np.diag(rng.uniform(0.0, 2.0, size=4))
-        sel = led_selection_uplink(H, 4, gamma, TARGET)
         starts = admissible_group_starts(4)
         norms = np.linalg.norm(H, axis=0)
         order = np.argsort(norms, kind="stable")
-        if sel.failed:
-            for start in starts:
+        for gamma, sel in zip(_GAMMAS,
+                              led_selection_uplink(H, 4, _GAMMAS, TARGET)):
+            if not sel:
+                for start in starts:
+                    weakest = H[:, order[start - 1]][:, None]
+                    assert union_bound_ber(single, weakest, gamma) > TARGET
+            else:
+                start = 4 - len(sel) + 1
                 weakest = H[:, order[start - 1]][:, None]
-                assert union_bound_ber(single, weakest, gamma) > TARGET
-        else:
-            start = 4 - sel.n_active + 1
-            weakest = H[:, order[start - 1]][:, None]
-            assert union_bound_ber(single, weakest, gamma) <= TARGET
-            for earlier in [s for s in starts if s < start]:
-                weaker = H[:, order[earlier - 1]][:, None]
-                assert union_bound_ber(single, weaker, gamma) > TARGET
+                assert union_bound_ber(single, weakest, gamma) <= TARGET
+                for earlier in [s for s in starts if s < start]:
+                    weaker = H[:, order[earlier - 1]][:, None]
+                    assert union_bound_ber(single, weaker, gamma) > TARGET
 
 
 # -- the search against the bisection it replaced -------------------------

@@ -128,6 +128,24 @@ def test_validate_config_rejects_unbounded_work_fast(tmp_path, capsys, text,
     assert "config error" in err and match in err
 
 
+@pytest.mark.parametrize("command,text", [
+    ("ber-sweep", TINY_SWEEP.replace("snr_step_db: 5.0", "snr_step_db: 3.0")),
+    ("ber-sweep", TINY_SWEEP.replace("snr_step_db: 5.0", "snr_step_db: 20.0")),
+    ("uplink-ee", TINY_UPLINK.replace("uplink_snr_stop_db: 150.0",
+                                      "uplink_snr_stop_db: 160.0\n"
+                                      "uplink_snr_step_db: 3.0")),
+    ("uplink-ee", TINY_UPLINK.replace("scheme: sm",
+                                      "scheme: sm\nn_active: 8")),
+])
+def test_grid_and_n_active_errors_exit_2(tmp_path, capsys, command, text):
+    cfg = write_config(tmp_path, text)
+    assert cli.main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "does not divide" in err or "n_active 8 exceeds" in err
+
+
 @pytest.mark.parametrize("text", [
     "",                                    # 361 x 24 x 500 realizations
     "activity: walking\nn_waypoints: 500\n",

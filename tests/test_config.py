@@ -4,6 +4,7 @@ import math
 from dataclasses import fields
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -147,6 +148,43 @@ def test_snr_grids_have_a_size_limit(name):
     start, stop = (0.0, 70.0) if name == "snr_step_db" else (100.0, 180.0)
     step = (stop - start) / (MAX_SNR_POINTS - 1)
     assert scenario_from_dict({name: step})
+
+
+@pytest.mark.parametrize("grid", ["snr", "uplink_snr"])
+@pytest.mark.parametrize("step", [3.0, 20.0, 0.3, 4.0 / 3.0])
+def test_snr_step_must_divide_the_span(grid, step):
+    # 3 dB over 0-10 dB used to become a 3.33 dB step, and 20 dB the
+    # lone point 0 dB, dropping the configured stop
+    span = {f"{grid}_start_db": 100.0, f"{grid}_stop_db": 110.0}
+    with pytest.raises(ConfigError,
+                       match=f"^{grid}_step_db .* does not divide"):
+        scenario_from_dict({**span, f"{grid}_step_db": step})
+
+
+@pytest.mark.parametrize("grid", ["snr", "uplink_snr"])
+@pytest.mark.parametrize("start,stop,step", [
+    (100.0, 110.0, 2.5), (100.0, 110.0, 10.0), (0.0, 1.0, 0.1),
+    (28.0, 46.0, 2.0), (120.0, 170.0, 5.0), (150.0, 150.0, 4.0),
+    (0.3, 0.9, 0.2)])
+def test_snr_steps_that_divide_the_span_keep_it(grid, start, stop, step):
+    sc = scenario_from_dict({f"{grid}_start_db": start,
+                             f"{grid}_stop_db": stop,
+                             f"{grid}_step_db": step})
+    values = sc.snr_grid_db() if grid == "snr" else sc.uplink_snr_grid_db()
+    assert values[0] == start and values[-1] == stop
+    np.testing.assert_allclose(np.diff(values), step, rtol=1e-9)
+
+
+def test_uplink_sm_n_active_is_at_most_the_device_elements():
+    for device in ("sr", "mdr"):
+        n = Scenario(device=device).layout().n_elements
+        over = dict(direction="uplink", scheme="sm", device=device,
+                    spectral_efficiency=12)
+        assert scenario_from_dict({**over, "n_active": n}).n_active == n
+        with pytest.raises(ConfigError, match="n_active"):
+            scenario_from_dict({**over, "n_active": 2 * n})
+    # the downlink's n_active counts access points, not device elements
+    assert scenario_from_dict({"scheme": "sm", "n_active": 8}).n_active == 8
 
 
 def test_scheme_consistency():

@@ -640,6 +640,14 @@ def test_uplink_eval_shapes(scheme):
     assert ber.meta["outage"][-1] < 1.0
 
 
+@pytest.mark.parametrize("n_active", [1, 2, 4])
+def test_uplink_sm_keeps_n_active_strongest_elements(n_active):
+    # n_active used to be ignored: every count gave N_a = 4
+    ber, ee = run_uplink_eval(uplink_scenario(scheme="sm", n_active=n_active))
+    assert [r["N_a"] for r in ber.rows] == [float(n_active)] * 3
+    assert ber.meta["outage"] == [0.0] * 3
+
+
 def test_uplink_eval_walking_and_workers():
     sc = uplink_scenario(activity="walking", n_waypoints=2, seed=9)
     seq_ber, seq_ee = run_uplink_eval(sc, workers=1)
