@@ -1,24 +1,31 @@
 """Seeded experiment orchestration and file emission.
 
-Every experiment maps one evaluator over an ordered task list of
+Every experiment runs one pipeline over an ordered task list of
 realizations (idx, x, y, omega_deg, angles_deg). _tasks builds the list
 from the scenario's activity: sitting gives the lattice of positions x
 facing directions x orientation draws, with the angles drawn in
-realize; walking gives the ORWP trajectory samples. Each worker gets a
-chunk of tasks, and ChannelBuilder.channels turns a block of them into
-channels: ChannelBuilder.realize draws each realization once, then the
-block's channels are built together. Four experiment kinds cover the
+realize; walking gives the ORWP trajectory samples. _run_tasks cuts the
+list into blocks of SEARCH_BLOCK (a pool first hands each worker
+contiguous chunks of it). ChannelBuilder.channels realizes a block, once
+per realization, and builds its channels together; the runner's block
+function then turns the block into one array entry per task, and the
+entries are joined in task order. Four experiment kinds cover the
 evaluation campaign:
 
 * cdf map (sitting) and orwp run (walking): required SNR of the
-  configured downlink scheme, one row per realization. A chunk goes in
-  blocks of SEARCH_BLOCK, whose channels are searched in one batched
-  adaptive.asm_select_downlink call for every scheme: ASM chooses among
-  asm_signal_sets, sm and mimo pass their one signal set;
+  configured downlink scheme, one record per realization. A block's
+  channels are searched in one batched adaptive.asm_select_downlink
+  call for every scheme: ASM chooses among asm_signal_sets, sm and mimo
+  pass their one signal set;
 * ber sweep: one location, bound and Monte Carlo BER against received
-  SNR, with fixed or random orientation, one record per draw;
+  SNR, with fixed or random orientation; each draw gives its bounds and
+  error bits over the grid, reduced to one record per grid point;
 * uplink eval: transmit-SNR sweep with source selection, rate bounds
-  and energy efficiency averaged over the activity's realizations.
+  and energy efficiency, each realization evaluated over the grid and
+  averaged to one record per grid point.
+
+A RunResult holds its table as one NumPy structured array whose field
+names are the CSV columns (CDF_DTYPE, BER_DTYPE or EE_DTYPE).
 
 Determinism contract: realization i draws all its randomness from
 SeedSequence([seed, 1, i]); Monte Carlo noise for realization i at
@@ -27,9 +34,9 @@ trajectory stream is SeedSequence([seed, 0]). A channel does not depend
 on the block it is built in, nor its search result on the block it is
 searched in. Results are therefore
 bit-identical for any worker count: workers only partition the
-realization list, and the merge preserves order. Each pool worker caps
-its OpenBLAS pools at one thread; a one-worker run leaves them as they
-are. A worker count outside 1..usable CPUs is a ConfigError (a
+realization list, and the parts are joined in order. Each pool worker
+caps its OpenBLAS pools at one thread; a one-worker run leaves them as
+they are. A worker count outside 1..usable CPUs is a ConfigError (a
 ValueError) before any pool starts.
 """
 
@@ -55,34 +62,56 @@ from .sm import (build_constellation, build_mimo_constellation,
                  monte_carlo_ber, received_snr, union_bound_ber)
 from .util import db_to_linear, linear_to_db, wilson_interval
 
-CDF_COLUMNS = ["realization", "x", "y", "omega_deg", "alpha_deg", "beta_deg",
-               "gamma_deg", "n_blockers", "n_active", "pam_order",
-               "gamma_rx_db", "feasible"]
-BER_COLUMNS = ["snr_db", "ber_bound", "ber_mc", "ci_low", "ci_high",
-               "scheme", "N_a", "M"]
-EE_COLUMNS = ["scheme", "config", "eta_rse", "eta_ee", "L1", "L2",
-              "mi_mc", "stderr"]
+#: Record types of the three tables: required SNR per realization, BER
+#: per SNR point, energy efficiency per SNR point. Their field names are
+#: the CSV columns, in order.
+CDF_DTYPE = np.dtype([
+    ("realization", np.int64), ("x", float), ("y", float),
+    ("omega_deg", float), ("alpha_deg", float), ("beta_deg", float),
+    ("gamma_deg", float), ("n_blockers", np.int64), ("n_active", np.int64),
+    ("pam_order", np.int64), ("gamma_rx_db", float), ("feasible", np.int64)])
+BER_DTYPE = np.dtype([
+    ("snr_db", float), ("ber_bound", float), ("ber_mc", float),
+    ("ci_low", float), ("ci_high", float), ("scheme", "U8"), ("N_a", float),
+    ("M", np.int64)])
+EE_DTYPE = np.dtype([
+    ("scheme", "U8"), ("config", "U32"), ("eta_rse", float),
+    ("eta_ee", float), ("L1", float), ("L2", float), ("mi_mc", float),
+    ("stderr", float)])
+CDF_COLUMNS, BER_COLUMNS, EE_COLUMNS = (
+    list(t.names) for t in (CDF_DTYPE, BER_DTYPE, EE_DTYPE))
 
 
 @dataclass
 class RunResult:
-    """Tabular outcome of one experiment, ready for CSV emission."""
+    """Tabular outcome of one experiment, ready for CSV emission.
+
+    data is a NumPy structured array, one record per CSV row, whose
+    field names are the columns. rows is a view of it for callers that
+    want one dict per row: it is built from data on each access, with
+    Python ints for the integer fields and floats or str for the others.
+    """
 
     kind: str
-    columns: list
-    rows: list
+    data: np.ndarray
     scenario: Scenario
     meta: dict = field(default_factory=dict)
 
+    @property
+    def columns(self):
+        return list(self.data.dtype.names)
+
+    @property
+    def rows(self):
+        names = self.data.dtype.names
+        return tuple(dict(zip(names, r)) for r in self.data.tolist())
+
     def column(self, name):
-        """One column as a float array (nan for non-numeric cells)."""
-        out = []
-        for row in self.rows:
-            try:
-                out.append(float(row[name]))
-            except (TypeError, ValueError):
-                out.append(np.nan)
-        return np.asarray(out)
+        """One column as a float array (NaN for a text column)."""
+        values = self.data[name]
+        if values.dtype.kind == "U":
+            return np.full(values.shape, np.nan)
+        return values.astype(float)
 
 
 def facing_directions(n):
@@ -276,46 +305,29 @@ def _downlink_sets(sc):
     return [c], (sc.n_active, M)
 
 
-#: Realizations whose required SNRs are searched together: large enough
-#: that the search's per-step cost is shared, small enough that its
-#: tables stay a few hundred KiB.
+#: Realizations whose channels are built, and required SNRs searched,
+#: together: large enough that the search's per-step cost is shared,
+#: small enough that its tables stay a few hundred KiB.
 SEARCH_BLOCK = 64
 
 
-def _downlink_rows(builder, tasks):
-    """CSV rows of realizations at the scheme's operating point, searched
-    in blocks of SEARCH_BLOCK."""
-    rows = []
-    for i in range(0, len(tasks), SEARCH_BLOCK):
-        rows += _downlink_block(builder, tasks[i:i + SEARCH_BLOCK])
-    return rows
-
-
-def _downlink_block(builder, block):
-    """CSV rows of a block of realizations at the scheme's operating point.
-
-    The block's channels are built together, then go through one batched
-    search, whose per-channel results do not depend on the block.
-    """
-    sc = builder.sc
-    realized, Hs = builder.channels(block)
+def _downlink_block(sc, block, realized, Hs):
+    """CDF records of a block of realizations at the scheme's operating
+    point, from one batched search whose per-channel results do not
+    depend on the block."""
     sets, infeasible = _downlink_sets(sc)
-    rows = []
-    for (idx, x, y, omega, _), (pose, blockers), d in zip(
-            block, realized, asm_select_downlink(Hs, sc.target_ber, sets)):
-        a, b, g = pose.angles_deg
-        n_a, M = (d.n_active, d.M) if d.feasible else infeasible
-        rows.append({
-            "realization": idx, "x": x, "y": y, "omega_deg": omega,
-            "alpha_deg": a, "beta_deg": b, "gamma_deg": g,
-            "n_blockers": len(blockers), "n_active": n_a, "pam_order": M,
-            "gamma_rx_db": d.gamma_rx_db, "feasible": int(d.feasible),
-        })
-    return rows
+    return np.array([
+        (idx, x, y, omega, *pose.angles_deg, len(blockers),
+         *((d.n_active, d.M) if d.feasible else infeasible),
+         d.gamma_rx_db, d.feasible)
+        for (idx, x, y, omega, _), (pose, blockers), d in zip(
+            block, realized, asm_select_downlink(Hs, sc.target_ber, sets))],
+        dtype=CDF_DTYPE)
 
 
-def _sweep_records(builder, tasks):
-    """(bounds, error bits) of each orientation draw over the SNR grid.
+def _sweep_block(sc, block, realized, Hs):
+    """(B, 2, n_snr) bounds and error bits of each orientation draw over
+    the SNR grid.
 
     The sweep grid is the target received SNR; a draw reaches each point
     through its own transmit SNR. A draw whose channel carries no power
@@ -323,29 +335,26 @@ def _sweep_records(builder, tasks):
     the grid in one union_bound_ber call, from one table. The error
     bits mean nothing when mc_symbols is 0.
     """
-    sc = builder.sc
     _, c = _fixed_signal_set(sc)
     mc, bps = _sweep_symbols(sc), c.bits_per_symbol
     grid = sc.snr_grid_db()
-    records = []
-    for (i, *_), H in zip(tasks, builder.channels(tasks)[1]):
+    out = np.empty((len(block), 2, grid.size))
+    for k, ((i, *_), H) in enumerate(zip(block, Hs)):
         H_sub = H[:, strongest_columns(H, sc.n_active)]
         factor = received_snr(H_sub, sc.n_active, 1.0)
         if not factor > 0.0:
-            records.append(([0.5] * grid.size, [0.5 * mc * bps] * grid.size))
+            out[k] = [[0.5], [0.5 * mc * bps]]
             continue
         gtx = db_to_linear(grid) / factor
-        bounds = union_bound_ber(c, H_sub, gtx)
-        errors = []
+        out[k, 0] = union_bound_ber(c, H_sub, gtx)
         for g, gamma in enumerate(gtx):
             ber = 0.5
             if sc.mc_symbols > 0:
                 rng = np.random.default_rng(
                     np.random.SeedSequence([sc.seed, 2, i, g]))
                 ber, _ = monte_carlo_ber(c, H_sub, gamma, mc, rng)
-            errors.append(ber * mc * bps)
-        records.append((bounds.tolist(), errors))
-    return records
+            out[k, 1, g] = ber * mc * bps
+    return out
 
 
 def _sweep_symbols(sc):
@@ -361,13 +370,13 @@ _UPLINK_FIELDS = ("n_active", "gamma_rx_db", "ber", "rate", "ee", "l1", "l2",
                   "mi", "mi_se")
 
 
-def _uplink_records(builder, tasks):
-    """_uplink_record of each task, its channels built as one block."""
-    return [_uplink_record(builder, idx, H)
-            for (idx, *_), H in zip(tasks, builder.channels(tasks)[1])]
+def _uplink_block(sc, block, realized, Hs):
+    """(B, n_snr, len(_UPLINK_FIELDS)) _uplink_record of each task."""
+    return np.stack([_uplink_record(sc, idx, H)
+                     for (idx, *_), H in zip(block, Hs)])
 
 
-def _uplink_record(builder, idx, H):
+def _uplink_record(sc, idx, H):
     """(n_snr, len(_UPLINK_FIELDS)) array of realization idx, channel H,
     across the transmit-SNR grid.
 
@@ -383,7 +392,6 @@ def _uplink_record(builder, idx, H):
     1/sigma^2 and the absolute symbol energy enters only the efficiency
     denominator.
     """
-    sc = builder.sc
     M = sc.uplink_pam_order()
     # one point at a time: numpy's vectorized power can round
     # differently from its scalar one, which would change the rows
@@ -474,9 +482,19 @@ def _worker_init(scenario):
     _single_blas_thread()
 
 
+def _blocks(builder, fn, tasks):
+    """fn's entries for a nonempty task list, in order, one block of
+    SEARCH_BLOCK tasks and their channels at a time."""
+    parts = []
+    for i in range(0, len(tasks), SEARCH_BLOCK):
+        block = tasks[i:i + SEARCH_BLOCK]
+        parts.append(fn(builder.sc, block, *builder.channels(block)))
+    return np.concatenate(parts)
+
+
 def _worker_chunk(payload):
     fn, tasks = payload
-    return fn(_BUILDER, tasks)
+    return _blocks(_BUILDER, fn, tasks)
 
 
 def check_workers(workers, option="workers"):
@@ -495,23 +513,26 @@ def check_workers(workers, option="workers"):
 
 
 def _run_tasks(scenario, fn, tasks, workers):
-    """Results of fn over tasks, in order; workers > 1 forks a pool.
+    """The realization pipeline of every runner: fn's entries for tasks.
 
-    fn takes the builder and a list of tasks, a worker's chunk or all of
-    them, and returns one result per task.
+    The list is cut into blocks of SEARCH_BLOCK tasks, and
+    ChannelBuilder.channels realizes each block and builds its channels.
+    fn(sc, block, realized, Hs) gets the block, its (pose, blockers)
+    list and its (B, n_rx, n_tx) channel stack, and returns an array
+    with one entry per task; the parts are joined in task order with
+    np.concatenate. workers > 1 forks a pool and hands it contiguous
+    chunks of the list, about four per worker, each cut into blocks.
     """
     check_workers(workers)
     if workers == 1 or len(tasks) < 2:
-        return fn(ChannelBuilder(scenario), tasks)
-    n_chunks = min(len(tasks), workers * 4)
-    chunks = [list(c) for c in np.array_split(np.arange(len(tasks)), n_chunks)]
-    payloads = [(fn, [tasks[i] for i in c]) for c in chunks if c]
-    results = []
+        return _blocks(ChannelBuilder(scenario), fn, tasks)
+    n = min(len(tasks), workers * 4)
+    q, r = divmod(len(tasks), n)
+    cuts = [k * q + min(k, r) for k in range(n + 1)]
+    payloads = [(fn, tasks[a:b]) for a, b in zip(cuts, cuts[1:])]
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                              initargs=(scenario,)) as pool:
-        for part in pool.map(_worker_chunk, payloads):
-            results.extend(part)
-    return results
+        return np.concatenate(list(pool.map(_worker_chunk, payloads)))
 
 
 # -- experiment runners ---------------------------------------------------
@@ -537,16 +558,16 @@ def _tasks(sc):
 
 
 def _downlink_survey(sc, workers, command, activity, kind):
-    """Required-SNR row per realization of the activity's task list."""
+    """Required-SNR record per realization of the activity's task list."""
     if sc.direction != "downlink":
         raise ConfigError(f"{command} evaluates the downlink")
     if sc.activity != activity:
         raise ConfigError(f"{command} uses the {activity} statistics")
     _downlink_sets(sc)                    # fail before any realization
-    rows = _run_tasks(sc, _downlink_rows, _tasks(sc), workers)
-    outage = float(np.mean([r["feasible"] == 0 for r in rows]))
-    return RunResult(kind=kind, columns=CDF_COLUMNS, rows=rows,
-                     scenario=sc, meta={"outage_fraction": outage})
+    data = _run_tasks(sc, _downlink_block, _tasks(sc), workers)
+    outage = float(np.mean(data["feasible"] == 0))
+    return RunResult(kind=kind, data=data, scenario=sc,
+                     meta={"outage_fraction": outage})
 
 
 def run_cdf_map(scenario, workers=1):
@@ -568,8 +589,8 @@ def run_ber_sweep(scenario, workers=1):
     out of view) count as coin-flip bit errors, which is what creates
     the high-SNR floors of LOS-only configurations. The asm scheme is
     swept with the sm signal set of n_active sources. Each draw's bound
-    and Monte Carlo errors over the whole grid are one task record
-    (_sweep_records); the error bits are summed in draw order, so the
+    and Monte Carlo errors over the whole grid are one task entry
+    (_sweep_block); the error bits are summed in draw order, so the
     rows do not depend on the worker count.
     """
     sc = scenario
@@ -582,25 +603,22 @@ def run_ber_sweep(scenario, workers=1):
     n_draws = 1 if fixed else sc.orientations_per_point
     angles = sc.stats().means(omega) if fixed else None
     tasks = [(i, x, y, omega, angles) for i in range(n_draws)]
-    records = _run_tasks(sc, _sweep_records, tasks, workers)
+    records = _run_tasks(sc, _sweep_block, tasks, workers)
+    bounds, errors = records[:, 0], records[:, 1]
     total_bits = 0
     if sc.mc_symbols > 0:
         total_bits = n_draws * _sweep_symbols(sc) * constellation.bits_per_symbol
     rows = []
     for g, grx_db in enumerate(sc.snr_grid_db()):
         if total_bits:
-            err_bits = sum(errors[g] for _, errors in records)
+            err_bits = sum(errors[:, g].tolist())     # in draw order
             ber_mc = err_bits / total_bits
             ci_low, ci_high = wilson_interval(err_bits, total_bits)
         else:
             ber_mc, ci_low, ci_high = np.nan, np.nan, np.nan
-        rows.append({
-            "snr_db": float(grx_db),
-            "ber_bound": float(np.mean([bounds[g] for bounds, _ in records])),
-            "ber_mc": ber_mc, "ci_low": ci_low, "ci_high": ci_high,
-            "scheme": sc.scheme, "N_a": sc.n_active, "M": M,
-        })
-    return RunResult(kind="ber", columns=BER_COLUMNS, rows=rows, scenario=sc)
+        rows.append((grx_db, np.mean(bounds[:, g]), ber_mc, ci_low, ci_high,
+                     sc.scheme, sc.n_active, M))
+    return RunResult(kind="ber", data=np.array(rows, BER_DTYPE), scenario=sc)
 
 
 def run_uplink_eval(scenario, workers=1):
@@ -616,7 +634,7 @@ def run_uplink_eval(scenario, workers=1):
         raise ConfigError("uplink-ee evaluates the uplink")
     if sc.scheme not in ("sm", "asm"):
         raise ConfigError("uplink supports the sm and asm schemes")
-    stack = np.stack(_run_tasks(sc, _uplink_records, _tasks(sc), workers))
+    stack = _run_tasks(sc, _uplink_block, _tasks(sc), workers)
     M = sc.uplink_pam_order()
     ber_rows, ee_rows, outage_list = [], [], []
     for g, gtx_db in enumerate(sc.uplink_snr_grid_db()):
@@ -625,34 +643,28 @@ def run_uplink_eval(scenario, workers=1):
         cols = dict(zip(_UPLINK_FIELDS, stack[ok, g].T))
         avg = {k: float(np.mean(v)) if ok.any() else np.nan
                for k, v in cols.items()}
-        ber_rows.append({
-            "snr_db": avg["gamma_rx_db"], "ber_bound": avg["ber"],
-            "ber_mc": np.nan, "ci_low": np.nan, "ci_high": np.nan,
-            "scheme": sc.scheme, "N_a": avg["n_active"], "M": M,
-        })
+        ber_rows.append((avg["gamma_rx_db"], avg["ber"], np.nan, np.nan,
+                         np.nan, sc.scheme, avg["n_active"], M))
         mi, se = np.nan, np.nan
         if sc.mi_samples > 0 and ok.any():
             mi = avg["mi"]
             se = float(np.sqrt(np.mean(cols["mi_se"] ** 2) / np.sum(ok)))
-        ee_rows.append({
-            "scheme": sc.scheme, "config": f"gamma_tx_db={gtx_db:g}",
-            "eta_rse": avg["rate"], "eta_ee": avg["ee"],
-            "L1": avg["l1"], "L2": avg["l2"], "mi_mc": mi, "stderr": se,
-        })
+        ee_rows.append((sc.scheme, f"gamma_tx_db={gtx_db:g}", avg["rate"],
+                        avg["ee"], avg["l1"], avg["l2"], mi, se))
     meta = {"outage": outage_list}
-    ber = RunResult(kind="uplink_ber", columns=BER_COLUMNS, rows=ber_rows,
-                    scenario=sc, meta=meta)
-    ee = RunResult(kind="uplink_ee", columns=EE_COLUMNS, rows=ee_rows,
-                   scenario=sc, meta=meta)
-    return ber, ee
+    return (RunResult("uplink_ber", np.array(ber_rows, BER_DTYPE), sc, meta),
+            RunResult("uplink_ee", np.array(ee_rows, EE_DTYPE), sc, meta))
 
 
 # -- emission --------------------------------------------------------------
 
+#: Records write_csv formats at a time, so that it never turns the
+#: whole table into Python objects at once.
+_CSV_BLOCK = 4096
+
+
 def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".10g")
-    return value
+    return format(value, ".10g") if isinstance(value, float) else value
 
 
 def write_csv(path, result):
@@ -664,8 +676,9 @@ def write_csv(path, result):
             fh.write(f"# {key}: {value}\n")
         writer = csv.writer(fh)
         writer.writerow(result.columns)
-        for row in result.rows:
-            writer.writerow([_fmt(row[c]) for c in result.columns])
+        for i in range(0, len(result.data), _CSV_BLOCK):
+            writer.writerows([_fmt(v) for v in row]
+                             for row in result.data[i:i + _CSV_BLOCK].tolist())
     return path
 
 

@@ -321,12 +321,29 @@ def test_empirical_cdf_ties_and_empty():
 
 
 def test_run_result_column_coercion():
-    res = RunResult(kind="ber", columns=["a", "scheme"],
-                    rows=[{"a": 1.5, "scheme": "sm"},
-                          {"a": 2, "scheme": "asm"}],
-                    scenario=Scenario())
+    data = np.array([(1.5, "sm", 1), (2.0, "asm", 3)],
+                    dtype=[("a", float), ("scheme", "U8"), ("n", np.int64)])
+    res = RunResult(kind="ber", data=data, scenario=Scenario())
     assert res.column("a") == pytest.approx([1.5, 2.0])
     assert np.isnan(res.column("scheme")).all()
+    n = res.column("n")
+    assert n.dtype == float and n.tolist() == [1.0, 3.0]
+
+
+@pytest.mark.parametrize("run,sc", [
+    (run_cdf_map, lambda: tiny_map_scenario()),
+    (run_ber_sweep, lambda: sweep_scenario(mc_symbols=0)),
+    (lambda sc: run_uplink_eval(sc)[1], lambda: uplink_scenario()),
+])
+def test_rows_view_types(run, sc):
+    res = run(sc())
+    assert res.columns == list(res.data.dtype.names)
+    assert len(res.rows) == len(res.data)
+    for row in res.rows:
+        assert list(row) == res.columns
+        for name, value in row.items():
+            kind = res.data.dtype[name].kind
+            assert type(value) is {"i": int, "f": float, "U": str}[kind]
 
 
 # -- CDF map ---------------------------------------------------------------
@@ -365,7 +382,7 @@ def test_cdf_map_worker_determinism(pool_starts):
     seq = run_cdf_map(sc, workers=1)
     par = run_cdf_map(sc, workers=2)
     assert pool_starts == [2]
-    assert seq.rows == par.rows
+    assert seq.data.tobytes() == par.data.tobytes()
     assert seq.meta == par.meta
 
 
@@ -375,7 +392,8 @@ def test_cdf_map_worker_determinism_with_reflections(pool_starts):
     # mesh differently with another thread count
     sc = tiny_map_scenario(include_nlos=True, mesh_resolution=0.5,
                            kappa_b=0.0)
-    assert run_cdf_map(sc, workers=1).rows == run_cdf_map(sc, workers=2).rows
+    seq, par = run_cdf_map(sc, workers=1), run_cdf_map(sc, workers=2)
+    assert seq.data.tobytes() == par.data.tobytes()
     assert pool_starts == [2]
 
 
@@ -393,8 +411,10 @@ def _blas_threads():
     return counts
 
 
-def _blas_threads_of_tasks(builder, tasks):
-    return [_blas_threads() for _ in tasks]
+def _blas_threads_of_block(sc, block, realized, Hs):
+    out = np.empty(len(block), dtype=object)
+    out[:] = [_blas_threads() for _ in block]
+    return out
 
 
 def test_pool_workers_run_one_blas_thread():
@@ -403,10 +423,32 @@ def test_pool_workers_run_one_blas_thread():
     before = _blas_threads()
     if not before:
         pytest.skip("no scipy-openblas library is loaded")
-    inside = harness._run_tasks(tiny_map_scenario(), _blas_threads_of_tasks,
-                                list(range(8)), workers=2)
-    assert inside == [dict.fromkeys(before, 1)] * 8
+    sc = tiny_map_scenario()
+    inside = harness._run_tasks(sc, _blas_threads_of_block,
+                                harness._tasks(sc)[:8], workers=2)
+    assert inside.tolist() == [dict.fromkeys(before, 1)] * 8
     assert _blas_threads() == before     # the parent keeps its pools
+
+
+def _block_indices(sc, block, realized, Hs):
+    """(realization, first realization of its block) of each task."""
+    assert len(block) == len(realized) == len(Hs) <= harness.SEARCH_BLOCK
+    return np.array([(idx, block[0][0]) for idx, *_ in block])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 65])
+def test_run_tasks_hands_each_task_to_one_block_in_order(n):
+    if _usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    sc = tiny_map_scenario(n_directions=4)      # 72 realizations
+    got = harness._run_tasks(sc, _block_indices, harness._tasks(sc)[:n],
+                             workers=2)
+    assert got[:, 0].tolist() == list(range(n))
+    # each block is a contiguous run of the task list
+    starts = got[:, 1]
+    assert starts[0] == 0
+    for k in range(1, n):
+        assert starts[k] in (starts[k - 1], k)
 
 
 @pytest.mark.parametrize("run,over,match", [
@@ -567,7 +609,7 @@ def test_ber_sweep_random_orientation_workers():
                         mc_symbols=0, kappa_b=0.1)
     seq = run_ber_sweep(sc, workers=1)
     par = run_ber_sweep(sc, workers=2)
-    assert seq.rows == par.rows
+    assert seq.data.tobytes() == par.data.tobytes()
     assert len(seq.rows) == 3
 
 
@@ -652,8 +694,8 @@ def test_uplink_eval_walking_and_workers():
     sc = uplink_scenario(activity="walking", n_waypoints=2, seed=9)
     seq_ber, seq_ee = run_uplink_eval(sc, workers=1)
     par_ber, par_ee = run_uplink_eval(sc, workers=2)
-    assert seq_ber.rows == par_ber.rows
-    assert seq_ee.rows == par_ee.rows
+    assert seq_ber.data.tobytes() == par_ber.data.tobytes()
+    assert seq_ee.data.tobytes() == par_ee.data.tobytes()
     assert seq_ber.meta == par_ber.meta
     assert len(seq_ber.rows) == 3
 

@@ -6,8 +6,6 @@ set. It must give the rows that one call per grid point gives: the
 references below are the per-point code it replaced.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,9 +84,9 @@ def _assert_record_matches_reference(H, scheme, n_active=4, tse=2,
         # far above the channel's useful range 2cQ + I stops being
         # numerically positive definite, and L2 fails either way
         with pytest.raises(np.linalg.LinAlgError):
-            harness._uplink_record(SimpleNamespace(sc=sc), idx, H)
+            harness._uplink_record(sc, idx, H)
         return None
-    ours = harness._uplink_record(SimpleNamespace(sc=sc), idx, H)
+    ours = harness._uplink_record(sc, idx, H)
     assert ours.shape == (n_points, len(harness._UPLINK_FIELDS))
     assert np.array_equal(ours, theirs, equal_nan=True)
     return ours
