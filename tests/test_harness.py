@@ -436,13 +436,14 @@ def _block_indices(sc, block, realized, Hs):
     return np.array([(idx, block[0][0]) for idx, *_ in block])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 65])
-def test_run_tasks_hands_each_task_to_one_block_in_order(n):
-    if _usable_cpus() < 2:
+def test_run_tasks_hands_each_task_to_one_block_in_order(n, workers):
+    if _usable_cpus() < workers:
         pytest.skip("needs two usable CPUs")
     sc = tiny_map_scenario(n_directions=4)      # 72 realizations
     got = harness._run_tasks(sc, _block_indices, harness._tasks(sc)[:n],
-                             workers=2)
+                             workers=workers)
     assert got[:, 0].tolist() == list(range(n))
     # each block is a contiguous run of the task list
     starts = got[:, 1]
