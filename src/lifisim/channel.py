@@ -57,7 +57,18 @@ class LambertianSource:
         return -1.0 / np.log2(np.cos(np.deg2rad(self.semiangle_deg)))
 
 
-def los_gain_matrix(tx_pos, tx_normal, rx_pos, rx_normal, order, area, fov_deg):
+#: Receiver x transmitter pairs los_gain_matrix evaluates at once. A
+#: larger call fills its output this many pairs' worth of receivers at a
+#: time, which bounds its temporaries near 20 MiB; every gain is the
+#: same. The 440-element mesh (193,600 pairs) stays one evaluation:
+#: glibc sets its heap trim threshold from the largest block freed, and
+#: at 1 << 16 pairs the surveys then page-faulted each search block's
+#: ~4 MiB of scratch back in, 10-15% of their run time.
+LOS_PAIRS = 1 << 18
+
+
+def los_gain_matrix(tx_pos, tx_normal, rx_pos, rx_normal, order, area, fov_deg,
+                    out=None):
     """LOS gains between every transmitter-receiver pair.
 
     Args:
@@ -66,17 +77,46 @@ def los_gain_matrix(tx_pos, tx_normal, rx_pos, rx_normal, order, area, fov_deg):
         order: Lambertian order of the sources.
         area: detector area, m^2 (scalar or (n_rx,)).
         fov_deg: detector field of view (scalar or (n_rx,)).
+        out: optional (n_rx, n_tx) float64 array, in either memory
+            order, that receives the gains.
 
     Returns:
-        (n_rx, n_tx) array of nonnegative gains; zero where the
-        incidence angle exceeds the FOV or either cosine is negative.
-        Coincident positions yield zero gain.
+        (n_rx, n_tx) array of nonnegative gains (out, if given); zero
+        where the incidence angle exceeds the FOV or either cosine is
+        negative. Coincident positions yield zero gain.
     """
     tx_pos = np.atleast_2d(tx_pos)
     rx_pos = np.atleast_2d(rx_pos)
     tx_normal = np.atleast_2d(tx_normal)
     rx_normal = np.atleast_2d(rx_normal)
+    cos_fov = np.cos(np.deg2rad(np.asarray(fov_deg, dtype=float)))
+    area = np.asarray(area, dtype=float)
+    step = max(1, LOS_PAIRS // max(1, len(tx_pos)))
+    if out is None and len(rx_pos) <= step:
+        return _los_gain_rows(tx_pos, tx_normal, rx_pos, rx_normal, order,
+                              area, cos_fov)
+    return _los_gain_chunks(tx_pos, tx_normal, rx_pos, rx_normal, order,
+                            area, cos_fov, step, out)
 
+
+def _los_gain_chunks(tx_pos, tx_normal, rx_pos, rx_normal, order, area,
+                     cos_fov, step, out):
+    """los_gain_matrix written into out (allocated if None), step
+    receivers at a time."""
+    n_rx = len(rx_pos)
+    if out is None:
+        out = np.empty((n_rx, len(tx_pos)))
+    for i in range(0, n_rx, step):
+        rows = slice(i, i + step)
+        out[rows] = _los_gain_rows(
+            tx_pos, tx_normal, rx_pos[rows], rx_normal[rows], order,
+            area[rows] if area.ndim == 1 else area,
+            cos_fov[rows] if cos_fov.ndim == 1 else cos_fov)
+    return out
+
+
+def _los_gain_rows(tx_pos, tx_normal, rx_pos, rx_normal, order, area, cos_fov):
+    """(n_rx, n_tx) gains of los_gain_matrix, all in one evaluation."""
     diff = rx_pos[:, None, :] - tx_pos[None, :, :]      # (n_rx, n_tx, 3)
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     safe_d2 = np.where(d2 > 0.0, d2, 1.0)     # masked out of the result
@@ -84,10 +124,8 @@ def los_gain_matrix(tx_pos, tx_normal, rx_pos, rx_normal, order, area, fov_deg):
     cos_phi = np.einsum("jk,ijk->ij", tx_normal, diff) * inv_d
     cos_psi = -np.einsum("ik,ijk->ij", rx_normal, diff) * inv_d
 
-    cos_fov = np.cos(np.deg2rad(np.asarray(fov_deg, dtype=float)))
     if np.ndim(cos_fov) == 1:
         cos_fov = cos_fov[:, None]
-    area = np.asarray(area, dtype=float)
     if np.ndim(area) == 1:
         area = area[:, None]
 
@@ -170,20 +208,31 @@ class RadiositySolver:
     (I - E G_rho) once; the gains of any block of transmitter/receiver
     poses then cost one pair of triangular solves of the transposed
     system, with one right-hand side per receiver of every pose.
+    spectral_radius is the power-iteration estimate of the spectral
+    radius of E G_rho, below 1 for a mesh the solver accepts.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        e = los_gain_matrix(mesh.centers, mesh.normals, mesh.centers, mesh.normals,
-                            ELEMENT_ORDER, mesh.areas, ELEMENT_FOV_DEG)
-        np.fill_diagonal(e, 0.0)
-        system = np.eye(mesh.n_elements) - e * mesh.rho[None, :]
-        self._check_convergence(e * mesh.rho[None, :])
-        self._lu = lu_factor(system)
+        n = mesh.n_elements
+        # One n x n array holds E, then E G_rho, then I - E G_rho and at
+        # last its LU factors: Fortran order lets LAPACK factor in place.
+        eg = los_gain_matrix(mesh.centers, mesh.normals, mesh.centers,
+                             mesh.normals, ELEMENT_ORDER, mesh.areas,
+                             ELEMENT_FOV_DEG, out=np.empty((n, n), order="F"))
+        np.fill_diagonal(eg, 0.0)
+        eg *= mesh.rho[None, :]
+        self.spectral_radius = self._check_convergence(eg)
+        system = np.subtract(0.0, eg, out=eg)     # 0 - x keeps zeros +0
+        np.fill_diagonal(system, 1.0)
+        self._lu = lu_factor(system, overwrite_a=True)
 
     @staticmethod
     def _check_convergence(eg, n_iter=100, rng_seed=0):
-        """Power iteration estimate of the spectral radius of E G_rho."""
+        """Power iteration estimate of the spectral radius of E G_rho.
+
+        Returns the estimate; raises RadiosityError at 1 or above.
+        """
         rng = np.random.default_rng(rng_seed)
         v = rng.uniform(0.5, 1.0, size=eg.shape[0])
         lam = 0.0
@@ -191,12 +240,13 @@ class RadiositySolver:
             w = eg @ v
             norm = np.linalg.norm(w)
             if norm == 0.0:
-                return
+                return 0.0          # (E G_rho)^m v0 = 0, v0 > 0: nilpotent
             lam = norm / np.linalg.norm(v)
             v = w / norm
         if lam >= 1.0:
             raise RadiosityError(
                 f"reflection series diverges (spectral radius ~ {lam:.3f})")
+        return lam
 
     def solve(self, t, r=None):
         """Forward solve, or with r the diffuse gains of a block of poses.

@@ -45,6 +45,11 @@ _CACHED_SETS = 32
 #: sets the order of the draws and so the result.
 MC_CHUNK = 100_000
 
+#: Most symbol x candidate scores monte_carlo_ber holds at once. It
+#: bounds the detection memory at any alphabet size and, unlike
+#: MC_CHUNK, does not change the result.
+MC_SCORES = 1 << 16
+
 #: Most pair terms grid_bounds evaluates at once: a long grid or a large
 #: set is bounded in parts of this many terms, with the same results.
 BOUND_TERMS = 1 << 22
@@ -337,7 +342,8 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     calibrated to the transmit SNR as sigma = I / sqrt(gamma_tx). The
     interval treats bit errors as independent Bernoulli trials. Symbols
     are drawn in blocks of MC_CHUNK, the indices of a block before its
-    noise, so the result depends only on rng's state and the inputs.
+    noise, so the result depends only on rng's state and the inputs; a
+    block is detected MC_SCORES symbol x candidate scores at a time.
 
     Returns:
         (ber, (ci_low, ci_high))
@@ -350,6 +356,7 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     sigma = constellation.mean_power / np.sqrt(gamma_tx)
     half_sq = 0.5 * np.sum(x * x, axis=0)         # (K,)
     bit_errors = constellation.hamming.ravel()    # (K * K,)
+    step = max(1, MC_SCORES // K)                 # symbols detected at once
 
     n_bit_errors = 0
     remaining = n_symbols
@@ -358,9 +365,11 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
         remaining -= n
         ks = rng.integers(0, K, size=n)
         y = x[:, ks] + sigma * rng.standard_normal((x.shape[0], n))
-        scores = y.T @ x                          # (n, K)
-        scores -= half_sq
-        khat = np.argmax(scores, axis=1)
+        khat = np.empty(n, dtype=np.intp)
+        for i in range(0, n, step):
+            scores = y.T[i:i + step] @ x          # (step, K)
+            scores -= half_sq
+            np.argmax(scores, axis=1, out=khat[i:i + step])
         ks *= K                                   # flat index sent K + decided
         ks += khat
         n_bit_errors += int(bit_errors.take(ks).sum())

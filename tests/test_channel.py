@@ -1,8 +1,12 @@
 """LOS gain formula, boundary mesh and the infinite-reflection solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
+import lifisim.channel as channel
 from lifisim import (Blocker, LambertianSource, RadiosityError,
                      RadiositySolver, Room, SurfaceMesh,
                      build_environment_mesh, los_gain_matrix, nlos_gain)
@@ -95,6 +99,31 @@ def test_los_gain_matrix_zero_for_coincident():
     assert g[0, 0] == 0.0 and g[1, 1] == 0.0
 
 
+@pytest.mark.parametrize("n_rx", [12, 13, 1])
+@pytest.mark.parametrize("per_receiver", [False, True])
+def test_los_gain_matrix_chunks_match_one_evaluation(monkeypatch, n_rx,
+                                                     per_receiver):
+    rng = np.random.default_rng(11)
+    tx = rng.uniform([0, 0, 2.5], [5, 5, 3.0], size=(5, 3))
+    txn = rng.normal([0, 0, -1], 0.3, size=(5, 3))
+    txn /= np.linalg.norm(txn, axis=1, keepdims=True)
+    rx = rng.uniform([0, 0, 0.2], [5, 5, 1.5], size=(n_rx, 3))
+    rxn = rng.normal([0, 0, 1], 0.5, size=(n_rx, 3))
+    rxn /= np.linalg.norm(rxn, axis=1, keepdims=True)
+    tx[2] = rx[0]                       # a coincident pair
+    area = rng.uniform(1e-5, 1e-4, size=n_rx) if per_receiver else 1e-4
+    fov = rng.uniform(20.0, 90.0, size=n_rx) if per_receiver else 70.0
+    args = (tx, txn, rx, rxn, 1.3, area, fov)
+    whole = los_gain_matrix(*args)
+    assert whole[0, 2] == 0.0 and (whole > 0).any()
+    monkeypatch.setattr(channel, "LOS_PAIRS", 4 * len(tx))   # 4 rows a chunk
+    chunked = los_gain_matrix(*args)
+    into = los_gain_matrix(*args, out=np.empty((n_rx, 5), order="F"))
+    for got in (chunked, into):
+        assert got.shape == whole.shape
+        assert np.ascontiguousarray(got).tobytes() == whole.tobytes()
+
+
 def test_geometric_reciprocity_at_order_one():
     # k=1 makes the geometry factor symmetric under role exchange
     rng = np.random.default_rng(5)
@@ -162,6 +191,7 @@ def _single_link_setup():
 def test_nlos_zero_reflectivity():
     room = Room(rho_walls=0.0, rho_floor=0.0, rho_ceiling=0.0)
     solver = RadiositySolver(build_environment_mesh(room, 1.0))
+    assert solver.spectral_radius == 0.0
     tx, txn, rx, rxn = _single_link_setup()
     g = nlos_gain(tx, txn, SRC.order, rx, rxn, SRC.area, SRC.fov_deg, solver)
     assert g[0, 0] == 0.0
@@ -214,6 +244,37 @@ def test_nlos_matches_series_at_table_reflectivities():
     series = _neumann_oracle(mesh, tx, txn, rx, rxn, n_terms=60)
     assert full == pytest.approx(series, rel=1e-6)
     assert 0.0 < full < 1.0
+
+
+def test_radiosity_factors_the_reflection_system_bit_for_bit():
+    mesh = build_environment_mesh(Room(), 0.5)
+    solver = RadiositySolver(mesh)
+    e = los_gain_matrix(mesh.centers, mesh.normals, mesh.centers,
+                        mesh.normals, ELEMENT_ORDER, mesh.areas,
+                        ELEMENT_FOV_DEG)
+    np.fill_diagonal(e, 0.0)
+    eg = e * mesh.rho[None, :]
+    lu, piv = lu_factor(np.eye(mesh.n_elements) - eg)
+    assert np.ascontiguousarray(solver._lu[0]).tobytes() == lu.tobytes()
+    assert np.array_equal(solver._lu[1], piv)
+    # the power-iteration estimate is the Perron root of E G_rho
+    radius = np.abs(np.linalg.eigvals(eg)).max()
+    assert solver.spectral_radius == pytest.approx(radius, rel=1e-9)
+    assert 0.0 < solver.spectral_radius < 1.0
+
+
+def test_radiosity_setup_memory_at_the_benchmark_mesh():
+    # one unchunked LOS call and four n x n copies peaked at 10.1 n^2
+    mesh = build_environment_mesh(Room(), 0.25)
+    n = mesh.n_elements
+    assert n == 1760
+    tracemalloc.start()
+    try:
+        RadiositySolver(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n ** 2 * 8            # 71 MiB
 
 
 def test_radiosity_residual():

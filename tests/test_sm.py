@@ -334,18 +334,22 @@ def _reference_monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng,
 @pytest.mark.parametrize("build,args,n_rx", [
     (build_constellation, (8, 4), 4), (build_constellation, (4, 2), 16),
     (build_constellation, (16, 1), 1), (build_mimo_constellation, (2, 3), 4),
-    (build_mimo_constellation, (4, 2), 2)])
+    (build_mimo_constellation, (4, 2), 2), (build_constellation, (256, 4), 4)])
 def test_monte_carlo_ber_matches_reference(build, args, n_rx):
     c = build(*args)
+    # The first SNRs make many errors, the last few; 250,001 symbols take
+    # three blocks, the last of one symbol. K = 1024 is detected 64
+    # symbols at a time, and 4,099 = 64 x 64 + 3 keeps the reference's
+    # (K, n) scores small.
+    points = ([(15.0, 4_099), (35.0, 4_099)] if c.K >= 1024 else
+              [(0.0, 3_000), (12.0, 100_000), (20.0, 250_001),
+               (35.0, 40_000)])
     for seed in range(4):
         rng = np.random.default_rng(seed)
         H = rng.uniform(0.2, 1.0, size=(n_rx, c.S.shape[0]))
         if seed == 3:
             H[:, 0] = 0.0                   # a source out of view: ties
-        # the first SNRs make many errors, the last few; 250,001 symbols
-        # take three blocks, the last of one symbol
-        for g_db, n_symbols in [(0.0, 3_000), (12.0, 100_000),
-                                (20.0, 250_001), (35.0, 40_000)]:
+        for g_db, n_symbols in points:
             g = 10 ** (g_db / 10)
             ours = monte_carlo_ber(c, H, g, n_symbols,
                                    np.random.default_rng([seed, n_symbols]))
