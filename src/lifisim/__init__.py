@@ -12,9 +12,9 @@ from .adaptive import (AsmDecision, admissible_group_starts,
                        led_selection_uplink, required_snr, strongest_columns)
 from .blockage import (Blocker, BlockageConfig, blockage_mask,
                        place_blockers, segments_blocked)
-from .channel import (LambertianSource, RadiosityError, RadiositySolver,
-                      SurfaceMesh, build_environment_mesh, los_gain_matrix,
-                      nlos_gain)
+from .channel import (RadiosityError, RadiositySolver, SurfaceMesh,
+                      build_environment_mesh, lambertian_order,
+                      los_gain_matrix, nlos_gain)
 from .config import (ConfigError, PRESET_LOCATIONS, Scenario, load_scenario,
                      scenario_from_dict, scenario_hash)
 from .geometry import (APLayout, DeviceLayout, DevicePose, Room, ap_positions,

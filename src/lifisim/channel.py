@@ -35,26 +35,12 @@ class RadiosityError(RuntimeError):
     """Raised when the reflection series does not converge."""
 
 
-@dataclass(frozen=True)
-class LambertianSource:
-    """Emitter lobe and detector aperture parameters of one link end."""
-
-    semiangle_deg: float = 60.0   # half-power semiangle Phi
-    area: float = 0.25e-4         # detector physical area A, m^2
-    fov_deg: float = 60.0         # detector field of view Psi
-
-    def __post_init__(self):
-        if not 0 < self.semiangle_deg < 90:
-            raise ValueError("semiangle must lie in (0, 90) degrees")
-        if self.area <= 0:
-            raise ValueError("area must be positive")
-        if not 0 < self.fov_deg <= 90:
-            raise ValueError("fov must lie in (0, 90] degrees")
-
-    @property
-    def order(self):
-        """Lambertian emission order k = -1 / log2(cos(semiangle))."""
-        return -1.0 / np.log2(np.cos(np.deg2rad(self.semiangle_deg)))
+def lambertian_order(semiangle_deg):
+    """Lambertian emission order k = -1 / log2(cos(semiangle)) of a
+    source with half-power semiangle semiangle_deg in (0, 90)."""
+    if not 0 < semiangle_deg < 90:
+        raise ValueError("semiangle must lie in (0, 90) degrees")
+    return -1.0 / np.log2(np.cos(np.deg2rad(semiangle_deg)))
 
 
 #: Receiver x transmitter pairs los_gain_matrix evaluates at once. A
@@ -92,21 +78,9 @@ def los_gain_matrix(tx_pos, tx_normal, rx_pos, rx_normal, order, area, fov_deg,
     cos_fov = np.cos(np.deg2rad(np.asarray(fov_deg, dtype=float)))
     area = np.asarray(area, dtype=float)
     step = max(1, LOS_PAIRS // max(1, len(tx_pos)))
-    if out is None and len(rx_pos) <= step:
-        return _los_gain_rows(tx_pos, tx_normal, rx_pos, rx_normal, order,
-                              area, cos_fov)
-    return _los_gain_chunks(tx_pos, tx_normal, rx_pos, rx_normal, order,
-                            area, cos_fov, step, out)
-
-
-def _los_gain_chunks(tx_pos, tx_normal, rx_pos, rx_normal, order, area,
-                     cos_fov, step, out):
-    """los_gain_matrix written into out (allocated if None), step
-    receivers at a time."""
-    n_rx = len(rx_pos)
     if out is None:
-        out = np.empty((n_rx, len(tx_pos)))
-    for i in range(0, n_rx, step):
+        out = np.empty((len(rx_pos), len(tx_pos)))
+    for i in range(0, len(rx_pos), step):
         rows = slice(i, i + step)
         out[rows] = _los_gain_rows(
             tx_pos, tx_normal, rx_pos[rows], rx_normal[rows], order,
@@ -228,15 +202,16 @@ class RadiositySolver:
         self._lu = lu_factor(system, overwrite_a=True)
 
     @staticmethod
-    def _check_convergence(eg, n_iter=100, rng_seed=0):
-        """Power iteration estimate of the spectral radius of E G_rho.
+    def _check_convergence(eg):
+        """Power iteration estimate (100 steps) of the spectral radius of
+        E G_rho.
 
         Returns the estimate; raises RadiosityError at 1 or above.
         """
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(0)
         v = rng.uniform(0.5, 1.0, size=eg.shape[0])
         lam = 0.0
-        for _ in range(n_iter):
+        for _ in range(100):
             w = eg @ v
             norm = np.linalg.norm(w)
             if norm == 0.0:

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .blockage import BlockageConfig
-from .channel import LambertianSource
+from .channel import lambertian_order
 from .geometry import Room, ap_positions, device_layout, grid_size
 from .orientation import BUILTIN_STATS, OrwpConfig
 from .sm import MAX_SYMBOLS
@@ -134,10 +134,6 @@ class Scenario:
     def layout(self):
         return device_layout(self.device)
 
-    def source(self):
-        return LambertianSource(semiangle_deg=self.semiangle_deg,
-                                area=self.pd_area, fov_deg=self.fov_deg)
-
     def blockage(self):
         return BlockageConfig(kappa_b=self.kappa_b, d_p=self.user_distance,
                               length=self.blocker_length,
@@ -234,20 +230,23 @@ def _validate(s):
     positive = ("room_width", "room_depth", "room_height", "ap_height",
                 "semiangle_deg", "fov_deg", "pd_area", "noise_power",
                 "mesh_resolution", "blocker_length", "blocker_width",
-                "blocker_height", "speed", "grid_step", "snr_step_db",
-                "symbol_rate", "orientations_per_point",
-                "n_directions", "n_waypoints", "n_ap_side", "n_active")
+                "blocker_height", "user_distance", "speed", "grid_step",
+                "snr_step_db", "uplink_snr_step_db", "symbol_rate",
+                "orientations_per_point", "n_directions", "n_waypoints",
+                "n_ap_side", "n_active")
     for key in positive:
         if getattr(s, key) <= 0:
             raise ConfigError(f"{key} must be positive")
+    if s.fov_deg > 90:
+        raise ConfigError("fov_deg must lie in (0, 90] degrees")
     if s.mc_symbols < 0:
         raise ConfigError("mc_symbols must be nonnegative (0 disables)")
     for key in ("rho_walls", "rho_floor", "rho_ceiling"):
         v = getattr(s, key)
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"{key} must lie in [0, 1]")
-    if s.kappa_b < 0 or s.user_distance < 0:
-        raise ConfigError("kappa_b and user_distance must be nonnegative")
+    if s.kappa_b < 0:
+        raise ConfigError("kappa_b must be nonnegative")
     if not 0.0 < s.target_ber < 0.5:
         raise ConfigError("target_ber must lie in (0, 0.5)")
     if s.ap_height > s.room_height:
@@ -260,18 +259,14 @@ def _validate(s):
         raise ConfigError("snr_stop_db must be >= snr_start_db")
     if s.uplink_snr_stop_db < s.uplink_snr_start_db:
         raise ConfigError("uplink_snr_stop_db must be >= uplink_snr_start_db")
-    if s.uplink_snr_step_db <= 0:
-        raise ConfigError("uplink_snr_step_db must be positive")
     if s.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     r = s.spectral_efficiency
     if r != int(r) or r < 1:
         raise ConfigError("spectral_efficiency must be a positive integer")
-    if s.scheme == "sm":
-        m = r - np.log2(s.n_active)
-        if m % 1 != 0 or m < 1:
-            raise ConfigError(
-                "sm scheme needs spectral_efficiency - log2(n_active) >= 1")
+    if s.scheme == "sm" and r - np.log2(s.n_active) < 1:
+        raise ConfigError(
+            "sm scheme needs spectral_efficiency - log2(n_active) >= 1")
     if s.scheme == "mimo" and r % s.n_active != 0:
         raise ConfigError(
             "mimo scheme needs spectral_efficiency divisible by n_active")
@@ -293,9 +288,9 @@ def _validate(s):
         raise ConfigError(f"n_active {s.n_active} exceeds the {n_el} "
                           "elements of the device")
     _check_work(s)
-    # The derived objects check their own ranges (semiangle, FOV, ...).
+    # The derived objects and lambertian_order check their own ranges.
     try:
-        s.room(), s.source(), s.blockage(), s.orwp()
+        s.room(), lambertian_order(s.semiangle_deg), s.blockage(), s.orwp()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -121,9 +121,7 @@ def grid_size(width, depth, step, margin=0.25):
     return points(width) * points(depth)
 
 
-# Device body dimensions (m): length along local y, width along local x,
-# thickness along local z.
-DEVICE_LENGTH = 0.14
+# Device body dimensions (m): width along local x, thickness along local z.
 DEVICE_WIDTH = 0.07
 DEVICE_THICKNESS = 0.01
 

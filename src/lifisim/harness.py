@@ -53,7 +53,7 @@ from .adaptive import (asm_select_downlink, asm_signal_sets,
                        led_selection_uplink, strongest_columns)
 from .blockage import SegmentSet, place_blockers, segments_blocked
 from .channel import (ELEMENT_ORDER, RadiositySolver, build_environment_mesh,
-                      los_gain_matrix, mesh_gains)
+                      lambertian_order, los_gain_matrix, mesh_gains)
 from .config import ConfigError, Scenario, scenario_hash
 from .geometry import DevicePose, element_world_pose, grid_positions
 from .orientation import orwp_generate, sample_static_orientation
@@ -153,7 +153,7 @@ class ChannelBuilder:
         self.room = scenario.room()
         self.aps = scenario.aps()
         self.layout = scenario.layout()
-        self.source = scenario.source()
+        self.order = lambertian_order(scenario.semiangle_deg)
         self.stats = scenario.stats()
         self.block_cfg = scenario.blockage()
         self.h_r = scenario.ue_height_m()
@@ -166,7 +166,7 @@ class ChannelBuilder:
             self.solver = RadiositySolver(mesh)
             self.ap_to_mesh = mesh_gains(self.aps.positions,
                                          self.aps.normals,
-                                         self.source.order, mesh)
+                                         self.order, mesh)
             self._lit = np.nonzero(self.ap_to_mesh > 0)
             self._ap_mesh = SegmentSet(self.aps.positions[self._lit[1]],
                                        mesh.centers[self._lit[0]])
@@ -230,7 +230,7 @@ class ChannelBuilder:
         aps = self.aps.positions
         n_ap = len(aps)
         dev = pos.reshape(n, -1, 3)
-        order = self.source.order
+        order = self.order
         # Each link kind is (gains, tx, rx): an (n, n_rx, n_tx) stack and
         # the (n, n_tx, 3) and (n, n_rx, 3) positions of its ends.
         if sc.direction == "downlink":

@@ -211,20 +211,13 @@ def orwp_generate(cfg, stats, rng):
             angles = [p.mean for p in params]
 
         n_full = int(np.floor(leg / step + 1e-12))
-        remainder = leg - n_full * step
-        for k in range(n_full):
-            new_pos = pos + direction * step
+        for k in range(n_full + (leg - n_full * step > 1e-9)):
+            new_pos = pos + direction * step if k < n_full else wp
             angles = [ar1_step(angles[i], params[i], rng) for i in range(3)]
             samples.append(TrajectorySample(
                 prev_position=tuple(pos), position=tuple(new_pos),
                 speed=cfg.speed, angles_deg=tuple(angles), omega_deg=float(omega),
             ))
             pos = new_pos
-        if remainder > 1e-9:
-            angles = [ar1_step(angles[i], params[i], rng) for i in range(3)]
-            samples.append(TrajectorySample(
-                prev_position=tuple(pos), position=tuple(wp),
-                speed=cfg.speed, angles_deg=tuple(angles), omega_deg=float(omega),
-            ))
         pos = wp
     return samples

@@ -75,12 +75,13 @@ def lower_bound_l1(constellation, H, sigma2):
     return 2.0 * np.log2(K) - 0.5 * n_rx * _L1_DIM_LOSS - lse / LOG2
 
 
-def lower_bound_l2(constellation, H, sigma2, sigma_x2=None):
+def lower_bound_l2(constellation, H, sigma2):
     """KL-divergence-based achievable-rate lower bound, bits/channel use.
 
     L2 = 2 log2 K + (1/2) log2(|2cQ + I| / |cQ + I|) - log2 sum_ij exp(d_ij)
 
-    with Q = HH', c = sigma_x^2 / sigma^2 and
+    with Q = HH', c = sigma_x^2 / sigma^2 (sigma_x^2 from
+    input_power_variance) and
 
     d_ij = (1/sigma^2) s_i' H' (2cQ+I)^{-1} H s_j
            - (sigma_x^2 / (2 sigma^4)) (s_i-s_j)' H' Q (2cQ+I)^{-1} H (s_i-s_j).
@@ -94,8 +95,7 @@ def lower_bound_l2(constellation, H, sigma2, sigma_x2=None):
     """
     H = np.atleast_2d(H)
     sigma2 = positive(sigma2, "sigma2")
-    if sigma_x2 is None:
-        sigma_x2 = input_power_variance(constellation)
+    sigma_x2 = input_power_variance(constellation)
     K = constellation.K
     n_rx = H.shape[0]
     X = H @ constellation.S                     # noiseless outputs, (n_rx, K)

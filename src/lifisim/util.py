@@ -95,19 +95,19 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def wilson_interval(n_errors, n_trials, z=1.96):
-    """Wilson score confidence interval for a binomial proportion.
+def wilson_interval(n_errors, n_trials):
+    """Wilson score 95% confidence interval for a binomial proportion.
 
     Args:
         n_errors: observed error count.
         n_trials: number of trials (> 0).
-        z: normal quantile, 1.96 for a 95% interval.
 
     Returns:
         (low, high) bounds on the error probability.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
+    z = 1.96                # normal quantile of a 95% interval
     p = n_errors / n_trials
     denom = 1.0 + z * z / n_trials
     center = (p + z * z / (2 * n_trials)) / denom

@@ -20,7 +20,6 @@ from scipy.stats import kurtosis
 
 from lifisim import (
     Blocker,
-    LambertianSource,
     RadiositySolver,
     Room,
     SITTING_STATS,
@@ -31,6 +30,7 @@ from lifisim import (
     build_environment_mesh,
     build_mimo_constellation,
     high_snr_gaps,
+    lambertian_order,
     los_gain_matrix,
     mi_monte_carlo,
     ml_detect,
@@ -374,7 +374,7 @@ def test_criterion_8_property_suites():
     notes.append("blockage 1e3 pairs")
 
     # reflection system: solved exactly, and series-consistent at low rho
-    src = LambertianSource(semiangle_deg=60.0, area=0.25e-4, fov_deg=60.0)
+    order, area, fov = lambertian_order(60.0), 0.25e-4, 60.0
     mesh = build_environment_mesh(Room(), 0.5)
     solver = RadiositySolver(mesh)
     tx = np.array([[3.125, 3.125, 2.95]])
@@ -382,7 +382,7 @@ def test_criterion_8_property_suites():
     rx = np.array([[2.5, 2.5, 0.8]])
     rxn = np.array([[0.0, 0.0, 1.0]])
     t = los_gain_matrix(tx, txn, mesh.centers, mesh.normals,
-                        src.order, mesh.areas, ELEMENT_FOV_DEG)
+                        order, mesh.areas, ELEMENT_FOV_DEG)
     x = solver.solve(t)
     e = los_gain_matrix(mesh.centers, mesh.normals, mesh.centers,
                         mesh.normals, ELEMENT_ORDER, mesh.areas,
@@ -398,12 +398,12 @@ def test_criterion_8_property_suites():
     rxn_down = np.array([[0.0, 0.0, -1.0]])
     low = build_environment_mesh(
         Room(rho_walls=0.05, rho_floor=0.05, rho_ceiling=0.05), 0.5)
-    full = nlos_gain(tx, txn, src.order, rx, rxn_down, src.area,
-                     src.fov_deg, RadiositySolver(low))[0, 0]
+    full = nlos_gain(tx, txn, order, rx, rxn_down, area, fov,
+                     RadiositySolver(low))[0, 0]
     t_low = los_gain_matrix(tx, txn, low.centers, low.normals,
-                            src.order, low.areas, ELEMENT_FOV_DEG)[:, 0]
+                            order, low.areas, ELEMENT_FOV_DEG)[:, 0]
     r_low = los_gain_matrix(low.centers, low.normals, rx, rxn_down,
-                            ELEMENT_ORDER, src.area, src.fov_deg)[0]
+                            ELEMENT_ORDER, area, fov)[0]
     first_order = float((r_low * low.rho) @ t_low)
     gap = abs(full - first_order) / first_order
     assert gap <= 0.05

@@ -1,33 +1,35 @@
 """LOS gain formula, boundary mesh and the infinite-reflection solver."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor
 
 import lifisim.channel as channel
-from lifisim import (Blocker, LambertianSource, RadiosityError,
-                     RadiositySolver, Room, SurfaceMesh,
-                     build_environment_mesh, los_gain_matrix, nlos_gain)
-from lifisim.channel import ELEMENT_FOV_DEG, ELEMENT_ORDER
+from lifisim import (Blocker, RadiosityError, RadiositySolver, Room,
+                     SurfaceMesh, build_environment_mesh, lambertian_order,
+                     los_gain_matrix, nlos_gain)
+from lifisim.channel import ELEMENT_FOV_DEG, ELEMENT_ORDER, _los_gain_rows
 
-SRC = LambertianSource(semiangle_deg=60.0, area=0.25e-4, fov_deg=60.0)
+#: The default link end: an order-1 source and a 0.25 cm^2, 60 degree
+#: detector.
+SRC = SimpleNamespace(order=lambertian_order(60.0), area=0.25e-4,
+                      fov_deg=60.0)
 
 
 def test_lambertian_order_of_60_degree_semiangle():
     assert SRC.order == pytest.approx(1.0, abs=1e-12)
-    assert LambertianSource(semiangle_deg=30.0).order == pytest.approx(
+    assert lambertian_order(30.0) == pytest.approx(
         -1.0 / np.log2(np.cos(np.pi / 6)))
 
 
-def test_source_validation():
-    with pytest.raises(ValueError):
-        LambertianSource(semiangle_deg=90.0)
-    with pytest.raises(ValueError):
-        LambertianSource(area=0.0)
-    with pytest.raises(ValueError):
-        LambertianSource(fov_deg=120.0)
+def test_lambertian_order_validation():
+    # pd_area and fov_deg are checked by config._validate (test_config.py)
+    for semiangle in (0.0, 90.0, -10.0, 95.0):
+        with pytest.raises(ValueError, match="semiangle must lie in"):
+            lambertian_order(semiangle)
 
 
 def los_gain(tx_pos, tx_normal, rx_pos, rx_normal, source):
@@ -122,6 +124,19 @@ def test_los_gain_matrix_chunks_match_one_evaluation(monkeypatch, n_rx,
     for got in (chunked, into):
         assert got.shape == whole.shape
         assert np.ascontiguousarray(got).tobytes() == whole.tobytes()
+    # within the budget and without out: a new C-ordered float64 array,
+    # bit for bit the one evaluation
+    monkeypatch.undo()
+    cos_fov = np.cos(np.deg2rad(np.asarray(fov, dtype=float)))
+    rows = _los_gain_rows(tx, txn, rx, rxn, 1.3, np.asarray(area), cos_fov)
+    assert whole.dtype == np.float64 and whole.flags.c_contiguous
+    assert whole.tobytes() == rows.tobytes()
+    # no receivers, or no transmitters: an empty result of the right shape
+    empty_rx = los_gain_matrix(tx, txn, np.empty((0, 3)), np.empty((0, 3)),
+                               1.3, 1e-4, 70.0)
+    empty_tx = los_gain_matrix(np.empty((0, 3)), np.empty((0, 3)), rx, rxn,
+                               1.3, area, fov)
+    assert empty_rx.shape == (0, 5) and empty_tx.shape == (n_rx, 0)
 
 
 def test_geometric_reciprocity_at_order_one():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lifisim import (ConfigError, PRESET_LOCATIONS, Scenario, load_scenario,
                      run_ber_sweep, run_cdf_map, run_orwp_eval,
                      run_uplink_eval, scenario_from_dict, scenario_hash)
+from lifisim import cli
 from lifisim.config import MAX_SNR_POINTS, _CHOICES
 
 
@@ -137,6 +138,7 @@ def test_range_validation():
     with pytest.raises(ConfigError):
         scenario_from_dict({"mi_samples": 50})        # too few to estimate
     assert scenario_from_dict({"mi_samples": 1000}).mi_samples == 1000
+    assert scenario_from_dict({"fov_deg": 90.0}).fov_deg == 90.0
 
 
 @pytest.mark.parametrize("name", ["snr_step_db", "uplink_snr_step_db"])
@@ -185,6 +187,25 @@ def test_uplink_sm_n_active_is_at_most_the_device_elements():
             scenario_from_dict({**over, "n_active": 2 * n})
     # the downlink's n_active counts access points, not device elements
     assert scenario_from_dict({"scheme": "sm", "n_active": 8}).n_active == 8
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("pd_area", 0.0, "pd_area must be positive"),
+    ("fov_deg", 0.0, "fov_deg must be positive"),
+    ("fov_deg", 120.0, r"fov_deg must lie in \(0, 90\] degrees"),
+    ("semiangle_deg", 90.0, r"semiangle must lie in \(0, 90\) degrees"),
+    ("user_distance", 0.0, "user_distance must be positive"),
+    ("user_distance", -0.1, "user_distance must be positive"),
+    ("kappa_b", -0.1, "kappa_b must be nonnegative"),
+])
+def test_link_and_body_ranges_name_their_key(tmp_path, capsys, key, value,
+                                             message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        scenario_from_dict({key: value})
+    path = tmp_path / "scenario.yaml"
+    path.write_text(f"{key}: {value}\n")
+    assert cli.main(["validate-config", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_scheme_consistency():

@@ -70,7 +70,7 @@ def _reference_channel(builder, pose, blockers):
     mesh = builder.solver.mesh
     aps = builder.aps
     rx_pos, rx_nrm = element_world_pose(pose, builder.layout)
-    order = builder.source.order
+    order = builder.order
     h_los = los_gain_matrix(aps.positions, aps.normals, rx_pos, rx_nrm,
                             order, sc.pd_area, sc.fov_deg)
     t = los_gain_matrix(aps.positions, aps.normals, mesh.centers,
@@ -113,7 +113,7 @@ def _nlos_gain_channel(builder, pose, blockers):
     aps = (builder.aps.positions, builder.aps.normals)
     tx, rx = ((aps, (elem_pos, elem_nrm)) if sc.direction == "downlink"
               else ((elem_pos, elem_nrm), aps))
-    order = builder.source.order
+    order = builder.order
     H = los_gain_matrix(*tx, *rx, order, sc.pd_area, sc.fov_deg)
     if blockers:
         H = np.where(blockage_mask(tx[0], rx[0], blockers, where=H > 0),

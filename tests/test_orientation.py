@@ -1,11 +1,13 @@
 """Static orientation draws, AR(1) stepping and the mobility generator."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from lifisim import (AR1Params, OrientationStats, OrwpConfig, SITTING_STATS,
-                     WALKING_STATS, ar1_params, ar1_sequence, ar1_step,
-                     orwp_generate, sample_static_orientation)
+                     TrajectorySample, WALKING_STATS, ar1_params, ar1_sequence,
+                     ar1_step, orwp_generate, sample_static_orientation)
 
 
 def test_builtin_stats_values():
@@ -168,6 +170,90 @@ def test_orwp_pinned_leg_step_count():
     # zero innovation noise keeps every angle at its AR(1) mean
     np.testing.assert_allclose(samples[3].angles_deg, (-90.0, 28.81, -1.35),
                                atol=1e-9)
+
+
+def _orwp_two_block_reference(cfg, stats, rng):
+    """orwp_generate as it was written with a loop of full steps and a
+    separate block for the partial last step of a leg; kept frozen as
+    the oracle of the one-loop form."""
+    t_c = min(stats.coherence_times)
+    step = cfg.speed * t_c
+    hi = np.array([cfg.width, cfg.depth])
+
+    pos = rng.uniform(0.0, 1.0, size=2) * hi
+    angles = None
+    samples = []
+    for _ in range(cfg.n_waypoints):
+        wp = rng.uniform(0.0, 1.0, size=2) * hi
+        while np.allclose(wp, pos):
+            wp = rng.uniform(0.0, 1.0, size=2) * hi
+        delta = wp - pos
+        omega = np.degrees(np.arctan2(delta[1], delta[0]))
+        leg = float(np.hypot(*delta))
+        direction = delta / leg
+
+        means = stats.means(omega)
+        params = tuple(
+            ar1_params(means[i], stats.stds[i], stats.coherence_times[i], t_c)
+            for i in range(3)
+        )
+        if angles is None:
+            angles = [p.mean for p in params]
+
+        n_full = int(np.floor(leg / step + 1e-12))
+        remainder = leg - n_full * step
+        for k in range(n_full):
+            new_pos = pos + direction * step
+            angles = [ar1_step(angles[i], params[i], rng) for i in range(3)]
+            samples.append(TrajectorySample(
+                prev_position=tuple(pos), position=tuple(new_pos),
+                speed=cfg.speed, angles_deg=tuple(angles), omega_deg=float(omega),
+            ))
+            pos = new_pos
+        if remainder > 1e-9:
+            angles = [ar1_step(angles[i], params[i], rng) for i in range(3)]
+            samples.append(TrajectorySample(
+                prev_position=tuple(pos), position=tuple(wp),
+                speed=cfg.speed, angles_deg=tuple(angles), omega_deg=float(omega),
+            ))
+        pos = wp
+    return samples
+
+
+def _assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in fields(TrajectorySample):
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+@pytest.mark.parametrize("speed", [0.3, 1.0, 1.7, 2.9])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_orwp_matches_two_block_reference(seed, speed):
+    stats = WALKING_STATS if seed % 2 else SITTING_STATS
+    cfg = OrwpConfig(n_waypoints=6, speed=speed, width=5.0, depth=4.0)
+    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+    _assert_same_samples(orwp_generate(cfg, stats, rng),
+                         _orwp_two_block_reference(cfg, stats, ref_rng))
+    assert rng.random() == ref_rng.random()       # the same draws were used
+
+
+def test_orwp_exact_leg_has_no_partial_step():
+    # step 0.125 m: the 1 m first leg is exactly 8 full steps, the 0.65 m
+    # second leg 5 full steps and a partial one
+    stats = OrientationStats(family="gaussian", alpha_mean_offset=0.0,
+                             beta_mean=28.81, gamma_mean=-1.35,
+                             stds=(10.0, 3.26, 5.42),
+                             coherence_times=(0.125, 0.176, 0.142))
+    cfg = OrwpConfig(n_waypoints=2, speed=1.0, width=5.0, depth=5.0)
+    script = [(0.0, 0.0), (0.2, 0.0), (0.2, 0.13)]   # (0,0) (1,0) (1,0.65)
+    samples = orwp_generate(cfg, stats, _ScriptedRng(script))
+    _assert_same_samples(samples, _orwp_two_block_reference(
+        cfg, stats, _ScriptedRng(script)))
+    assert len(samples) == 8 + 6
+    assert samples[7].position == (1.0, 0.0)
+    assert samples[8].prev_position == (1.0, 0.0)
+    assert samples[-1].position == (1.0, 0.65)
 
 
 def test_orwp_step_geometry_and_footprint():
