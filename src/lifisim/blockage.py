@@ -5,11 +5,14 @@ behind the device opposite the facing direction, and other people
 scattered uniformly over the room at a given density. A link is blocked
 when the open segment between its endpoints meets a prism's closed
 volume; the test is an exact slab intersection in the prism's frame,
-run only on the (segment, prism) pairs whose bounding boxes meet. A
-SegmentSet keeps those boxes for segments whose endpoints never move,
-so that only the cull and the slab tests are repeated per blocker list.
-One call can also test the links of many realizations, each group of
-segments against its own blocker list.
+run only on the (segment, prism) pairs whose bounding boxes meet. For
+segments whose endpoints never move (the access points to the
+reflection mesh), a SegmentSet keeps an index of them, grouped by start
+point and sorted by the azimuth of the far end, with their clipped
+boxes, so that a test against several blocker lists looks up only the
+links each prism's footprint covers as seen from their start. One call
+can also test the links of many realizations, each group of segments
+against its own blocker list.
 """
 
 from dataclasses import dataclass
@@ -61,7 +64,8 @@ def place_blockers(cfg, room, pose, rng):
 
     The self-blocker stands d_p behind the device against the facing
     direction and faces the device. round(kappa_b * floor area) further
-    prisms are placed uniformly with uniform facings.
+    prisms are placed uniformly with uniform facings: one draw of an
+    (n, 3) array of (x, y, facing), row by row.
     """
     blockers = []
     dims = dict(length=cfg.length, width=cfg.width, height=cfg.height)
@@ -73,12 +77,9 @@ def place_blockers(cfg, room, pose, rng):
                                 facing_deg=float(pose.omega_deg),
                                 kind="self", **dims))
     n_extra = int(np.floor(cfg.kappa_b * room.width * room.depth + 0.5))
-    for _ in range(n_extra):
-        x = rng.uniform(0.0, room.width)
-        y = rng.uniform(0.0, room.depth)
-        facing = rng.uniform(0.0, 360.0)
-        blockers.append(Blocker(center=(float(x), float(y)),
-                                facing_deg=float(facing), **dims))
+    spots = rng.random((n_extra, 3)) * (room.width, room.depth, 360.0)
+    for x, y, facing in spots.tolist():
+        blockers.append(Blocker(center=(x, y), facing_deg=facing, **dims))
     return blockers
 
 
@@ -86,6 +87,16 @@ def place_blockers(cfg, room, pose, rng):
 #: level for room-scale coordinates, so no segment it reports as blocked
 #: can lie this far outside a box.
 _CULL_MARGIN = 1e-9
+
+#: Spacing of the start points' azimuth ranges in the fan index key: it
+#: exceeds 2 pi, so each start point's keys form one sorted run. Float
+#: rounding of the key is monotone, so a window's run stays a superset.
+_FAN_STRIDE = 8.0
+
+#: Widening of each angular window, rad, far above the rounding of the
+#: azimuths (~1e-15 rad); a wider window only adds pairs that the box
+#: test then drops.
+_FAN_PAD = 1e-9
 
 
 def _prism_frames(blockers):
@@ -149,20 +160,41 @@ def _segment_prism_hits(a, b, cos, sin, center, lo, hi):
     return (t_enter <= t_exit) & (t_exit > 0.0) & (t_enter < 1.0)
 
 
+def _clipped_boxes(a, b, top):
+    """(segments, lo, hi) of segment columns a->b: the indices of the
+    segments reaching below `top` (None for all of them) and the (2, n)
+    xy corners of the bounding box of each one's part below that height."""
+    low = (a[2] <= top) | (b[2] <= top)
+    seg = None
+    if not low.all():
+        seg = np.flatnonzero(low)
+        a = a[:, seg]
+        b = b[:, seg]
+    # Move an endpoint above `top` to where the segment crosses that
+    # height (the other endpoint is below it).
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        frac = (top - a[2]) / (b[2] - a[2])
+        cross = a[:2] + frac * (b[:2] - a[:2])
+    a = np.where(a[2] > top, cross, a[:2])
+    b = np.where(b[2] > top, cross, b[:2])
+    return seg, np.minimum(a, b), np.maximum(a, b)
+
+
 class SegmentSet:
-    """Fixed segments a->b, tested against one blocker list at a time
-    (or one list per group of segments).
+    """Segments a->b, tested against one blocker list (or one list per
+    group of segments), or against each of several lists at once.
 
     Only (segment, prism) pairs that can meet go through the slab test.
     Segments lying wholly above the tallest prism are dropped; the rest
     are clipped to that height, and the xy bounding box of each clipped
     segment is compared with each prism's footprint box. Both boxes are
     padded by _CULL_MARGIN, so the result equals the slab test of every
-    pair. The endpoints never change, so the clipped boxes are computed
-    on the first test at each tallest-prism height and kept: a set built
-    once for links whose ends do not move (access points to the
-    reflection mesh) pays only the box cull and the slab tests per
-    blocker list.
+    pair. blocked does this for every (segment, prism) pair. blocked_each
+    serves a set built once for links whose ends do not move (access
+    points to the reflection mesh): on its first call it builds an index
+    of the segments by start point and azimuth, and keeps the clipped
+    boxes in that order per tallest-prism height, so that each call
+    pays only for the pairs that the index finds and their tests.
     """
 
     def __init__(self, a, b):
@@ -170,32 +202,8 @@ class SegmentSet:
         b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
         self.a = np.ascontiguousarray(a.T)        # (3, n)
         self.b = np.ascontiguousarray(b.T)
-        self._boxes = {}          # height -> _below's result
-
-    def _below(self, top):
-        """(segments, lo, hi): the indices of the segments reaching
-        below `top` (None for all of them) and the (2, n) xy corners of
-        the bounding box of each one's part below that height."""
-        boxes = self._boxes.get(top)
-        if boxes is not None:
-            return boxes
-        a, b = self.a, self.b
-        low = (a[2] <= top) | (b[2] <= top)
-        seg = None
-        if not low.all():
-            seg = np.flatnonzero(low)
-            a = a[:, seg]
-            b = b[:, seg]
-        # Move an endpoint above `top` to where the segment crosses that
-        # height (the other endpoint is below it).
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            frac = (top - a[2]) / (b[2] - a[2])
-            cross = a[:2] + frac * (b[:2] - a[:2])
-        a = np.where(a[2] > top, cross, a[:2])
-        b = np.where(b[2] > top, cross, b[:2])
-        boxes = (seg, np.minimum(a, b), np.maximum(a, b))
-        self._boxes[top] = boxes
-        return boxes
+        self._fans = None         # _fan_index's result
+        self._fan_boxes_at = {}   # height -> _fan_boxes's result
 
     def blocked(self, blockers, group=None):
         """(n,) bool: which segments any of the blockers occludes.
@@ -210,7 +218,8 @@ class SegmentSet:
         if not prisms:
             return hit
         cos, sin, center, lo, hi = _prism_frames(prisms)
-        seg, box_lo, box_hi = self._below(hi[2].max() + _CULL_MARGIN)
+        seg, box_lo, box_hi = _clipped_boxes(self.a, self.b,
+                                             hi[2].max() + _CULL_MARGIN)
 
         # Axis-aligned box around each rotated footprint rectangle, padded
         # for both boxes.
@@ -248,13 +257,122 @@ class SegmentSet:
         hit[si[hits]] = True
         return hit
 
+    def _fan_index(self):
+        """(order, start, key): the segment indices sorted by start point
+        and then by the azimuth of the far end, the (2, g) xy of each
+        distinct start point, and the sort key of each sorted segment,
+        its azimuth in [-pi, pi] plus _FAN_STRIDE times its start
+        point's number."""
+        if self._fans is None:
+            a, b = self.a, self.b
+            azimuth = np.arctan2(b[1] - a[1], b[0] - a[0])
+            order = np.lexsort((azimuth, a[2], a[1], a[0]))
+            a = a.take(order, axis=1)
+            new = np.ones(order.size, dtype=bool)
+            new[1:] = (a[:, 1:] != a[:, :-1]).any(axis=0)
+            fan = np.cumsum(new) - 1
+            self._fans = (order, a[:2, new],
+                          azimuth.take(order) + _FAN_STRIDE * fan)
+        return self._fans
 
-def segments_blocked(a, b, blockers, group=None):
+    def _fan_boxes(self, top):
+        """(4, n) clipped boxes of the segments in index order, rows
+        (lo x, hi x, lo y, hi y); an empty box (lo inf, hi -inf) where a
+        segment lies wholly above `top`. Kept per height."""
+        boxes = self._fan_boxes_at.get(top)
+        if boxes is None:
+            order = self._fan_index()[0]
+            seg, lo, hi = _clipped_boxes(self.a.take(order, axis=1),
+                                         self.b.take(order, axis=1), top)
+            boxes = np.empty((4, order.size))
+            boxes[0::2] = np.inf
+            boxes[1::2] = -np.inf
+            seg = slice(None) if seg is None else seg
+            boxes[0::2, seg] = lo
+            boxes[1::2, seg] = hi
+            self._fan_boxes_at[top] = boxes
+        return boxes
+
+    def blocked_each(self, lists):
+        """(len(lists), n) bool: row r is blocked(lists[r]), bit for bit.
+
+        Seen from a start point outside a prism's padded footprint box,
+        the box spans an angular window of less than pi (split where it
+        crosses +-pi); the links of that start point whose far end lies
+        in the window are found by two searchsorted calls in the index,
+        and only they go through blocked's box test and slab test. A
+        start point inside the box keeps all of its links. Every link
+        the slab test can report crosses the box, so its azimuth lies in
+        the window.
+        """
+        hit = np.zeros((len(lists), self.a.shape[1]), dtype=bool)
+        prisms = [blocker for part in lists for blocker in part]
+        if not prisms:
+            return hit
+        owner = np.repeat(np.arange(len(lists)),
+                          [len(part) for part in lists])
+        cos, sin, center, lo, hi = _prism_frames(prisms)
+        order, start, key = self._fan_index()
+        boxes = self._fan_boxes(hi[2].max() + _CULL_MARGIN)
+        abs_c, abs_s = np.abs(cos), np.abs(sin)
+        ex = abs_c * hi[0] + abs_s * hi[1] + 2 * _CULL_MARGIN
+        ey = abs_s * hi[0] + abs_c * hi[1] + 2 * _CULL_MARGIN
+        x0, x1 = center[0] - ex, center[0] + ex
+        y0, y1 = center[1] - ey, center[1] + ey
+
+        # (start point, prism) windows of azimuth
+        sx, sy = start[0][:, None], start[1][:, None]
+        inside = (x0 <= sx) & (sx <= x1) & (y0 <= sy) & (sy <= y1)
+        mid = np.arctan2(center[1] - sy, center[0] - sx)
+        rel = [(np.arctan2(y - sy, x - sx) - mid + np.pi) % (2 * np.pi)
+               - np.pi for x in (x0, x1) for y in (y0, y1)]
+        w_lo = mid + np.minimum.reduce(rel) - _FAN_PAD
+        w_hi = mid + np.maximum.reduce(rel) + _FAN_PAD
+        # A window across -pi or pi goes on from the other end: a second
+        # window, empty (from inf) for the others. Offsets of +-4 from a
+        # start point's base key lie between its run and its neighbours',
+        # so -4 to 4 takes its whole run, as a start point inside needs.
+        base = _FAN_STRIDE * np.arange(start.shape[1])[:, None]
+        q_lo = base + np.stack([
+            np.where(inside, -4.0, np.maximum(w_lo, -4.0)),
+            np.select([inside, w_lo < -np.pi, w_hi > np.pi],
+                      [np.inf, w_lo + 2 * np.pi, -np.pi], np.inf)])
+        q_hi = base + np.stack([
+            np.where(inside, 4.0, np.minimum(w_hi, 4.0)),
+            np.where(w_lo < -np.pi, np.pi, w_hi - 2 * np.pi)])
+        first = np.searchsorted(key, q_lo.ravel(), side="left")
+        count = np.searchsorted(key, q_hi.ravel(), side="right") - first
+        np.maximum(count, 0, out=count)
+
+        # every (segment, prism) pair in a window, through the box test
+        pos = np.arange(count.sum()) + np.repeat(
+            first - (np.cumsum(count) - count), count)
+        bi = np.repeat(np.tile(np.arange(len(prisms)), 2 * start.shape[1]),
+                       count)
+        near = np.flatnonzero((boxes[0].take(pos) <= x1.take(bi))
+                              & (boxes[1].take(pos) >= x0.take(bi))
+                              & (boxes[2].take(pos) <= y1.take(bi))
+                              & (boxes[3].take(pos) >= y0.take(bi)))
+        si, bi = order.take(pos.take(near)), bi.take(near)
+        hits = _segment_prism_hits(
+            self.a.take(si, axis=1), self.b.take(si, axis=1), cos.take(bi),
+            sin.take(bi), center.take(bi, axis=1), lo.take(bi, axis=1),
+            hi.take(bi, axis=1))
+        hit[owner.take(bi[hits]), si[hits]] = True
+        return hit
+
+
+def segments_blocked(a, b, blockers, group=None, segments=None):
     """(n,) bool: which of n segments a->b any of the blockers occludes.
 
     The one-off form of SegmentSet(a, b).blocked(blockers, group): with
     group, segment k is tested only against the list blockers[group[k]].
+    With segments, a SegmentSet already built over a->b, blockers is a
+    sequence of lists and the result is segments.blocked_each(blockers):
+    (len(blockers), n), row r testing every segment against blockers[r].
     """
+    if segments is not None:
+        return segments.blocked_each(blockers)
     return SegmentSet(a, b).blocked(blockers, group)
 
 

@@ -7,10 +7,12 @@ facing directions x orientation draws, with the angles drawn in
 realize; walking gives the ORWP trajectory samples. _run_tasks cuts the
 list into blocks of SEARCH_BLOCK (a pool first hands each worker
 contiguous chunks of it). ChannelBuilder.channels realizes a block, once
-per realization, and builds its channels together; the runner's block
-function then turns the block into one array entry per task, and the
-entries are joined in task order. Four experiment kinds cover the
-evaluation campaign:
+per realization, and builds its channels together, sub-block by
+sub-block; the blocked AP-to-mesh gains of each new blocker list are
+made there, and the realizations that follow with the same list reuse
+them. The runner's block function then turns the block into one array
+entry per task, and the entries are joined in task order. Four
+experiment kinds cover the evaluation campaign:
 
 * cdf map (sitting) and orwp run (walking): required SNR of the
   configured downlink scheme, one record per realization. A block's
@@ -138,14 +140,18 @@ class ChannelBuilder:
 
     The environment mesh, its reflection-system factorization, the
     unblocked AP-to-mesh gains and a SegmentSet over their lit links are
-    built once here, since the APs and the mesh do not move. The
-    blocked AP-to-mesh gains are kept for the last blocker list, which
-    consecutive draws at one sitting spot share. realize draws one
-    realization; channels builds the channels of a block of them
-    sub_block poses at a time, with one LOS call per link kind, one
-    segments_blocked call over all the lit device links (each among its
-    own realization's prisms) and one adjoint solve with a column per
-    photodiode of every pose. Uplink channels keep only the LOS part.
+    built once here, since the APs and the mesh do not move. realize
+    draws one realization's pose and blockers; channels builds the
+    channels of a block of them sub_block poses at a time, with one LOS
+    call per link kind, one segments_blocked call over all the lit
+    device links (each among its own realization's prisms), one
+    segments_blocked call through the SegmentSet's fan index that makes
+    the blocked AP-to-mesh gains of the sub-block's blocker lists, and
+    one adjoint solve with a column per photodiode of every pose. A
+    blocker list equal to the one before it, as at consecutive draws at
+    one sitting spot, is not tested again: it reuses those gains, which
+    are kept for the last list across sub-blocks. Uplink channels keep
+    only the LOS part.
     """
 
     def __init__(self, scenario):
@@ -175,25 +181,10 @@ class ChannelBuilder:
         pairs = len(self.layout.local_positions) * cells
         self.sub_block = max(1, SUB_BLOCK_PAIRS // pairs)
 
-    def _blocked_ap_to_mesh(self, blockers):
-        """AP-to-mesh gains with the links the blockers cut zeroed;
-        remembered for the last blocker list."""
-        if not blockers:
-            return self.ap_to_mesh
-        if blockers != self._last[0]:
-            hit = self._ap_mesh.blocked(blockers)
-            t = self.ap_to_mesh.copy()
-            t[self._lit[0][hit], self._lit[1][hit]] = 0.0
-            t.flags.writeable = False
-            self._last = (list(blockers), t)
-        return self._last[1]
-
     def realize(self, idx, x, y, omega_deg, angles_deg=None):
-        """Pose, blockers and blocked AP-to-mesh gains of realization idx.
+        """Pose and blockers of realization idx.
 
         All of its randomness comes from SeedSequence([seed, 1, idx]).
-        The gains (None without a reflection mesh) are read-only and
-        shared by consecutive draws with the same blockers.
         """
         rng = np.random.default_rng(
             np.random.SeedSequence([self.sc.seed, 1, idx]))
@@ -201,9 +192,7 @@ class ChannelBuilder:
             angles_deg = sample_static_orientation(self.stats, omega_deg, rng)
         pose = DevicePose(position=(x, y, self.h_r), omega_deg=omega_deg,
                           angles_deg=tuple(angles_deg))
-        blockers = place_blockers(self.block_cfg, self.room, pose, rng)
-        t = None if self.solver is None else self._blocked_ap_to_mesh(blockers)
-        return pose, blockers, t
+        return pose, place_blockers(self.block_cfg, self.room, pose, rng)
 
     def channels(self, tasks):
         """Realize a nonempty block of tasks, once each and in order.
@@ -217,14 +206,41 @@ class ChannelBuilder:
             part = [self.realize(*task)
                     for task in tasks[i:i + self.sub_block]]
             stacks.append(self._stack(part))
-            realized += [(pose, blockers) for pose, blockers, _ in part]
+            realized += part
         return realized, np.concatenate(stacks)
 
+    def _ap_to_mesh(self, lists):
+        """Blocked AP-to-mesh gains of each of a sub-block's blocker lists.
+
+        A list equal to the one before it (across sub-blocks too) shares
+        that list's read-only matrix; the others are tested in one
+        segments_blocked call through the fan index of the lit links. An
+        empty list gets the unblocked gains.
+        """
+        tested, slot = [], []
+        prev = self._last[0]
+        for blockers in lists:
+            if blockers and blockers != prev:
+                tested.append(blockers)
+                prev = blockers
+            slot.append(len(tested) if blockers else None)
+        gains = [self._last[1]]
+        if tested:
+            seg = self._ap_mesh
+            row, link = np.nonzero(segments_blocked(
+                seg.a.T, seg.b.T, tested, segments=seg))
+            t = np.repeat(self.ap_to_mesh[None], len(tested), axis=0)
+            t[row, self._lit[0][link], self._lit[1][link]] = 0.0
+            t.flags.writeable = False
+            gains += list(t)
+            self._last = (tested[-1], gains[-1])
+        return [self.ap_to_mesh if k is None else gains[k] for k in slot]
+
     def _stack(self, part):
-        """(B, n_rx, n_tx) channels of a list of realize results."""
+        """(B, n_rx, n_tx) channels of a list of (pose, blockers)."""
         sc = self.sc
         n = len(part)
-        elems = [element_world_pose(pose, self.layout) for pose, _, _ in part]
+        elems = [element_world_pose(pose, self.layout) for pose, _ in part]
         pos = np.concatenate([p for p, _ in elems])       # (n * n_el, 3)
         nrm = np.concatenate([q for _, q in elems])
         aps = self.aps.positions
@@ -249,7 +265,7 @@ class ChannelBuilder:
             links.append((r.reshape(n, -1, mesh.n_elements),
                           np.broadcast_to(mesh.centers,
                                           (n, mesh.n_elements, 3)), dev))
-        blockers = [b for _, b, _ in part]
+        blockers = [b for _, b in part]
         if any(blockers):
             # every lit link of every pose in one test, zeroed where cut
             lit = [np.nonzero(gain > 0) for gain, _, _ in links]
@@ -266,7 +282,7 @@ class ChannelBuilder:
                 start += k.size
         if self.solver is None:
             return H
-        return H + self.solver.solve([t for _, _, t in part], r)
+        return H + self.solver.solve(self._ap_to_mesh(blockers), r)
 
 
 # -- per-realization evaluation ---------------------------------------------

@@ -9,6 +9,7 @@ processes sampled every coherence time.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,15 @@ class OrientationStats:
             raise ValueError(f"unknown distribution family: {self.family!r}")
         if min(self.stds) <= 0 or min(self.coherence_times) <= 0:
             raise ValueError("stds and coherence times must be positive")
+
+    @cached_property
+    def scales(self):
+        """Scale of each angle's draw: the Laplace scale std / sqrt(2),
+        so that the sample standard deviation matches the tabulated
+        value, or the Gaussian std itself."""
+        if self.family == "laplace":
+            return tuple(std / np.sqrt(2.0) for std in self.stds)
+        return tuple(self.stds)
 
     def means(self, omega_deg):
         """Angle means (degrees) for a user facing direction omega_deg."""
@@ -69,18 +79,12 @@ BUILTIN_STATS = {"sitting": SITTING_STATS, "walking": WALKING_STATS}
 
 
 def sample_static_orientation(stats, omega_deg, rng):
-    """Draw one (alpha, beta, gamma) triple in degrees.
-
-    Laplace scale is std / sqrt(2) so the sample standard deviation
-    matches the tabulated value.
-    """
-    means = stats.means(omega_deg)
-    if stats.family == "laplace":
-        scales = np.asarray(stats.stds) / np.sqrt(2.0)
-        draws = rng.laplace(means, scales)
-    else:
-        draws = rng.normal(means, stats.stds)
-    return tuple(float(v) for v in draws)
+    """Draw one (alpha, beta, gamma) triple in degrees, one scalar draw
+    per angle with stats.scales (the same values, in the same order, as
+    one array draw over the three angles)."""
+    draw = rng.laplace if stats.family == "laplace" else rng.normal
+    return tuple(float(draw(mean, scale)) for mean, scale
+                 in zip(stats.means(omega_deg), stats.scales))
 
 
 @dataclass(frozen=True)

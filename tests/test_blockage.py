@@ -161,6 +161,49 @@ def test_blockers_inside_room():
     assert (facings >= 0).all() and (facings < 360).all()
 
 
+def _scalar_placement(cfg, room, pose, rng):
+    """A frozen copy of the per-blocker form the one-array draw replaces:
+    three scalar uniform draws per extra blocker."""
+    blockers = []
+    dims = dict(length=cfg.length, width=cfg.width, height=cfg.height)
+    if cfg.self_blocker:
+        omega = np.deg2rad(pose.omega_deg)
+        cx = pose.position[0] - cfg.d_p * np.cos(omega)
+        cy = pose.position[1] - cfg.d_p * np.sin(omega)
+        blockers.append(Blocker(center=(float(cx), float(cy)),
+                                facing_deg=float(pose.omega_deg),
+                                kind="self", **dims))
+    n_extra = int(np.floor(cfg.kappa_b * room.width * room.depth + 0.5))
+    for _ in range(n_extra):
+        x = rng.uniform(0.0, room.width)
+        y = rng.uniform(0.0, room.depth)
+        facing = rng.uniform(0.0, 360.0)
+        blockers.append(Blocker(center=(float(x), float(y)),
+                                facing_deg=float(facing), **dims))
+    return blockers
+
+
+@settings(max_examples=200, deadline=None)
+@given(kappa=st.one_of(st.sampled_from([0.0, 0.18, 0.179, 0.2, 1.0]),
+                       st.floats(0.0, 4.0)),
+       width=st.floats(0.5, 12.0), depth=st.floats(0.5, 12.0),
+       self_blocker=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_array_placement_equals_scalar_draws(kappa, width, depth,
+                                                 self_blocker, seed):
+    # the same blockers bit for bit, and the stream left where the
+    # scalar draws leave it, for every nonnegative kappa_b
+    cfg = BlockageConfig(kappa_b=kappa, self_blocker=self_blocker)
+    room = Room(width=width, depth=depth)
+    pose = DevicePose(position=(width / 2, depth / 2, 0.8), omega_deg=30.0)
+    got_rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    got = place_blockers(cfg, room, pose, got_rng)
+    assert got == _scalar_placement(cfg, room, pose, ref_rng)
+    assert all(type(v) is float for b in got
+               for v in (*b.center, b.facing_deg))
+    assert got_rng.random() == ref_rng.random()
+
+
 def test_self_blocker_spares_high_elevation_links():
     # link clears the 1.75 m body when it crosses the footprint high up
     pose = DevicePose(position=np.array([2.5, 2.5, 1.4]), omega_deg=90.0)
@@ -314,9 +357,10 @@ def test_culled_segments_blocked_equals_per_blocker_slab_test(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_segment_set_reused_across_blocker_lists(data):
-    # one set tested against several blocker lists of mixed heights, so
-    # that its clipped boxes are built at one height and reused at it
-    # after tests at other heights
+    # one set tested against several blocker lists of mixed heights, one
+    # list at a time and through the fan index, so that the index's
+    # clipped boxes are built at one height and reused at it after tests
+    # at other heights
     lists = data.draw(st.lists(st.lists(BLOCKER, max_size=4), min_size=2,
                                max_size=4))
     a, b = data.draw(segment_set([bl for blockers in lists
@@ -325,9 +369,82 @@ def test_segment_set_reused_across_blocker_lists(data):
     for blockers in lists + lists[::-1]:
         np.testing.assert_array_equal(segments.blocked(blockers),
                                       _oracle_blocked(a, b, blockers))
+        np.testing.assert_array_equal(segments.blocked_each([blockers])[0],
+                                      _oracle_blocked(a, b, blockers))
     tops = {max(bl.height for bl in blockers) for blockers in lists
             if blockers}
-    assert len(segments._boxes) == len(tops)     # one clip per height
+    assert len(segments._fan_boxes_at) == len(tops)   # one clip per height
+
+
+@st.composite
+def fan_set(draw):
+    """(a, b, lists): links from a few start points to many ends, as from
+    access points to mesh cells, and blocker lists that meet them in
+    every way the fan index distinguishes."""
+    starts = [[draw(COORD), draw(COORD), draw(st.floats(0.5, 3.5))]
+              for _ in range(draw(st.integers(1, 4)))]
+    ends = [[draw(COORD), draw(COORD), draw(st.floats(-0.5, 3.0))]
+            for _ in range(draw(st.integers(0, 24)))]
+    for x, y, z in starts:
+        if draw(st.booleans()):             # straight below a start point
+            ends.append([x, y, draw(st.floats(-0.5, z - 0.1))])
+    a = np.repeat(np.array(starts), len(ends), axis=0)
+    b = np.tile(np.array(ends).reshape(-1, 3), (len(starts), 1))
+
+    def placed(kind):
+        x, y, z = draw(st.sampled_from(starts))
+        if kind == "over_start":    # the start point inside the box
+            dx, dy = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
+        else:                       # due west: a window across +-pi
+            dx = -draw(st.floats(0.3, 3.0))
+            dy = draw(st.sampled_from([0.0, 1e-12, -1e-12, 0.05, -0.05]))
+        height = (draw(st.floats(z + 0.01, z + 2.0)) if kind == "tall"
+                  else draw(HEIGHT))
+        return Blocker(center=(x + dx, y + dy), facing_deg=draw(FACING),
+                       height=height)
+
+    lists = []
+    for _ in range(draw(st.integers(0, 4))):
+        blockers = draw(st.lists(BLOCKER, max_size=3))
+        for kind in draw(st.lists(st.sampled_from(
+                ["over_start", "west", "tall"]), max_size=3)):
+            blockers.append(placed(kind))
+        lists.append(blockers)
+    if lists:                               # repeated lists
+        lists += draw(st.lists(st.sampled_from(lists), max_size=3))
+    return a, b, lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(fan_set())
+def test_fan_index_equals_one_dense_test_per_list(case):
+    a, b, lists = case
+    segments = SegmentSet(a, b)
+    got = segments_blocked(a, b, lists, segments=segments)
+    assert got.shape == (len(lists), a.shape[0]) and got.dtype == bool
+    for row, blockers in zip(got, lists):
+        dense = SegmentSet(a, b).blocked(blockers)
+        np.testing.assert_array_equal(row, dense)
+        np.testing.assert_array_equal(row, _oracle_blocked(a, b, blockers))
+    # the index is built once and kept
+    index = segments._fan_index()
+    np.testing.assert_array_equal(
+        segments.blocked_each(lists), got)
+    assert segments._fan_index() is index
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fan_index_on_any_segments(data):
+    # segments of every shape the culling distinguishes, most with a
+    # start point of their own
+    lists = data.draw(st.lists(st.lists(BLOCKER, max_size=3), max_size=4))
+    a, b = data.draw(segment_set([bl for blockers in lists
+                                  for bl in blockers]))
+    got = SegmentSet(a, b).blocked_each(lists)
+    assert got.shape == (len(lists), a.shape[0])
+    for row, blockers in zip(got, lists):
+        np.testing.assert_array_equal(row, SegmentSet(a, b).blocked(blockers))
 
 
 def test_culled_test_on_walking_user_segments():
@@ -342,8 +459,8 @@ def test_culled_test_on_walking_user_segments():
     n_blocked = 0
     for idx in range(20):
         x, y = rng.uniform(0.3, 4.7, size=2)
-        pose, blockers, _ = builder.realize(idx, x, y, rng.uniform(0, 360),
-                                            (0.0, 30.0, 0.0))
+        pose, blockers = builder.realize(idx, x, y, rng.uniform(0, 360),
+                                         (0.0, 30.0, 0.0))
         pd, _ = element_world_pose(pose, builder.layout)
         n_pd = pd.shape[0]
         a = np.concatenate([np.repeat(aps, mesh.n_elements, axis=0),

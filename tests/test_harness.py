@@ -133,7 +133,8 @@ def _nlos_gain_channel(builder, pose, blockers):
 ])
 def test_channel_equals_nlos_gain_path_bit_for_bit(monkeypatch, over, reuse):
     # consecutive sitting draws at one spot share their blockers, so the
-    # AP-to-mesh mask is reused; any other blocker list recomputes it
+    # AP-to-mesh mask is reused; any other blocker list is tested, once,
+    # through the fan index of the lit AP-to-mesh links
     base = dict(device="mdr", scheme="sm", n_active=4,
                 spectral_efficiency=5, include_nlos=True,
                 mesh_resolution=0.5, grid_step=2.0, n_directions=2,
@@ -142,13 +143,13 @@ def test_channel_equals_nlos_gain_path_bit_for_bit(monkeypatch, over, reuse):
     builder = ChannelBuilder(sc)
     tests = []
     if builder.solver is not None:
-        inner = builder._ap_mesh.blocked
+        inner = builder._ap_mesh.blocked_each
 
-        def counted(blockers):
-            tests.append(blockers)
-            return inner(blockers)
+        def counted(lists):
+            tests.extend(lists)
+            return inner(lists)
 
-        monkeypatch.setattr(builder._ap_mesh, "blocked", counted)
+        monkeypatch.setattr(builder._ap_mesh, "blocked_each", counted)
     blocker_lists = []
     realized, Hs = builder.channels(harness._tasks(sc)[:24])
     for (pose, blockers), H in zip(realized, Hs):
@@ -157,12 +158,12 @@ def test_channel_equals_nlos_gain_path_bit_for_bit(monkeypatch, over, reuse):
         blocker_lists.append(blockers)
     if builder.solver is None:
         return
-    changes = sum(1 for prev, cur in zip([None] + blocker_lists,
-                                         blocker_lists)
-                  if cur and cur != prev)
-    assert len(tests) == changes
+    changes = [cur for prev, cur in zip([None] + blocker_lists,
+                                        blocker_lists)
+               if cur and cur != prev]
+    assert tests == changes         # each changed list once, in order
     if reuse:
-        assert 0 < changes < len(blocker_lists)     # hits and misses
+        assert 0 < len(changes) < len(blocker_lists)    # hits and misses
 
 
 # Scenario kinds the block stage must reproduce: sitting draws that reuse
@@ -189,7 +190,7 @@ def _block_oracle(kind):
     tasks = harness._tasks(sc)[:40]
     oracle = {}
     for task in tasks:
-        pose, blockers, _ = builder.realize(*task)
+        pose, blockers = builder.realize(*task)
         oracle[task[0]] = (pose, blockers,
                            _nlos_gain_channel(builder, pose, blockers))
     return builder, tasks, oracle

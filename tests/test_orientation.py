@@ -71,6 +71,34 @@ def test_walking_draw_moments():
     assert kurtosis == pytest.approx(3.0, rel=0.05)
 
 
+def _array_draw(stats, omega_deg, rng):
+    """The broadcast form the scalar draws replace: one array call over
+    the three angles."""
+    means = stats.means(omega_deg)
+    if stats.family == "laplace":
+        draws = rng.laplace(means, np.asarray(stats.stds) / np.sqrt(2.0))
+    else:
+        draws = rng.normal(means, stats.stds)
+    return tuple(float(v) for v in draws)
+
+
+@pytest.mark.parametrize("stats", [SITTING_STATS, WALKING_STATS])
+def test_static_draws_equal_one_array_draw(stats):
+    # same values bit for bit and the same stream position after each
+    # draw: 20,000 draws over 4 facings and 5,000 seeds
+    for seed in range(5000):
+        got_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        for omega in (0.0, 37.5, 90.0, 271.25):
+            got = sample_static_orientation(stats, omega, got_rng)
+            assert got == _array_draw(stats, omega, ref_rng)
+            assert all(type(v) is float for v in got)
+        assert got_rng.random() == ref_rng.random()
+    assert stats.scales == tuple(np.asarray(stats.stds) / np.sqrt(2.0)
+                                 if stats.family == "laplace"
+                                 else stats.stds)
+
+
 def test_ar1_params_pins():
     p = ar1_params(mean=10.0, std=2.0, t_coherence=0.25, t_sample=0.25)
     assert p.c1 == pytest.approx(0.05)
