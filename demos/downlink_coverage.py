@@ -4,7 +4,8 @@ Downlink coverage map: multi-face receiver vs screen receiver
 
 Builds a small required-SNR map over the room for the adaptive scheme
 and compares the two receiver designs under random sitting orientations.
-Writes the two CSV maps next to this script under out/.
+Writes the two CSV maps and their charts under out/ in the working
+directory.
 """
 
 import numpy as np

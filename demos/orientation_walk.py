@@ -9,9 +9,9 @@ waypoint path for a walking user.
 
 import numpy as np
 
-from lifisim import (OrwpConfig, SITTING_STATS, WALKING_STATS, ar1_params,
-                     ar1_sequence, orwp_generate, rotation_matrix,
-                     sample_static_orientation)
+from lifisim import (SITTING_STATS, WALKING_STATS, ar1_params, ar1_sequence,
+                     orwp_generate, rotation_matrix, sample_static_orientation,
+                     scenario_from_dict)
 
 rng = np.random.default_rng(0)
 
@@ -32,8 +32,9 @@ print(f"  device tilt: mean {theta.mean():.2f} deg, "
 
 # a walking trajectory: waypoints in the room, sampled every coherence
 # time; the pitch evolves as an AR(1) process along the path
-cfg = OrwpConfig(n_waypoints=6, speed=1.0, width=5.0, depth=5.0)
-samples = orwp_generate(cfg, WALKING_STATS, np.random.default_rng(3))
+walk = scenario_from_dict(dict(activity="walking", n_waypoints=6, speed=1.0,
+                               room_width=5.0, room_depth=5.0))
+samples = orwp_generate(walk, WALKING_STATS, np.random.default_rng(3))
 pos = np.array([s.position for s in samples])
 print(f"\nwalk across {len(samples)} samples, "
       f"net displacement {pos[-1] - pos[0]} m")

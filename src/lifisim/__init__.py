@@ -10,8 +10,8 @@ directions.
 from .adaptive import (AsmDecision, admissible_group_starts,
                        asm_select_downlink, asm_signal_sets,
                        led_selection_uplink, required_snr, strongest_columns)
-from .blockage import (Blocker, BlockageConfig, blockage_mask,
-                       place_blockers, segments_blocked)
+from .blockage import (Blocker, blockage_mask, place_blockers,
+                       segments_blocked)
 from .channel import (RadiosityError, RadiositySolver, SurfaceMesh,
                       build_environment_mesh, lambertian_order,
                       los_gain_matrix, nlos_gain)
@@ -24,9 +24,9 @@ from .harness import (ChannelBuilder, RunResult, emit, empirical_cdf,
                       facing_directions, read_csv, run_ber_sweep, run_cdf_map,
                       run_orwp_eval, run_uplink_eval, write_csv)
 from .orientation import (AR1Params, BUILTIN_STATS, OrientationStats,
-                          OrwpConfig, SITTING_STATS, TrajectorySample,
-                          WALKING_STATS, ar1_params, ar1_sequence, ar1_step,
-                          orwp_generate, sample_static_orientation)
+                          SITTING_STATS, TrajectorySample, WALKING_STATS,
+                          ar1_params, ar1_sequence, ar1_step, orwp_generate,
+                          sample_static_orientation)
 from .rates import (RateBounds, achievable_rate, energy_efficiency,
                     high_snr_gaps, input_power_variance, lower_bound_l1,
                     lower_bound_l2, mi_monte_carlo, rate_bounds)

@@ -5,14 +5,15 @@ behind the device opposite the facing direction, and other people
 scattered uniformly over the room at a given density. A link is blocked
 when the open segment between its endpoints meets a prism's closed
 volume; the test is an exact slab intersection in the prism's frame,
-run only on the (segment, prism) pairs whose bounding boxes meet. For
+run only on the (segment, prism) pairs whose bounding boxes meet.
+segments_blocked is the one dense test: each group of segments against
+its own blocker list, so that one call can test the links of many
+realizations (one list for all of them is the one-group case). For
 segments whose endpoints never move (the access points to the
 reflection mesh), a SegmentSet keeps an index of them, grouped by start
 point and sorted by the azimuth of the far end, with their clipped
 boxes, so that a test against several blocker lists looks up only the
-links each prism's footprint covers as seen from their start. One call
-can also test the links of many realizations, each group of segments
-against its own blocker list.
+links each prism's footprint covers as seen from their start.
 """
 
 from dataclasses import dataclass
@@ -41,43 +42,28 @@ class Blocker:
             raise ValueError("blocker dimensions must be positive")
 
 
-@dataclass(frozen=True)
-class BlockageConfig:
-    """Density and geometry of blockers around the user."""
+def place_blockers(sc, pose, rng):
+    """Sample the blocker population of one channel realization.
 
-    kappa_b: float = 0.0          # non-user blockers per m^2
-    d_p: float = 0.3              # device-to-body distance, m
-    length: float = 0.7
-    width: float = 0.2
-    height: float = 1.75
-    self_blocker: bool = True
-
-    def __post_init__(self):
-        if self.kappa_b < 0:
-            raise ValueError("kappa_b must be nonnegative")
-        if self.d_p <= 0:
-            raise ValueError("d_p must be positive")
-
-
-def place_blockers(cfg, room, pose, rng):
-    """Sample the blocker population for one channel realization.
-
-    The self-blocker stands d_p behind the device against the facing
-    direction and faces the device. round(kappa_b * floor area) further
-    prisms are placed uniformly with uniform facings: one draw of an
-    (n, 3) array of (x, y, facing), row by row.
+    Reads the scenario's blocker size, density and body distance. With
+    sc.self_blockage, the self-blocker stands sc.user_distance behind
+    the device against the facing direction and faces the device.
+    round(kappa_b * floor area) further prisms are placed uniformly
+    over the room with uniform facings: one draw of an (n, 3) array of
+    (x, y, facing), row by row.
     """
     blockers = []
-    dims = dict(length=cfg.length, width=cfg.width, height=cfg.height)
-    if cfg.self_blocker:
+    dims = dict(length=sc.blocker_length, width=sc.blocker_width,
+                height=sc.blocker_height)
+    if sc.self_blockage:
         omega = np.deg2rad(pose.omega_deg)
-        cx = pose.position[0] - cfg.d_p * np.cos(omega)
-        cy = pose.position[1] - cfg.d_p * np.sin(omega)
+        cx = pose.position[0] - sc.user_distance * np.cos(omega)
+        cy = pose.position[1] - sc.user_distance * np.sin(omega)
         blockers.append(Blocker(center=(float(cx), float(cy)),
                                 facing_deg=float(pose.omega_deg),
                                 kind="self", **dims))
-    n_extra = int(np.floor(cfg.kappa_b * room.width * room.depth + 0.5))
-    spots = rng.random((n_extra, 3)) * (room.width, room.depth, 360.0)
+    n_extra = int(np.floor(sc.kappa_b * sc.room_width * sc.room_depth + 0.5))
+    spots = rng.random((n_extra, 3)) * (sc.room_width, sc.room_depth, 360.0)
     for x, y, facing in spots.tolist():
         blockers.append(Blocker(center=(x, y), facing_deg=facing, **dims))
     return blockers
@@ -99,12 +85,23 @@ _FAN_STRIDE = 8.0
 _FAN_PAD = 1e-9
 
 
-def _prism_frames(blockers):
-    """Per-blocker slab parameters as arrays over the blocker list.
+def _columns(a, b):
+    """(3, n) contiguous copies of the (n, 3) segment ends a and b; b
+    may be one point shared by every segment."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
+    return np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
 
-    Returns (cos, sin, center, lo, hi): cos/sin of each facing (m,),
-    footprint centers (2, m) and the prism box corners in its own frame
-    (3, m), u along the facing, v across it, z unchanged.
+
+def _prism_frames(blockers):
+    """Per-blocker slab parameters and culling boxes, as arrays over the
+    blocker list.
+
+    Returns (frames, box): frames is (cos, sin, center, lo, hi), the
+    cos/sin of each facing (m,), the footprint centers (2, m) and the
+    prism box corners in its own frame (3, m), u along the facing, v
+    across it, z unchanged; box is (x0, x1, y0, y1), the axis-aligned
+    box around each rotated footprint, padded for both boxes.
     """
     # One scalar cos/sin per blocker: a vectorized cos may round
     # differently, and a prism's hits must not depend on its neighbours.
@@ -113,29 +110,35 @@ def _prism_frames(blockers):
         phi = np.deg2rad(blocker.facing_deg)
         cos.append(np.cos(phi))
         sin.append(np.sin(phi))
+    cos, sin = np.array(cos), np.array(sin)
     center = np.array([blocker.center for blocker in blockers], dtype=float).T
     hi = np.array([(blocker.width / 2, blocker.length / 2, blocker.height)
                    for blocker in blockers]).T
     lo = -hi
     lo[2] = 0.0
-    return np.array(cos), np.array(sin), center, lo, hi
+    abs_c, abs_s = np.abs(cos), np.abs(sin)
+    ex = abs_c * hi[0] + abs_s * hi[1] + 2 * _CULL_MARGIN
+    ey = abs_s * hi[0] + abs_c * hi[1] + 2 * _CULL_MARGIN
+    return ((cos, sin, center, lo, hi),
+            (center[0] - ex, center[0] + ex, center[1] - ey, center[1] + ey))
 
 
-def _segment_prism_hits(a, b, cos, sin, center, lo, hi):
-    """Slab test of segment columns a->b against prism columns.
+def _segment_prism_hits(a, b, si, bi, frames):
+    """Slab test of the (segment, prism) pairs (si[k], bi[k]).
 
     Args:
         a, b: (3, n) segment endpoints.
-        cos, sin, center, lo, hi: column i's prism, as columns of
-            _prism_frames.
+        si, bi: segment and prism index of each pair.
+        frames: _prism_frames's frames of the prisms.
 
     Returns:
-        (n,) bool; True where the open segment (a, b) meets the closed
-        prism volume. Touching only at an endpoint does not count.
+        bool per pair; True where the open segment (a, b) meets the
+        closed prism volume. Touching only at an endpoint does not count.
     """
-    p0 = np.empty(a.shape)
-    p1 = np.empty(a.shape)
-    for p, q in ((p0, a), (p1, b)):
+    cos, sin, center, lo, hi = (v.take(bi, axis=-1) for v in frames)
+    p0 = np.empty((3, si.size))
+    p1 = np.empty((3, si.size))
+    for p, q in ((p0, a.take(si, axis=1)), (p1, b.take(si, axis=1))):
         dx = q[0] - center[0]
         dy = q[1] - center[1]
         np.add(cos * dx, sin * dy, out=p[0])
@@ -181,81 +184,21 @@ def _clipped_boxes(a, b, top):
 
 
 class SegmentSet:
-    """Segments a->b, tested against one blocker list (or one list per
-    group of segments), or against each of several lists at once.
+    """Fan index of segments a->b whose ends do not move (access points
+    to the reflection mesh), tested against each of several blocker
+    lists at once.
 
-    Only (segment, prism) pairs that can meet go through the slab test.
-    Segments lying wholly above the tallest prism are dropped; the rest
-    are clipped to that height, and the xy bounding box of each clipped
-    segment is compared with each prism's footprint box. Both boxes are
-    padded by _CULL_MARGIN, so the result equals the slab test of every
-    pair. blocked does this for every (segment, prism) pair. blocked_each
-    serves a set built once for links whose ends do not move (access
-    points to the reflection mesh): on its first call it builds an index
-    of the segments by start point and azimuth, and keeps the clipped
-    boxes in that order per tallest-prism height, so that each call
-    pays only for the pairs that the index finds and their tests.
+    On the first call, blocked_each builds an index of the segments by
+    start point and azimuth, and it keeps the clipped boxes in that
+    order per tallest-prism height, so that each call pays only for the
+    pairs that the index finds and their tests. Its rows equal the
+    dense segments_blocked of each list, bit for bit.
     """
 
     def __init__(self, a, b):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
-        self.a = np.ascontiguousarray(a.T)        # (3, n)
-        self.b = np.ascontiguousarray(b.T)
+        self.a, self.b = _columns(a, b)         # (3, n)
         self._fans = None         # _fan_index's result
         self._fan_boxes_at = {}   # height -> _fan_boxes's result
-
-    def blocked(self, blockers, group=None):
-        """(n,) bool: which segments any of the blockers occludes.
-
-        With group, blockers is a sequence of blocker lists and segment k
-        is tested only against blockers[group[k]]: the links of many
-        realizations, each among its own prisms, in one call.
-        """
-        hit = np.zeros(self.a.shape[1], dtype=bool)
-        prisms = blockers if group is None else [
-            blocker for part in blockers for blocker in part]
-        if not prisms:
-            return hit
-        cos, sin, center, lo, hi = _prism_frames(prisms)
-        seg, box_lo, box_hi = _clipped_boxes(self.a, self.b,
-                                             hi[2].max() + _CULL_MARGIN)
-
-        # Axis-aligned box around each rotated footprint rectangle, padded
-        # for both boxes.
-        abs_c, abs_s = np.abs(cos), np.abs(sin)
-        ex = abs_c * hi[0] + abs_s * hi[1] + 2 * _CULL_MARGIN
-        ey = abs_s * hi[0] + abs_c * hi[1] + 2 * _CULL_MARGIN
-        # (prism slot, segment) layout: long rows make the comparisons
-        # cheap. Ungrouped, slot i is prism i for every segment; grouped,
-        # it is the i-th prism of the segment's own group, where it has one.
-        if group is None:
-            prism, valid = np.arange(len(prisms))[:, None], True
-        else:
-            group = np.asarray(group, dtype=np.intp)
-            if seg is not None:
-                group = group.take(seg)
-            counts = np.array([len(part) for part in blockers], dtype=np.intp)
-            slot = np.arange(counts.max())[:, None]
-            valid = slot < counts.take(group)
-            prism = np.where(valid, (np.cumsum(counts) - counts).take(group)
-                             + slot, 0)
-        near = (valid
-                & (box_lo[0] <= (center[0] + ex).take(prism))
-                & (box_hi[0] >= (center[0] - ex).take(prism))
-                & (box_lo[1] <= (center[1] + ey).take(prism))
-                & (box_hi[1] >= (center[1] - ey).take(prism)))
-
-        slots, si = np.nonzero(near)
-        bi = slots if group is None else prism[slots, si]
-        if seg is not None:
-            si = seg.take(si)
-        hits = _segment_prism_hits(
-            self.a.take(si, axis=1), self.b.take(si, axis=1), cos.take(bi),
-            sin.take(bi), center.take(bi, axis=1), lo.take(bi, axis=1),
-            hi.take(bi, axis=1))
-        hit[si[hits]] = True
-        return hit
 
     def _fan_index(self):
         """(order, start, key): the segment indices sorted by start point
@@ -294,13 +237,14 @@ class SegmentSet:
         return boxes
 
     def blocked_each(self, lists):
-        """(len(lists), n) bool: row r is blocked(lists[r]), bit for bit.
+        """(len(lists), n) bool: row r tests every segment against
+        lists[r], equal to segments_blocked(a, b, lists[r]) bit for bit.
 
         Seen from a start point outside a prism's padded footprint box,
         the box spans an angular window of less than pi (split where it
         crosses +-pi); the links of that start point whose far end lies
         in the window are found by two searchsorted calls in the index,
-        and only they go through blocked's box test and slab test. A
+        and only they go through the box test and the slab test. A
         start point inside the box keeps all of its links. Every link
         the slab test can report crosses the box, so its azimuth lies in
         the window.
@@ -311,14 +255,10 @@ class SegmentSet:
             return hit
         owner = np.repeat(np.arange(len(lists)),
                           [len(part) for part in lists])
-        cos, sin, center, lo, hi = _prism_frames(prisms)
+        frames, (x0, x1, y0, y1) = _prism_frames(prisms)
+        center = frames[2]
         order, start, key = self._fan_index()
-        boxes = self._fan_boxes(hi[2].max() + _CULL_MARGIN)
-        abs_c, abs_s = np.abs(cos), np.abs(sin)
-        ex = abs_c * hi[0] + abs_s * hi[1] + 2 * _CULL_MARGIN
-        ey = abs_s * hi[0] + abs_c * hi[1] + 2 * _CULL_MARGIN
-        x0, x1 = center[0] - ex, center[0] + ex
-        y0, y1 = center[1] - ey, center[1] + ey
+        boxes = self._fan_boxes(frames[4][2].max() + _CULL_MARGIN)
 
         # (start point, prism) windows of azimuth
         sx, sy = start[0][:, None], start[1][:, None]
@@ -354,10 +294,7 @@ class SegmentSet:
                               & (boxes[2].take(pos) <= y1.take(bi))
                               & (boxes[3].take(pos) >= y0.take(bi)))
         si, bi = order.take(pos.take(near)), bi.take(near)
-        hits = _segment_prism_hits(
-            self.a.take(si, axis=1), self.b.take(si, axis=1), cos.take(bi),
-            sin.take(bi), center.take(bi, axis=1), lo.take(bi, axis=1),
-            hi.take(bi, axis=1))
+        hits = _segment_prism_hits(self.a, self.b, si, bi, frames)
         hit[owner.take(bi[hits]), si[hits]] = True
         return hit
 
@@ -365,15 +302,51 @@ class SegmentSet:
 def segments_blocked(a, b, blockers, group=None, segments=None):
     """(n,) bool: which of n segments a->b any of the blockers occludes.
 
-    The one-off form of SegmentSet(a, b).blocked(blockers, group): with
-    group, segment k is tested only against the list blockers[group[k]].
-    With segments, a SegmentSet already built over a->b, blockers is a
+    With group, blockers is a sequence of blocker lists and segment k is
+    tested only against blockers[group[k]]: the links of many
+    realizations, each among its own prisms, in one call. With
+    segments, a SegmentSet already built over a->b, blockers is a
     sequence of lists and the result is segments.blocked_each(blockers):
     (len(blockers), n), row r testing every segment against blockers[r].
+
+    Only (segment, prism) pairs that can meet go through the slab test.
+    Segments lying wholly above the tallest prism are dropped; the rest
+    are clipped to that height, and the xy bounding box of each clipped
+    segment is compared with the footprint box of each prism of its
+    group. Both boxes are padded by _CULL_MARGIN, so the result equals
+    the slab test of every pair.
     """
     if segments is not None:
         return segments.blocked_each(blockers)
-    return SegmentSet(a, b).blocked(blockers, group)
+    a, b = _columns(a, b)
+    hit = np.zeros(a.shape[1], dtype=bool)
+    if group is None:
+        blockers, group = [blockers], np.zeros(a.shape[1], dtype=np.intp)
+    prisms = [blocker for part in blockers for blocker in part]
+    if not prisms:
+        return hit
+    frames, (x0, x1, y0, y1) = _prism_frames(prisms)
+    seg, box_lo, box_hi = _clipped_boxes(a, b,
+                                         frames[4][2].max() + _CULL_MARGIN)
+    # (prism slot, segment) layout, slot i the i-th prism of the
+    # segment's own group where it has one: long rows make the
+    # comparisons cheap.
+    group = np.asarray(group, dtype=np.intp)
+    if seg is not None:
+        group = group.take(seg)
+    counts = np.array([len(part) for part in blockers], dtype=np.intp)
+    slot = np.arange(counts.max())[:, None]
+    valid = slot < counts.take(group)
+    prism = np.where(valid, (np.cumsum(counts) - counts).take(group) + slot, 0)
+    near = (valid
+            & (box_lo[0] <= x1.take(prism)) & (box_hi[0] >= x0.take(prism))
+            & (box_lo[1] <= y1.take(prism)) & (box_hi[1] >= y0.take(prism)))
+    slots, si = np.nonzero(near)
+    bi = prism[slots, si]
+    if seg is not None:
+        si = seg.take(si)
+    hit[si[_segment_prism_hits(a, b, si, bi, frames)]] = True
+    return hit
 
 
 def blockage_mask(tx_positions, rx_positions, blockers, where=None):

@@ -17,10 +17,9 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .blockage import BlockageConfig
 from .channel import lambertian_order
 from .geometry import Room, ap_positions, device_layout, grid_size
-from .orientation import BUILTIN_STATS, OrwpConfig
+from .orientation import BUILTIN_STATS
 from .sm import MAX_SYMBOLS
 
 
@@ -44,6 +43,9 @@ MAX_REALIZATIONS = 10_000_000
 MAX_MESH_ELEMENTS = 10_000
 #: Most access points (n_ap_side squared).
 MAX_ACCESS_POINTS = 1024
+#: Most extra blockers of one realization, round(kappa_b x floor
+#: area); the device-link test holds arrays over blockers x links.
+MAX_BLOCKERS = 1_000
 #: Most points of either SNR grid.
 MAX_SNR_POINTS = 10_000
 
@@ -133,17 +135,6 @@ class Scenario:
 
     def layout(self):
         return device_layout(self.device)
-
-    def blockage(self):
-        return BlockageConfig(kappa_b=self.kappa_b, d_p=self.user_distance,
-                              length=self.blocker_length,
-                              width=self.blocker_width,
-                              height=self.blocker_height,
-                              self_blocker=self.self_blockage)
-
-    def orwp(self):
-        return OrwpConfig(n_waypoints=self.n_waypoints, speed=self.speed,
-                          width=self.room_width, depth=self.room_depth)
 
     def ue_height_m(self):
         if self.ue_height is not None:
@@ -288,9 +279,9 @@ def _validate(s):
         raise ConfigError(f"n_active {s.n_active} exceeds the {n_el} "
                           "elements of the device")
     _check_work(s)
-    # The derived objects and lambertian_order check their own ranges.
+    # the one range not checked above: semiangle_deg below 90 degrees
     try:
-        s.room(), lambertian_order(s.semiangle_deg), s.blockage(), s.orwp()
+        lambertian_order(s.semiangle_deg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -303,7 +294,8 @@ def _check_work(s):
     `grid_step`) x facing directions x draws; the walk, about
     n_waypoints legs of at most the room diagonal, sampled every
     `speed` x T_c (the shortest walking coherence time); the mesh cells
-    (round(side / mesh_resolution) per face axis), the access points
+    (round(side / mesh_resolution) per face axis), the access points,
+    the extra blockers of a realization (round(kappa_b x floor area))
     and the points of both SNR grids, whose steps must also divide
     their spans.
     """
@@ -334,6 +326,10 @@ def _check_work(s):
     if s.n_ap_side ** 2 > MAX_ACCESS_POINTS:
         raise ConfigError(f"n_ap_side {s.n_ap_side} gives more than "
                           f"{MAX_ACCESS_POINTS} access points")
+    blockers = np.floor(s.kappa_b * s.room_width * s.room_depth + 0.5)
+    if blockers > MAX_BLOCKERS:
+        raise ConfigError(f"kappa_b {s.kappa_b:g} gives {blockers:.4g} "
+                          f"blockers per realization, above {MAX_BLOCKERS:,}")
     for grid in ("snr", "uplink_snr"):
         start, stop, step = (getattr(s, f"{grid}_{end}_db")
                              for end in ("start", "stop", "step"))

@@ -156,18 +156,16 @@ class ChannelBuilder:
 
     def __init__(self, scenario):
         self.sc = scenario
-        self.room = scenario.room()
         self.aps = scenario.aps()
         self.layout = scenario.layout()
         self.order = lambertian_order(scenario.semiangle_deg)
         self.stats = scenario.stats()
-        self.block_cfg = scenario.blockage()
         self.h_r = scenario.ue_height_m()
         self.solver = None
         self.ap_to_mesh = None
         cells = len(self.aps.positions)
         if scenario.direction == "downlink" and scenario.include_nlos:
-            mesh = build_environment_mesh(self.room,
+            mesh = build_environment_mesh(scenario.room(),
                                           scenario.mesh_resolution)
             self.solver = RadiositySolver(mesh)
             self.ap_to_mesh = mesh_gains(self.aps.positions,
@@ -192,7 +190,7 @@ class ChannelBuilder:
             angles_deg = sample_static_orientation(self.stats, omega_deg, rng)
         pose = DevicePose(position=(x, y, self.h_r), omega_deg=omega_deg,
                           angles_deg=tuple(angles_deg))
-        return pose, place_blockers(self.block_cfg, self.room, pose, rng)
+        return pose, place_blockers(self.sc, pose, rng)
 
     def channels(self, tasks):
         """Realize a nonempty block of tasks, once each and in order.
@@ -569,7 +567,7 @@ def _tasks(sc):
     else:
         rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 0]))
         spots = [(s.position[0], s.position[1], s.omega_deg, s.angles_deg)
-                 for s in orwp_generate(sc.orwp(), sc.stats(), rng)]
+                 for s in orwp_generate(sc, sc.stats(), rng)]
     return [(i, *spot) for i, spot in enumerate(spots)]
 
 

@@ -148,22 +148,6 @@ def ar1_sequence(n, params, rng, init=None):
 
 
 @dataclass(frozen=True)
-class OrwpConfig:
-    """Random-waypoint mobility settings over a rectangular footprint."""
-
-    n_waypoints: int = 500
-    speed: float = 1.0            # m/s
-    width: float = 5.0            # footprint extent along x, m
-    depth: float = 5.0            # footprint extent along y, m
-
-    def __post_init__(self):
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
-        if self.n_waypoints < 1:
-            raise ValueError("need at least one waypoint")
-
-
-@dataclass(frozen=True)
 class TrajectorySample:
     """One mobility sample: previous and current position plus angles."""
 
@@ -174,9 +158,11 @@ class TrajectorySample:
     omega_deg: float              # leg direction, degrees from East
 
 
-def orwp_generate(cfg, stats, rng):
-    """Orientation-correlated random-waypoint trajectory.
+def orwp_generate(sc, stats, rng):
+    """Orientation-correlated random-waypoint trajectory of a scenario.
 
+    Reads sc.n_waypoints, sc.speed and the room footprint
+    (sc.room_width x sc.room_depth); stats gives the angles' statistics.
     Waypoints are uniform over the footprint. Between consecutive
     waypoints the user moves on a straight line at constant speed,
     sampled every T_c = min of the three coherence times, so each
@@ -191,13 +177,13 @@ def orwp_generate(cfg, stats, rng):
         list of TrajectorySample.
     """
     t_c = min(stats.coherence_times)
-    step = cfg.speed * t_c
-    hi = np.array([cfg.width, cfg.depth])
+    step = sc.speed * t_c
+    hi = np.array([sc.room_width, sc.room_depth])
 
     pos = rng.uniform(0.0, 1.0, size=2) * hi
     angles = None
     samples = []
-    for _ in range(cfg.n_waypoints):
+    for _ in range(sc.n_waypoints):
         wp = rng.uniform(0.0, 1.0, size=2) * hi
         while np.allclose(wp, pos):
             wp = rng.uniform(0.0, 1.0, size=2) * hi
@@ -220,7 +206,7 @@ def orwp_generate(cfg, stats, rng):
             angles = [ar1_step(angles[i], params[i], rng) for i in range(3)]
             samples.append(TrajectorySample(
                 prev_position=tuple(pos), position=tuple(new_pos),
-                speed=cfg.speed, angles_deg=tuple(angles), omega_deg=float(omega),
+                speed=sc.speed, angles_deg=tuple(angles), omega_deg=float(omega),
             ))
             pos = new_pos
         pos = wp

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifisim import (BlockageConfig, Blocker, DevicePose, Room,
-                     blockage_mask, element_world_pose, place_blockers,
-                     scenario_from_dict, segments_blocked)
+from lifisim import (Blocker, DevicePose, Scenario, blockage_mask,
+                     element_world_pose, place_blockers, scenario_from_dict,
+                     segments_blocked)
 from lifisim.blockage import SegmentSet
 from lifisim.harness import ChannelBuilder
 
@@ -119,30 +119,29 @@ def test_blockage_mask_rejects_empty_positions():
 
 
 def test_self_blocker_placement():
-    cfg = BlockageConfig(kappa_b=0.0, d_p=0.3)
+    sc = Scenario(kappa_b=0.0, user_distance=0.3)
     pose = DevicePose(position=np.array([2.0, 3.0, 0.8]), omega_deg=90.0)
-    blockers = place_blockers(cfg, Room(), pose, np.random.default_rng(0))
+    blockers = place_blockers(sc, pose, np.random.default_rng(0))
     assert len(blockers) == 1
     assert blockers[0].kind == "self"
-    # body stands d_p behind the device, against the facing direction
+    # body stands user_distance behind the device, against the facing direction
     np.testing.assert_allclose(blockers[0].center, (2.0, 2.7), atol=1e-12)
     assert blockers[0].facing_deg == pytest.approx(90.0)
 
 
 def test_self_blocker_can_be_disabled():
-    cfg = BlockageConfig(kappa_b=0.0, self_blocker=False)
+    sc = Scenario(kappa_b=0.0, self_blockage=False)
     pose = DevicePose(position=np.array([2.0, 3.0, 0.8]), omega_deg=0.0)
-    assert place_blockers(cfg, Room(), pose, np.random.default_rng(0)) == []
+    assert place_blockers(sc, pose, np.random.default_rng(0)) == []
 
 
 def test_blocker_count_rounds_half_up():
     pose = DevicePose(position=np.array([2.5, 2.5, 0.8]), omega_deg=0.0)
-    room = Room()
     rng = np.random.default_rng(1)
 
     def count(kappa):
-        cfg = BlockageConfig(kappa_b=kappa, self_blocker=False)
-        return len(place_blockers(cfg, room, pose, rng))
+        sc = Scenario(kappa_b=kappa, self_blockage=False)
+        return len(place_blockers(sc, pose, rng))
 
     assert count(0.2) == 5          # 0.2 * 25 = 5
     assert count(0.18) == 5         # 4.5 rounds half up
@@ -151,9 +150,9 @@ def test_blocker_count_rounds_half_up():
 
 
 def test_blockers_inside_room():
-    cfg = BlockageConfig(kappa_b=1.0)
+    sc = Scenario(kappa_b=1.0)
     pose = DevicePose(position=np.array([2.5, 2.5, 0.8]), omega_deg=45.0)
-    blockers = place_blockers(cfg, Room(), pose, np.random.default_rng(7))
+    blockers = place_blockers(sc, pose, np.random.default_rng(7))
     assert len(blockers) == 26      # 25 non-user + self
     centers = np.array([b.center for b in blockers[1:]])
     assert (centers >= 0).all() and (centers <= 5).all()
@@ -161,22 +160,23 @@ def test_blockers_inside_room():
     assert (facings >= 0).all() and (facings < 360).all()
 
 
-def _scalar_placement(cfg, room, pose, rng):
+def _scalar_placement(sc, pose, rng):
     """A frozen copy of the per-blocker form the one-array draw replaces:
     three scalar uniform draws per extra blocker."""
     blockers = []
-    dims = dict(length=cfg.length, width=cfg.width, height=cfg.height)
-    if cfg.self_blocker:
+    dims = dict(length=sc.blocker_length, width=sc.blocker_width,
+                height=sc.blocker_height)
+    if sc.self_blockage:
         omega = np.deg2rad(pose.omega_deg)
-        cx = pose.position[0] - cfg.d_p * np.cos(omega)
-        cy = pose.position[1] - cfg.d_p * np.sin(omega)
+        cx = pose.position[0] - sc.user_distance * np.cos(omega)
+        cy = pose.position[1] - sc.user_distance * np.sin(omega)
         blockers.append(Blocker(center=(float(cx), float(cy)),
                                 facing_deg=float(pose.omega_deg),
                                 kind="self", **dims))
-    n_extra = int(np.floor(cfg.kappa_b * room.width * room.depth + 0.5))
+    n_extra = int(np.floor(sc.kappa_b * sc.room_width * sc.room_depth + 0.5))
     for _ in range(n_extra):
-        x = rng.uniform(0.0, room.width)
-        y = rng.uniform(0.0, room.depth)
+        x = rng.uniform(0.0, sc.room_width)
+        y = rng.uniform(0.0, sc.room_depth)
         facing = rng.uniform(0.0, 360.0)
         blockers.append(Blocker(center=(float(x), float(y)),
                                 facing_deg=float(facing), **dims))
@@ -192,13 +192,13 @@ def test_one_array_placement_equals_scalar_draws(kappa, width, depth,
                                                  self_blocker, seed):
     # the same blockers bit for bit, and the stream left where the
     # scalar draws leave it, for every nonnegative kappa_b
-    cfg = BlockageConfig(kappa_b=kappa, self_blocker=self_blocker)
-    room = Room(width=width, depth=depth)
+    sc = Scenario(kappa_b=kappa, self_blockage=self_blocker,
+                  room_width=width, room_depth=depth)
     pose = DevicePose(position=(width / 2, depth / 2, 0.8), omega_deg=30.0)
     got_rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
-    got = place_blockers(cfg, room, pose, got_rng)
-    assert got == _scalar_placement(cfg, room, pose, ref_rng)
+    got = place_blockers(sc, pose, got_rng)
+    assert got == _scalar_placement(sc, pose, ref_rng)
     assert all(type(v) is float for b in got
                for v in (*b.center, b.facing_deg))
     assert got_rng.random() == ref_rng.random()
@@ -207,8 +207,8 @@ def test_one_array_placement_equals_scalar_draws(kappa, width, depth,
 def test_self_blocker_spares_high_elevation_links():
     # link clears the 1.75 m body when it crosses the footprint high up
     pose = DevicePose(position=np.array([2.5, 2.5, 1.4]), omega_deg=90.0)
-    cfg = BlockageConfig(kappa_b=0.0, d_p=0.3)
-    body = place_blockers(cfg, Room(), pose, np.random.default_rng(0))[0]
+    sc = Scenario(kappa_b=0.0, user_distance=0.3)
+    body = place_blockers(sc, pose, np.random.default_rng(0))[0]
     np.testing.assert_allclose(body.center, (2.5, 2.2), atol=1e-12)
     high_ap = np.array([2.5, 2.2, 2.95])
     low_ap = np.array([2.5, 2.2, 1.6])
@@ -218,10 +218,6 @@ def test_self_blocker_spares_high_elevation_links():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BlockageConfig(kappa_b=-0.1)
-    with pytest.raises(ValueError):
-        BlockageConfig(d_p=0.0)
     with pytest.raises(ValueError):
         Blocker(center=(0, 0), facing_deg=0.0, height=0.0)
 
@@ -367,7 +363,7 @@ def test_segment_set_reused_across_blocker_lists(data):
                                   for bl in blockers]))
     segments = SegmentSet(a, b)
     for blockers in lists + lists[::-1]:
-        np.testing.assert_array_equal(segments.blocked(blockers),
+        np.testing.assert_array_equal(segments_blocked(a, b, blockers),
                                       _oracle_blocked(a, b, blockers))
         np.testing.assert_array_equal(segments.blocked_each([blockers])[0],
                                       _oracle_blocked(a, b, blockers))
@@ -423,7 +419,7 @@ def test_fan_index_equals_one_dense_test_per_list(case):
     got = segments_blocked(a, b, lists, segments=segments)
     assert got.shape == (len(lists), a.shape[0]) and got.dtype == bool
     for row, blockers in zip(got, lists):
-        dense = SegmentSet(a, b).blocked(blockers)
+        dense = segments_blocked(a, b, blockers)
         np.testing.assert_array_equal(row, dense)
         np.testing.assert_array_equal(row, _oracle_blocked(a, b, blockers))
     # the index is built once and kept
@@ -444,7 +440,7 @@ def test_fan_index_on_any_segments(data):
     got = SegmentSet(a, b).blocked_each(lists)
     assert got.shape == (len(lists), a.shape[0])
     for row, blockers in zip(got, lists):
-        np.testing.assert_array_equal(row, SegmentSet(a, b).blocked(blockers))
+        np.testing.assert_array_equal(row, segments_blocked(a, b, blockers))
 
 
 def test_culled_test_on_walking_user_segments():

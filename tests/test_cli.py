@@ -104,6 +104,7 @@ def test_validate_config_rejects_invalid_derived_objects(tmp_path, capsys,
 @pytest.mark.parametrize("text", [
     "spectral_efficiency: 12\n",
     "direction: uplink\nscheme: sm\nuplink_tse: 10\n",
+    "kappa_b: 40.0\n",          # 1,000 extra blockers in 25 m^2
 ])
 def test_validate_config_accepts_alphabet_at_the_limit(tmp_path, capsys,
                                                        text):
@@ -117,6 +118,8 @@ def test_validate_config_accepts_alphabet_at_the_limit(tmp_path, capsys,
     ("orientations_per_point: 1000000000000000000\n", "sitting survey"),
     ("n_ap_side: 1000000000000000000\n", "access points"),
     ("mesh_resolution: 1.0e-4\n", "mesh elements"),
+    ("kappa_b: 1000000000000.0\n", "blockers per realization"),
+    ("kappa_b: 40.04\n", "1001 blockers per realization"),
 ])
 def test_validate_config_rejects_unbounded_work_fast(tmp_path, capsys, text,
                                                       match):

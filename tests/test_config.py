@@ -53,7 +53,6 @@ def test_derived_objects():
     assert sc.layout().variant == "mdr"
     assert sc.stats().family == "laplace"
     assert Scenario(activity="walking").stats().family == "gaussian"
-    assert sc.blockage().kappa_b == 0.0
     assert Scenario(uplink_tse=2.0).uplink_pam_order() == 4
 
 
@@ -197,6 +196,8 @@ def test_uplink_sm_n_active_is_at_most_the_device_elements():
     ("user_distance", 0.0, "user_distance must be positive"),
     ("user_distance", -0.1, "user_distance must be positive"),
     ("kappa_b", -0.1, "kappa_b must be nonnegative"),
+    ("speed", 0.0, "speed must be positive"),
+    ("n_waypoints", 0, "n_waypoints must be positive"),
 ])
 def test_link_and_body_ranges_name_their_key(tmp_path, capsys, key, value,
                                              message):

@@ -94,7 +94,7 @@ def test_realize_matches_recompute_and_forward_solve(resolution, n_poses):
         n_waypoints=3, seed=8))
     builder = ChannelBuilder(sc)
     rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 0]))
-    samples = orwp_generate(sc.orwp(), sc.stats(), rng)[:n_poses]
+    samples = orwp_generate(sc, sc.stats(), rng)[:n_poses]
     assert len(samples) == n_poses
     realized, Hs = builder.channels(
         [(i, s.position[0], s.position[1], s.omega_deg, s.angles_deg)
@@ -532,7 +532,7 @@ def test_orwp_eval_matches_trajectory():
     assert res.kind == "orwp"
     assert res.columns == CDF_COLUMNS
     rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 0]))
-    samples = orwp_generate(sc.orwp(), sc.stats(), rng)
+    samples = orwp_generate(sc, sc.stats(), rng)
     assert len(res.rows) == len(samples)
     for row, s in zip(res.rows, samples):
         assert row["x"] == pytest.approx(s.position[0])

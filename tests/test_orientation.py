@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lifisim import (AR1Params, OrientationStats, OrwpConfig, SITTING_STATS,
+from lifisim import (AR1Params, OrientationStats, SITTING_STATS, Scenario,
                      TrajectorySample, WALKING_STATS, ar1_params, ar1_sequence,
                      ar1_step, orwp_generate, sample_static_orientation)
 
@@ -185,9 +185,9 @@ def test_orwp_pinned_leg_step_count():
                              beta_mean=28.81, gamma_mean=-1.35,
                              stds=(10.0, 3.26, 5.42),
                              coherence_times=(0.131, 0.176, 0.142))
-    cfg = OrwpConfig(n_waypoints=1, speed=1.0, width=5.0, depth=5.0)
+    sc = Scenario(n_waypoints=1, speed=1.0, room_width=5.0, room_depth=5.0)
     rng = _ScriptedRng([(0.0, 0.0), (0.2, 0.0)])   # start (0,0) -> wp (1,0)
-    samples = orwp_generate(cfg, stats, rng)
+    samples = orwp_generate(sc, stats, rng)
     assert len(samples) == 8
     steps = [np.hypot(s.position[0] - s.prev_position[0],
                       s.position[1] - s.prev_position[1]) for s in samples]
@@ -200,18 +200,18 @@ def test_orwp_pinned_leg_step_count():
                                atol=1e-9)
 
 
-def _orwp_two_block_reference(cfg, stats, rng):
+def _orwp_two_block_reference(sc, stats, rng):
     """orwp_generate as it was written with a loop of full steps and a
     separate block for the partial last step of a leg; kept frozen as
     the oracle of the one-loop form."""
     t_c = min(stats.coherence_times)
-    step = cfg.speed * t_c
-    hi = np.array([cfg.width, cfg.depth])
+    step = sc.speed * t_c
+    hi = np.array([sc.room_width, sc.room_depth])
 
     pos = rng.uniform(0.0, 1.0, size=2) * hi
     angles = None
     samples = []
-    for _ in range(cfg.n_waypoints):
+    for _ in range(sc.n_waypoints):
         wp = rng.uniform(0.0, 1.0, size=2) * hi
         while np.allclose(wp, pos):
             wp = rng.uniform(0.0, 1.0, size=2) * hi
@@ -235,14 +235,14 @@ def _orwp_two_block_reference(cfg, stats, rng):
             angles = [ar1_step(angles[i], params[i], rng) for i in range(3)]
             samples.append(TrajectorySample(
                 prev_position=tuple(pos), position=tuple(new_pos),
-                speed=cfg.speed, angles_deg=tuple(angles), omega_deg=float(omega),
+                speed=sc.speed, angles_deg=tuple(angles), omega_deg=float(omega),
             ))
             pos = new_pos
         if remainder > 1e-9:
             angles = [ar1_step(angles[i], params[i], rng) for i in range(3)]
             samples.append(TrajectorySample(
                 prev_position=tuple(pos), position=tuple(wp),
-                speed=cfg.speed, angles_deg=tuple(angles), omega_deg=float(omega),
+                speed=sc.speed, angles_deg=tuple(angles), omega_deg=float(omega),
             ))
         pos = wp
     return samples
@@ -259,10 +259,10 @@ def _assert_same_samples(got, want):
 @pytest.mark.parametrize("seed", [0, 1, 7, 42])
 def test_orwp_matches_two_block_reference(seed, speed):
     stats = WALKING_STATS if seed % 2 else SITTING_STATS
-    cfg = OrwpConfig(n_waypoints=6, speed=speed, width=5.0, depth=4.0)
+    sc = Scenario(n_waypoints=6, speed=speed, room_width=5.0, room_depth=4.0)
     rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-    _assert_same_samples(orwp_generate(cfg, stats, rng),
-                         _orwp_two_block_reference(cfg, stats, ref_rng))
+    _assert_same_samples(orwp_generate(sc, stats, rng),
+                         _orwp_two_block_reference(sc, stats, ref_rng))
     assert rng.random() == ref_rng.random()       # the same draws were used
 
 
@@ -273,11 +273,11 @@ def test_orwp_exact_leg_has_no_partial_step():
                              beta_mean=28.81, gamma_mean=-1.35,
                              stds=(10.0, 3.26, 5.42),
                              coherence_times=(0.125, 0.176, 0.142))
-    cfg = OrwpConfig(n_waypoints=2, speed=1.0, width=5.0, depth=5.0)
+    sc = Scenario(n_waypoints=2, speed=1.0, room_width=5.0, room_depth=5.0)
     script = [(0.0, 0.0), (0.2, 0.0), (0.2, 0.13)]   # (0,0) (1,0) (1,0.65)
-    samples = orwp_generate(cfg, stats, _ScriptedRng(script))
+    samples = orwp_generate(sc, stats, _ScriptedRng(script))
     _assert_same_samples(samples, _orwp_two_block_reference(
-        cfg, stats, _ScriptedRng(script)))
+        sc, stats, _ScriptedRng(script)))
     assert len(samples) == 8 + 6
     assert samples[7].position == (1.0, 0.0)
     assert samples[8].prev_position == (1.0, 0.0)
@@ -285,8 +285,8 @@ def test_orwp_exact_leg_has_no_partial_step():
 
 
 def test_orwp_step_geometry_and_footprint():
-    cfg = OrwpConfig(n_waypoints=40, speed=1.0, width=5.0, depth=4.0)
-    samples = orwp_generate(cfg, WALKING_STATS, np.random.default_rng(2))
+    sc = Scenario(n_waypoints=40, speed=1.0, room_width=5.0, room_depth=4.0)
+    samples = orwp_generate(sc, WALKING_STATS, np.random.default_rng(2))
     step = 1.0 * min(WALKING_STATS.coherence_times)
     pos = np.array([s.position for s in samples])
     assert (pos[:, 0] >= 0).all() and (pos[:, 0] <= 5.0).all()
@@ -311,8 +311,8 @@ def test_orwp_step_geometry_and_footprint():
 
 def test_orwp_waypoints_uniform():
     from scipy.stats import chisquare
-    cfg = OrwpConfig(n_waypoints=2000, speed=1.0, width=5.0, depth=5.0)
-    samples = orwp_generate(cfg, WALKING_STATS, np.random.default_rng(5))
+    sc = Scenario(n_waypoints=2000, speed=1.0, room_width=5.0, room_depth=5.0)
+    samples = orwp_generate(sc, WALKING_STATS, np.random.default_rng(5))
     # a leg ends where the facing direction changes
     ends = [s.position for k, s in enumerate(samples)
             if k + 1 == len(samples)
@@ -322,9 +322,3 @@ def test_orwp_waypoints_uniform():
                                   bins=10, range=[[0, 5], [0, 5]])
     assert chisquare(counts.ravel()).pvalue > 0.01
 
-
-def test_orwp_config_validation():
-    with pytest.raises(ValueError):
-        OrwpConfig(n_waypoints=0)
-    with pytest.raises(ValueError):
-        OrwpConfig(speed=0.0)
