@@ -17,7 +17,7 @@ from .channel import (RadiosityError, RadiositySolver, SurfaceMesh,
                       los_gain_matrix, nlos_gain)
 from .config import (ConfigError, PRESET_LOCATIONS, Scenario, load_scenario,
                      scenario_from_dict, scenario_hash)
-from .geometry import (APLayout, DeviceLayout, DevicePose, Room, ap_positions,
+from .geometry import (APLayout, DeviceLayout, DevicePose, ap_positions,
                        device_layout, element_world_pose, grid_positions,
                        mdr_layout, rotation_matrix, sr_layout)
 from .harness import (ChannelBuilder, RunResult, emit, empirical_cdf,

@@ -35,7 +35,6 @@ class Blocker:
     length: float = 0.7           # L_b
     width: float = 0.2            # W_b
     height: float = 1.75          # H_b
-    kind: str = "non-user"
 
     def __post_init__(self):
         if min(self.length, self.width, self.height) <= 0:
@@ -46,8 +45,9 @@ def place_blockers(sc, pose, rng):
     """Sample the blocker population of one channel realization.
 
     Reads the scenario's blocker size, density and body distance. With
-    sc.self_blockage, the self-blocker stands sc.user_distance behind
-    the device against the facing direction and faces the device.
+    sc.self_blockage, the self-blocker comes first: it stands
+    sc.user_distance behind the device against the facing direction and
+    faces the device.
     round(kappa_b * floor area) further prisms are placed uniformly
     over the room with uniform facings: one draw of an (n, 3) array of
     (x, y, facing), row by row.
@@ -60,14 +60,20 @@ def place_blockers(sc, pose, rng):
         cx = pose.position[0] - sc.user_distance * np.cos(omega)
         cy = pose.position[1] - sc.user_distance * np.sin(omega)
         blockers.append(Blocker(center=(float(cx), float(cy)),
-                                facing_deg=float(pose.omega_deg),
-                                kind="self", **dims))
+                                facing_deg=float(pose.omega_deg), **dims))
     n_extra = int(np.floor(sc.kappa_b * sc.room_width * sc.room_depth + 0.5))
     spots = rng.random((n_extra, 3)) * (sc.room_width, sc.room_depth, 360.0)
     for x, y, facing in spots.tolist():
         blockers.append(Blocker(center=(x, y), facing_deg=facing, **dims))
     return blockers
 
+
+#: Prisms that SegmentSet.blocked_each takes through its box and slab
+#: tests at once, and prism slots that segments_blocked's grouped test
+#: takes at once. Both bound a call's memory at any blocker count; a
+#: row is the OR of independent pair tests, so every result is the same.
+FAN_PRISMS = 128
+DENSE_SLOTS = 8
 
 #: Padding of the culling boxes, m. The slab test rounds at the 1e-15 m
 #: level for room-scale coordinates, so no segment it reports as blocked
@@ -247,7 +253,8 @@ class SegmentSet:
         and only they go through the box test and the slab test. A
         start point inside the box keeps all of its links. Every link
         the slab test can report crosses the box, so its azimuth lies in
-        the window.
+        the window. The prisms of all lists go through FAN_PRISMS at a
+        time.
         """
         hit = np.zeros((len(lists), self.a.shape[1]), dtype=bool)
         prisms = [blocker for part in lists for blocker in part]
@@ -255,10 +262,18 @@ class SegmentSet:
             return hit
         owner = np.repeat(np.arange(len(lists)),
                           [len(part) for part in lists])
+        boxes = self._fan_boxes(max(p.height for p in prisms) + _CULL_MARGIN)
+        for i in range(0, len(prisms), FAN_PRISMS):
+            si, bi = self._fan_hits(prisms[i:i + FAN_PRISMS], boxes)
+            hit[owner.take(bi + i), si] = True
+        return hit
+
+    def _fan_hits(self, prisms, boxes):
+        """(segment, prism) index pairs of the blocked links among the
+        prisms, through the fan index and the clipped boxes `boxes`."""
         frames, (x0, x1, y0, y1) = _prism_frames(prisms)
         center = frames[2]
         order, start, key = self._fan_index()
-        boxes = self._fan_boxes(frames[4][2].max() + _CULL_MARGIN)
 
         # (start point, prism) windows of azimuth
         sx, sy = start[0][:, None], start[1][:, None]
@@ -295,8 +310,7 @@ class SegmentSet:
                               & (boxes[3].take(pos) >= y0.take(bi)))
         si, bi = order.take(pos.take(near)), bi.take(near)
         hits = _segment_prism_hits(self.a, self.b, si, bi, frames)
-        hit[owner.take(bi[hits]), si[hits]] = True
-        return hit
+        return si[hits], bi[hits]
 
 
 def segments_blocked(a, b, blockers, group=None, segments=None):
@@ -313,8 +327,9 @@ def segments_blocked(a, b, blockers, group=None, segments=None):
     Segments lying wholly above the tallest prism are dropped; the rest
     are clipped to that height, and the xy bounding box of each clipped
     segment is compared with the footprint box of each prism of its
-    group. Both boxes are padded by _CULL_MARGIN, so the result equals
-    the slab test of every pair.
+    group, DENSE_SLOTS prisms of each group at a time. Both boxes are
+    padded by _CULL_MARGIN, so the result equals the slab test of every
+    pair.
     """
     if segments is not None:
         return segments.blocked_each(blockers)
@@ -335,17 +350,19 @@ def segments_blocked(a, b, blockers, group=None, segments=None):
     if seg is not None:
         group = group.take(seg)
     counts = np.array([len(part) for part in blockers], dtype=np.intp)
-    slot = np.arange(counts.max())[:, None]
-    valid = slot < counts.take(group)
-    prism = np.where(valid, (np.cumsum(counts) - counts).take(group) + slot, 0)
-    near = (valid
-            & (box_lo[0] <= x1.take(prism)) & (box_hi[0] >= x0.take(prism))
-            & (box_lo[1] <= y1.take(prism)) & (box_hi[1] >= y0.take(prism)))
-    slots, si = np.nonzero(near)
-    bi = prism[slots, si]
-    if seg is not None:
-        si = seg.take(si)
-    hit[si[_segment_prism_hits(a, b, si, bi, frames)]] = True
+    first = (np.cumsum(counts) - counts).take(group)
+    for i in range(0, counts.max(), DENSE_SLOTS):
+        slot = np.arange(i, min(i + DENSE_SLOTS, counts.max()))[:, None]
+        valid = slot < counts.take(group)
+        prism = np.where(valid, first + slot, 0)
+        near = (valid
+                & (box_lo[0] <= x1.take(prism)) & (box_hi[0] >= x0.take(prism))
+                & (box_lo[1] <= y1.take(prism)) & (box_hi[1] >= y0.take(prism)))
+        slots, si = np.nonzero(near)
+        bi = prism[slots, si]
+        if seg is not None:
+            si = seg.take(si)
+        hit[si[_segment_prism_hits(a, b, si, bi, frames)]] = True
     return hit
 
 

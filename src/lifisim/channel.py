@@ -124,25 +124,29 @@ class SurfaceMesh:
         return self.centers.shape[0]
 
 
-def build_environment_mesh(room, resolution=0.5):
-    """Tile floor, ceiling and the four walls with a uniform grid.
+def build_environment_mesh(sc):
+    """Tile floor, ceiling and the four walls of the scenario's room
+    with a uniform grid.
 
-    Each face is split into round(dim / resolution) cells per axis (at
-    least one), so cell areas sum to the exact boundary area even when
-    the resolution does not divide the face.
+    Reads sc.room_width, sc.room_depth and sc.room_height, the
+    reflectivities sc.rho_walls, sc.rho_floor and sc.rho_ceiling, and
+    sc.mesh_resolution. Each face is split into round(dim / resolution)
+    cells per axis (at least one), so cell areas sum to the exact
+    boundary area even when the resolution does not divide the face.
     """
+    resolution = sc.mesh_resolution
     if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    w, d, h = room.width, room.depth, room.height
+        raise ValueError("mesh_resolution must be positive")
+    w, d, h = sc.room_width, sc.room_depth, sc.room_height
 
     faces = [
         # (origin, axis_u, axis_v, dims (len_u, len_v), normal, rho)
-        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (w, d), (0, 0, 1), room.rho_floor),
-        ((0, 0, h), (1, 0, 0), (0, 1, 0), (w, d), (0, 0, -1), room.rho_ceiling),
-        ((0, 0, 0), (0, 1, 0), (0, 0, 1), (d, h), (1, 0, 0), room.rho_walls),
-        ((w, 0, 0), (0, 1, 0), (0, 0, 1), (d, h), (-1, 0, 0), room.rho_walls),
-        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (w, h), (0, 1, 0), room.rho_walls),
-        ((0, d, 0), (1, 0, 0), (0, 0, 1), (w, h), (0, -1, 0), room.rho_walls),
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (w, d), (0, 0, 1), sc.rho_floor),
+        ((0, 0, h), (1, 0, 0), (0, 1, 0), (w, d), (0, 0, -1), sc.rho_ceiling),
+        ((0, 0, 0), (0, 1, 0), (0, 0, 1), (d, h), (1, 0, 0), sc.rho_walls),
+        ((w, 0, 0), (0, 1, 0), (0, 0, 1), (d, h), (-1, 0, 0), sc.rho_walls),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (w, h), (0, 1, 0), sc.rho_walls),
+        ((0, d, 0), (1, 0, 0), (0, 0, 1), (w, h), (0, -1, 0), sc.rho_walls),
     ]
 
     centers, normals, areas, rho = [], [], [], []

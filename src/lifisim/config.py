@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .channel import lambertian_order
-from .geometry import Room, ap_positions, device_layout, grid_size
+from .geometry import device_layout, grid_size
 from .orientation import BUILTIN_STATS
 from .sm import MAX_SYMBOLS
 
@@ -120,15 +120,6 @@ class Scenario:
     seed: int = 0
 
     # -- derived helpers -------------------------------------------------
-
-    def room(self):
-        return Room(width=self.room_width, depth=self.room_depth,
-                    height=self.room_height, rho_walls=self.rho_walls,
-                    rho_floor=self.rho_floor, rho_ceiling=self.rho_ceiling)
-
-    def aps(self):
-        return ap_positions(self.room(), n_per_side=self.n_ap_side,
-                            height=self.ap_height)
 
     def stats(self):
         return BUILTIN_STATS[self.activity]

@@ -1,5 +1,9 @@
 """Coordinate frames, rotation matrices, and room / device layouts.
 
+The room is the Scenario's: ap_positions reads its size and AP
+lattice from one, as channel.build_environment_mesh reads its size,
+reflectivities and mesh resolution.
+
 Conventions used throughout the simulator:
 
 * World frame: x to the East, y to the North, z up. The room occupies
@@ -19,7 +23,7 @@ is zero, so a user facing the compass direction Omega (degrees from
 East) holds the device at a mean yaw of Omega - 90.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,31 +52,6 @@ def rotation_matrix(alpha_deg, beta_deg, gamma_deg):
 
 
 @dataclass(frozen=True)
-class Room:
-    """Rectangular room with per-surface diffuse reflectivities."""
-
-    width: float = 5.0          # h_x, m
-    depth: float = 5.0          # h_y, m
-    height: float = 3.0         # h_z, m
-    rho_walls: float = 0.6
-    rho_floor: float = 0.2
-    rho_ceiling: float = 0.8
-
-    def __post_init__(self):
-        if min(self.width, self.depth, self.height) <= 0:
-            raise ValueError("room dimensions must be positive")
-        for rho in (self.rho_walls, self.rho_floor, self.rho_ceiling):
-            if not 0.0 <= rho <= 1.0:
-                raise ValueError("reflectivities must lie in [0, 1]")
-
-    def contains(self, points):
-        """Boolean mask of points inside the closed room volume."""
-        p = np.atleast_2d(points)
-        hi = np.array([self.width, self.depth, self.height])
-        return np.all((p >= 0.0) & (p <= hi), axis=-1)
-
-
-@dataclass(frozen=True)
 class APLayout:
     """Ceiling-mounted access points on a square lattice, facing down."""
 
@@ -80,43 +59,52 @@ class APLayout:
     normals: np.ndarray     # (n, 3), all (0, 0, -1)
 
 
-def ap_positions(room, n_per_side=4, height=2.95):
-    """Access points on a centered n x n lattice below the ceiling.
+def ap_positions(sc):
+    """Access points on a centered sc.n_ap_side x sc.n_ap_side lattice at
+    sc.ap_height, below the ceiling of the sc.room_width x sc.room_depth
+    room.
 
     The lattice spacing is width / n along x (depth / n along y) and the
     outer rows sit half a spacing from the walls, so coverage margins
     are symmetric. For a 5 m room and n = 4 the x coordinates are
     0.625, 1.875, 3.125 and 4.375 m.
     """
-    if n_per_side < 1:
-        raise ValueError("n_per_side must be >= 1")
-    dx = room.width / n_per_side
-    dy = room.depth / n_per_side
-    xs = dx / 2 + dx * np.arange(n_per_side)
-    ys = dy / 2 + dy * np.arange(n_per_side)
+    n = sc.n_ap_side
+    if n < 1:
+        raise ValueError("n_ap_side must be >= 1")
+    dx = sc.room_width / n
+    dy = sc.room_depth / n
+    xs = dx / 2 + dx * np.arange(n)
+    ys = dy / 2 + dy * np.arange(n)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(height))])
+    pos = np.column_stack([gx.ravel(), gy.ravel(),
+                           np.full(gx.size, float(sc.ap_height))])
     nrm = np.tile([0.0, 0.0, -1.0], (pos.shape[0], 1))
     return APLayout(positions=pos, normals=nrm)
 
 
-def _lattice_span(length, margin):
+#: Distance of the evaluation lattice from the walls, m.
+LATTICE_MARGIN = 0.25
+
+
+def _lattice_span(length):
     """[start, stop) of the evaluation lattice along one room side."""
-    return margin, length - margin + 1e-9
+    return LATTICE_MARGIN, length - LATTICE_MARGIN + 1e-9
 
 
-def grid_positions(width, depth, step, margin=0.25):
-    """Evaluation lattice: points `step` apart, `margin` off the walls."""
-    xs = np.arange(*_lattice_span(width, margin), step)
-    ys = np.arange(*_lattice_span(depth, margin), step)
+def grid_positions(width, depth, step):
+    """Evaluation lattice: points `step` apart, LATTICE_MARGIN off the
+    walls."""
+    xs = np.arange(*_lattice_span(width), step)
+    ys = np.arange(*_lattice_span(depth), step)
     return [(float(x), float(y)) for y in ys for x in xs]
 
 
-def grid_size(width, depth, step, margin=0.25):
-    """len(grid_positions(width, depth, step, margin)) without building
-    the lattice; a float, which a tiny step takes to inf, not overflow."""
+def grid_size(width, depth, step):
+    """len(grid_positions(width, depth, step)) without building the
+    lattice; a float, which a tiny step takes to inf, not overflow."""
     def points(length):
-        start, stop = _lattice_span(length, margin)
+        start, stop = _lattice_span(length)
         return max(0.0, float(np.ceil((stop - start) / step)))
     return points(width) * points(depth)
 
@@ -215,8 +203,7 @@ def element_world_pose(pose, layout):
 
     Positions are pose.position + R p_local and normals R n_local for
     the pose's rotation R, preserving the rigid-body geometry. No
-    clamping is applied; callers may check Room.contains on the result
-    if elements leaving the room matter to them.
+    clamping is applied: an element may lie outside the room.
 
     Returns:
         (positions, normals) arrays of shape (n_elements, 3).

@@ -57,7 +57,8 @@ from .blockage import SegmentSet, place_blockers, segments_blocked
 from .channel import (ELEMENT_ORDER, RadiositySolver, build_environment_mesh,
                       lambertian_order, los_gain_matrix, mesh_gains)
 from .config import ConfigError, Scenario, scenario_hash
-from .geometry import DevicePose, element_world_pose, grid_positions
+from .geometry import (DevicePose, ap_positions, element_world_pose,
+                       grid_positions)
 from .orientation import orwp_generate, sample_static_orientation
 from .rates import energy_efficiency, mi_monte_carlo, rate_bounds
 from .sm import (build_constellation, build_mimo_constellation,
@@ -156,7 +157,7 @@ class ChannelBuilder:
 
     def __init__(self, scenario):
         self.sc = scenario
-        self.aps = scenario.aps()
+        self.aps = ap_positions(scenario)
         self.layout = scenario.layout()
         self.order = lambertian_order(scenario.semiangle_deg)
         self.stats = scenario.stats()
@@ -165,8 +166,7 @@ class ChannelBuilder:
         self.ap_to_mesh = None
         cells = len(self.aps.positions)
         if scenario.direction == "downlink" and scenario.include_nlos:
-            mesh = build_environment_mesh(scenario.room(),
-                                          scenario.mesh_resolution)
+            mesh = build_environment_mesh(scenario)
             self.solver = RadiositySolver(mesh)
             self.ap_to_mesh = mesh_gains(self.aps.positions,
                                          self.aps.normals,

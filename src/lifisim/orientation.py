@@ -127,12 +127,12 @@ def ar1_step(prev, params, rng):
     return params.c0 + params.c1 * prev + rng.normal(0.0, params.sigma_w)
 
 
-def ar1_sequence(n, params, rng, init=None):
+def ar1_sequence(n, params, rng):
     """Vectorized AR(1) sample path of length n.
 
-    Equivalent to n repeated ar1_step calls starting from init (the
-    stationary mean when omitted); implemented as an IIR filter over
-    the innovation sequence for speed.
+    Equivalent to n repeated ar1_step calls starting from the stationary
+    mean; implemented as an IIR filter over the innovation sequence for
+    speed.
     """
     # Imported here: scipy.signal dominates the package import time and
     # nothing else needs it.
@@ -140,10 +140,10 @@ def ar1_sequence(n, params, rng, init=None):
 
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x0 = params.mean if init is None else float(init)
     drive = params.c0 + rng.normal(0.0, params.sigma_w, size=n)
-    # lfilter computes x[k] = drive[k] + c1 x[k-1]; zi carries x0 in.
-    out, _ = lfilter([1.0], [1.0, -params.c1], drive, zi=np.array([params.c1 * x0]))
+    # lfilter computes x[k] = drive[k] + c1 x[k-1]; zi carries the mean in.
+    out, _ = lfilter([1.0], [1.0, -params.c1], drive,
+                     zi=np.array([params.c1 * params.mean]))
     return out
 
 

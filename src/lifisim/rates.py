@@ -48,13 +48,13 @@ def input_power_variance(constellation):
 
     Closed form I^2 (M - 1) / (3 N_t (M + 1)) for single-active-source
     signaling with M equispaced positive levels of mean I over N_t
-    transmitters. This is the average of (active level - I)^2 spread
-    over the N_t vector components, not the componentwise variance.
+    transmitters, at the unit mean power I = 1 of every signal set (see
+    sm). This is the average of (active level - I)^2 spread over the N_t
+    vector components, not the componentwise variance.
     """
     n_tx = constellation.S.shape[0]
     M = constellation.M
-    I = constellation.mean_power
-    return I * I * (M - 1) / (3.0 * n_tx * (M + 1))
+    return (M - 1) / (3.0 * n_tx * (M + 1))
 
 
 def lower_bound_l1(constellation, H, sigma2):

@@ -7,10 +7,12 @@ log2(N_a) + log2(M) bits: the source index in natural binary followed
 by the Gray-coded level index.
 
 The transmit SNR convention ties the noise to the signal through the
-mean optical power: gamma_tx = I^2 / sigma_n^2, which makes the
-pairwise error probability of maximum-likelihood detection
+mean optical power: gamma_tx = I^2 / sigma_n^2. Every symbol scales
+with I, so I cancels from every error rate, bound and rate at a given
+gamma_tx, and every signal set here has I = 1. The pairwise error
+probability of maximum-likelihood detection is then
 
-    PEP = Q( sqrt( gamma_tx / (4 I^2) * ||H (s1 - s2)||^2 ) )
+    PEP = Q( sqrt( gamma_tx / 4 * ||H (s1 - s2)||^2 ) )
 
 and the Hamming-weighted union bound over all ordered symbol pairs an
 upper estimate of the bit error rate. The bound is symmetric in the
@@ -86,14 +88,12 @@ class Constellation:
         labels: (K, bits_per_symbol) bit labels.
         M: PAM order.
         n_active: number of usable light sources.
-        mean_power: average emitted optical power I.
     """
 
     S: np.ndarray
     labels: np.ndarray
     M: int
     n_active: int
-    mean_power: float
 
     @property
     def K(self):
@@ -127,15 +127,16 @@ def _read_only(a):
     return a
 
 
-def pam_levels(M, mean_power):
-    """Unipolar PAM levels 2 I m / (M + 1); their mean equals I."""
+def pam_levels(M, mean):
+    """Unipolar PAM levels 2 I m / (M + 1); their mean equals I = mean."""
     m = np.arange(1, M + 1)
-    return 2.0 * mean_power * m / (M + 1)
+    return 2.0 * mean * m / (M + 1)
 
 
 @lru_cache(maxsize=_CACHED_SETS)
-def build_constellation(M, n_active, mean_power=1.0):
-    """Spatial-modulation signal set for n_active sources and M-PAM.
+def build_constellation(M, n_active):
+    """Spatial-modulation signal set for n_active sources and M-PAM of
+    unit mean.
 
     Column k = (m - 1) n_active + a activates source a (0-based) at
     level I_m. Spatial bits are the natural binary source index; level
@@ -146,13 +147,11 @@ def build_constellation(M, n_active, mean_power=1.0):
         raise ValueError("M must be a power of two >= 2")
     if not _is_pow2(n_active):
         raise ValueError("n_active must be a power of two")
-    if not mean_power > 0:
-        raise ValueError("mean_power must be positive")
     K = M * n_active
     if K > MAX_SYMBOLS:
         raise ValueError(f"symbol set too large ({K} > {MAX_SYMBOLS})")
 
-    levels = pam_levels(M, mean_power)
+    levels = pam_levels(M, 1.0)
     S = np.zeros((n_active, K))
     led = np.tile(np.arange(n_active), M)
     lvl = np.repeat(np.arange(M), n_active)
@@ -166,16 +165,16 @@ def build_constellation(M, n_active, mean_power=1.0):
     parts.append(_bits(gray_code(lvl), level_bits))
     labels = np.concatenate(parts, axis=1)
     return Constellation(S=_read_only(S), labels=_read_only(labels), M=M,
-                         n_active=n_active, mean_power=mean_power)
+                         n_active=n_active)
 
 
 @lru_cache(maxsize=_CACHED_SETS)
-def build_mimo_constellation(M, n_streams, mean_power=1.0):
+def build_mimo_constellation(M, n_streams):
     """Joint signal set of n_streams parallel M-PAM streams.
 
     Every stream is always on, carrying Gray-coded M-PAM. The levels
     are scaled so the total mean optical power summed over the streams
-    equals I, the same illumination constraint the one-active-source
+    equals I = 1, the same illumination constraint the one-active-source
     sets satisfy; the joint alphabet has M**n_streams vectors and
     labels are the streams' labels concatenated. Memoized like
     build_constellation.
@@ -184,13 +183,11 @@ def build_mimo_constellation(M, n_streams, mean_power=1.0):
         raise ValueError("M must be a power of two >= 2")
     if n_streams < 1:
         raise ValueError("n_streams must be >= 1")
-    if not mean_power > 0:
-        raise ValueError("mean_power must be positive")
     K = M ** n_streams
     if K > MAX_SYMBOLS:
         raise ValueError(f"joint symbol set too large ({K} > {MAX_SYMBOLS})")
 
-    levels = pam_levels(M, mean_power / n_streams)
+    levels = pam_levels(M, 1.0 / n_streams)
     level_bits = int(np.log2(M))
     grids = np.meshgrid(*[np.arange(M)] * n_streams, indexing="ij")
     idx = np.stack([g.ravel() for g in grids], axis=0)    # (n_streams, K)
@@ -198,7 +195,7 @@ def build_mimo_constellation(M, n_streams, mean_power=1.0):
     labels = np.concatenate(
         [_bits(gray_code(idx[j]), level_bits) for j in range(n_streams)], axis=1)
     return Constellation(S=_read_only(S), labels=_read_only(labels), M=M,
-                         n_active=n_streams, mean_power=mean_power)
+                         n_active=n_streams)
 
 
 #: Number of set bits of every byte value.
@@ -237,11 +234,11 @@ def ml_detect(y, H, constellation):
     return int(np.argmin(d2))
 
 
-def pep(s1, s2, H, gamma_tx, mean_power):
+def pep(s1, s2, H, gamma_tx):
     """Pairwise error probability of mistaking symbol s1 for s2."""
     gamma_tx = positive(gamma_tx, "gamma_tx")
     diff = H @ (np.asarray(s1, dtype=float) - np.asarray(s2, dtype=float))
-    arg = np.sqrt(gamma_tx / (4.0 * mean_power ** 2) * np.dot(diff, diff))
+    arg = np.sqrt(gamma_tx / 4.0 * np.dot(diff, diff))
     return float(qfunc(arg))
 
 
@@ -249,7 +246,7 @@ def union_bound_ber(constellation, H, gamma_tx):
     """Union-bound estimate of the ML bit error rate.
 
     (1 / (K log2 K)) * sum over all ordered pairs of
-    d_H(b1, b2) Q(sqrt(gamma_tx / (4 I^2) ||H (s1 - s2)||^2)): the
+    d_H(b1, b2) Q(sqrt(gamma_tx / 4 ||H (s1 - s2)||^2)): the
     floor of bound_tables plus the tail of bound_tails, on the stack of
     H alone. Monotone decreasing in gamma_tx; may exceed 1 at low SNR.
     gamma_tx is one SNR, which gives a float, or a 1-D grid, which gives
@@ -267,7 +264,7 @@ def bound_tables(constellation, Hs):
 
     Hs is (B, n_rx, n_active). Returns (floor, weight, root_a): floor
     has shape (B,), weight and root_a (B, n_pairs) over the set's
-    PairTable, with root_a = ||H (s_i - s_j)|| / (2 I). The squared
+    PairTable, with root_a = ||H (s_i - s_j)|| / 2. The squared
     distances are those of pairwise_sq_distances (the Gram form), so a
     pair counts as inseparable exactly when that K x K table holds 0
     for it; such a pair keeps Q(0) = 1/2 at every SNR, its d_H goes into
@@ -292,7 +289,7 @@ def bound_tables(constellation, Hs):
     floor = (np.where(zero, pairs.d_ham, 0).sum(axis=1)
              / (c.K * c.bits_per_symbol))
     weight = np.where(zero, 0.0, pairs.weight)
-    root_a = np.sqrt(np.maximum(d2, 0.0)) / (2.0 * c.mean_power)
+    root_a = np.sqrt(np.maximum(d2, 0.0)) / 2.0
     return floor, weight, root_a
 
 
@@ -339,7 +336,7 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     """Simulated ML bit error rate with a Wilson confidence interval.
 
     Symbols are drawn uniformly; the noise standard deviation is
-    calibrated to the transmit SNR as sigma = I / sqrt(gamma_tx). The
+    calibrated to the transmit SNR as sigma = 1 / sqrt(gamma_tx). The
     interval treats bit errors as independent Bernoulli trials. Symbols
     are drawn in blocks of MC_CHUNK, the indices of a block before its
     noise, so the result depends only on rng's state and the inputs; a
@@ -353,7 +350,7 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     gamma_tx = positive(gamma_tx, "gamma_tx")
     x = H @ constellation.S                       # (n_r, K)
     K = constellation.K
-    sigma = constellation.mean_power / np.sqrt(gamma_tx)
+    sigma = 1.0 / np.sqrt(gamma_tx)
     half_sq = 0.5 * np.sum(x * x, axis=0)         # (K,)
     bit_errors = constellation.hamming.ravel()    # (K * K,)
     step = max(1, MC_SCORES // K)                 # symbols detected at once

@@ -21,8 +21,8 @@ from scipy.stats import kurtosis
 from lifisim import (
     Blocker,
     RadiositySolver,
-    Room,
     SITTING_STATS,
+    Scenario,
     WALKING_STATS,
     ar1_params,
     ar1_sequence,
@@ -74,7 +74,7 @@ def test_criterion_2_high_snr_convergence():
     rng = np.random.default_rng(1)
     H = rng.uniform(0.2, 1.0, (16, 4)) + 0.5 * np.eye(16, 4)
     assert np.linalg.cond(H) < 20.0  # well-conditioned by construction
-    c = build_constellation(4, 4, mean_power=1.0)
+    c = build_constellation(4, 4)
     sigma2 = 10.0 ** (-60.0 / 10.0)  # I^2/sigma^2 = 60 dB at I = 1
     bounds = rate_bounds(c, H, sigma2)
     gap = np.log2(c.K) - bounds.rate
@@ -92,7 +92,7 @@ def test_criterion_2_high_snr_convergence():
 @pytest.mark.slow
 def test_criterion_3_bound_validity_oracle():
     rng = np.random.default_rng(33)
-    c = build_constellation(4, 4, mean_power=1.0)
+    c = build_constellation(4, 4)
     snrs_db = (0.0, 10.0, 20.0, 30.0, 40.0)
     violations = 0
     worst = np.inf
@@ -375,7 +375,7 @@ def test_criterion_8_property_suites():
 
     # reflection system: solved exactly, and series-consistent at low rho
     order, area, fov = lambertian_order(60.0), 0.25e-4, 60.0
-    mesh = build_environment_mesh(Room(), 0.5)
+    mesh = build_environment_mesh(Scenario())
     solver = RadiositySolver(mesh)
     tx = np.array([[3.125, 3.125, 2.95]])
     txn = np.array([[0.0, 0.0, -1.0]])
@@ -397,7 +397,7 @@ def test_criterion_8_property_suites():
     # an upward receiver sees it only after a second reflection
     rxn_down = np.array([[0.0, 0.0, -1.0]])
     low = build_environment_mesh(
-        Room(rho_walls=0.05, rho_floor=0.05, rho_ceiling=0.05), 0.5)
+        Scenario(rho_walls=0.05, rho_floor=0.05, rho_ceiling=0.05))
     full = nlos_gain(tx, txn, order, rx, rxn_down, area, fov,
                      RadiositySolver(low))[0, 0]
     t_low = los_gain_matrix(tx, txn, low.centers, low.normals,
@@ -409,18 +409,18 @@ def test_criterion_8_property_suites():
     assert gap <= 0.05
     notes.append(f"single-bounce series gap {gap:.3f}")
 
-    # constellations: average emitted optical power is exactly I
+    # constellations: average emitted optical power is exactly I = 1
     for m, n_a in ((2, 2), (4, 4), (8, 2), (2, 16), (4, 1)):
-        c = build_constellation(m, n_a, mean_power=1.0)
+        c = build_constellation(m, n_a)
         assert c.S.sum(axis=0).mean() == pytest.approx(1.0, rel=1e-13)
     for m, n_s in ((2, 4), (4, 2)):
-        c = build_mimo_constellation(m, n_s, mean_power=1.0)
+        c = build_mimo_constellation(m, n_s)
         assert c.S.sum(axis=0).mean() == pytest.approx(1.0, rel=1e-13)
     notes.append("mean power exact")
 
     # ML detection equals the brute-force distance table
     rng = np.random.default_rng(82)
-    c = build_constellation(4, 4, mean_power=1.0)
+    c = build_constellation(4, 4)
     for _ in range(200):
         H = rng.uniform(0.0, 1.0, (4, 4))
         y = rng.normal(0.0, 1.0, 4)

@@ -245,7 +245,7 @@ def test_led_selection_weakest_gate_is_exact():
 def _k2_union_bound(c, H, gamma_tx):
     """Union bound summed over all K^2 ordered pairs, as it used to be."""
     d2 = pairwise_sq_distances(H @ c.S)
-    args = np.sqrt(gamma_tx / (4.0 * c.mean_power ** 2) * d2)
+    args = np.sqrt(gamma_tx / 4.0 * d2)
     return float(np.sum(hamming_matrix(c.labels) * qfunc(args))
                  / (c.K * c.bits_per_symbol))
 

@@ -1,5 +1,8 @@
 """Prism placement and segment occlusion, checked against point sampling."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,9 @@ from hypothesis import strategies as st
 from lifisim import (Blocker, DevicePose, Scenario, blockage_mask,
                      element_world_pose, place_blockers, scenario_from_dict,
                      segments_blocked)
+from lifisim import blockage
 from lifisim.blockage import SegmentSet
-from lifisim.harness import ChannelBuilder
+from lifisim.harness import ChannelBuilder, _tasks
 
 
 def _point_in_prism(points, blocker):
@@ -123,7 +127,6 @@ def test_self_blocker_placement():
     pose = DevicePose(position=np.array([2.0, 3.0, 0.8]), omega_deg=90.0)
     blockers = place_blockers(sc, pose, np.random.default_rng(0))
     assert len(blockers) == 1
-    assert blockers[0].kind == "self"
     # body stands user_distance behind the device, against the facing direction
     np.testing.assert_allclose(blockers[0].center, (2.0, 2.7), atol=1e-12)
     assert blockers[0].facing_deg == pytest.approx(90.0)
@@ -171,8 +174,7 @@ def _scalar_placement(sc, pose, rng):
         cx = pose.position[0] - sc.user_distance * np.cos(omega)
         cy = pose.position[1] - sc.user_distance * np.sin(omega)
         blockers.append(Blocker(center=(float(cx), float(cy)),
-                                facing_deg=float(pose.omega_deg),
-                                kind="self", **dims))
+                                facing_deg=float(pose.omega_deg), **dims))
     n_extra = int(np.floor(sc.kappa_b * sc.room_width * sc.room_depth + 0.5))
     for _ in range(n_extra):
         x = rng.uniform(0.0, sc.room_width)
@@ -412,11 +414,13 @@ def fan_set(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fan_set())
-def test_fan_index_equals_one_dense_test_per_list(case):
+@given(fan_set(), st.integers(1, 8), st.integers(1, 4))
+def test_fan_index_equals_one_dense_test_per_list(case, prisms, slots):
+    # chunk sizes this small put most inputs past them
     a, b, lists = case
     segments = SegmentSet(a, b)
-    got = segments_blocked(a, b, lists, segments=segments)
+    with mock.patch.multiple(blockage, FAN_PRISMS=prisms, DENSE_SLOTS=slots):
+        got = segments_blocked(a, b, lists, segments=segments)
     assert got.shape == (len(lists), a.shape[0]) and got.dtype == bool
     for row, blockers in zip(got, lists):
         dense = segments_blocked(a, b, blockers)
@@ -474,14 +478,17 @@ def test_culled_test_on_walking_user_segments():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_grouped_segments_blocked_equals_one_call_per_group(data):
-    # groups with no segments and groups with no blockers included
+    # groups with no segments and groups with no blockers included, in
+    # prism slots of 1 or 2 at a time as well as the default
     lists = data.draw(st.lists(st.lists(BLOCKER, max_size=3), min_size=1,
                                max_size=5))
     a, b = data.draw(segment_set([bl for blockers in lists
                                   for bl in blockers]))
     group = np.array(data.draw(st.lists(
         st.integers(0, len(lists) - 1), min_size=len(a), max_size=len(a))))
-    got = segments_blocked(a, b, lists, group)
+    slots = data.draw(st.sampled_from([1, 2, blockage.DENSE_SLOTS]))
+    with mock.patch.object(blockage, "DENSE_SLOTS", slots):
+        got = segments_blocked(a, b, lists, group)
     assert got.shape == (a.shape[0],) and got.dtype == bool
     for g, blockers in enumerate(lists):
         mine = group == g
@@ -501,3 +508,49 @@ def test_grouped_segments_blocked_without_segments_or_blockers():
     assert segments_blocked(a, b, [[], [blocker]], [0, 1]).tolist() == [
         False, True]
     assert not segments_blocked(a, b, [[], []], [0, 1]).any()
+
+
+def _dense_walk(kappa_b):
+    """A walking ChannelBuilder among kappa_b blockers per m^2, and the
+    tasks of its first sub-block."""
+    sc = scenario_from_dict(dict(activity="walking", scheme="sm", n_active=4,
+                                 kappa_b=kappa_b, n_waypoints=2, seed=3))
+    builder = ChannelBuilder(sc)
+    return builder, _tasks(sc)[:builder.sub_block]
+
+
+def test_both_blockage_tests_past_their_chunk_sizes():
+    # 51 prisms per list: the fan index takes three lists' 153 prisms in
+    # two parts, the grouped test every list in seven parts of slots
+    builder, tasks = _dense_walk(2.0)
+    lists = [builder.realize(*task)[1] for task in tasks[:3]]
+    assert sum(map(len, lists)) > blockage.FAN_PRISMS
+    assert min(map(len, lists)) > blockage.DENSE_SLOTS
+    seg = builder._ap_mesh
+    a, b = seg.a.T, seg.b.T
+    got = segments_blocked(a, b, lists, segments=seg)
+    for row, blockers in zip(got, lists):
+        np.testing.assert_array_equal(row, _oracle_blocked(a, b, blockers))
+    # each list among a third of the links, as the device links of three
+    # poses are
+    group = np.arange(len(a)) % 3
+    got = segments_blocked(a, b, lists, group)
+    for g, blockers in enumerate(lists):
+        mine = group == g
+        np.testing.assert_array_equal(
+            got[mine], _oracle_blocked(a[mine], b[mine], blockers))
+    assert got.any() and not got.all()
+
+
+def test_dense_blockage_memory_per_sub_block():
+    # 201 prisms per pose: testing every prism slot, and every fan prism,
+    # at once held 212 MiB in one sub-block
+    builder, tasks = _dense_walk(8.0)
+    assert len(tasks) == builder.sub_block == 16
+    tracemalloc.start()
+    try:
+        builder.channels(tasks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import lu_factor
 
 import lifisim.channel as channel
-from lifisim import (Blocker, RadiosityError, RadiositySolver, Room,
+from lifisim import (Blocker, RadiosityError, RadiositySolver, Scenario,
                      SurfaceMesh, build_environment_mesh, lambertian_order,
                      los_gain_matrix, nlos_gain)
 from lifisim.channel import ELEMENT_FOV_DEG, ELEMENT_ORDER, _los_gain_rows
@@ -156,7 +156,7 @@ def test_geometric_reciprocity_at_order_one():
 
 def test_four_fold_lattice_symmetry():
     from lifisim import ap_positions
-    aps = ap_positions(Room(), 4, 2.95)
+    aps = ap_positions(Scenario())
     g = los_gain_matrix(aps.positions, aps.normals,
                         np.array([[2.5, 2.5, 0.8]]), np.array([[0, 0, 1.0]]),
                         SRC.order, SRC.area, SRC.fov_deg)[0]
@@ -167,29 +167,31 @@ def test_four_fold_lattice_symmetry():
 
 
 def test_mesh_element_count_and_areas():
-    mesh = build_environment_mesh(Room(), 0.5)
+    mesh = build_environment_mesh(Scenario())
     assert mesh.n_elements == 440
     assert mesh.areas.sum() == pytest.approx(110.0, rel=1e-12)
     np.testing.assert_allclose(mesh.areas, 0.25)
 
 
 def test_mesh_area_exact_for_non_dividing_resolution():
-    mesh = build_environment_mesh(Room(), 0.45)
+    mesh = build_environment_mesh(Scenario(mesh_resolution=0.45))
     assert mesh.areas.sum() == pytest.approx(110.0, rel=1e-12)
-    coarse = build_environment_mesh(Room(), 10.0)
+    coarse = build_environment_mesh(Scenario(mesh_resolution=10.0))
     assert coarse.n_elements == 6       # one element per face
     assert coarse.areas.sum() == pytest.approx(110.0, rel=1e-12)
+    with pytest.raises(ValueError, match="mesh_resolution"):
+        build_environment_mesh(Scenario(mesh_resolution=0.0))
 
 
 def test_mesh_reflectivities_and_inward_normals():
-    room = Room()
-    mesh = build_environment_mesh(room, 0.5)
+    sc = Scenario()
+    mesh = build_environment_mesh(sc)
     floor = mesh.centers[:, 2] == 0.0
-    ceiling = mesh.centers[:, 2] == room.height
+    ceiling = mesh.centers[:, 2] == sc.room_height
     walls = ~(floor | ceiling)
-    assert np.all(mesh.rho[floor] == room.rho_floor)
-    assert np.all(mesh.rho[ceiling] == room.rho_ceiling)
-    assert np.all(mesh.rho[walls] == room.rho_walls)
+    assert np.all(mesh.rho[floor] == sc.rho_floor)
+    assert np.all(mesh.rho[ceiling] == sc.rho_ceiling)
+    assert np.all(mesh.rho[walls] == sc.rho_walls)
     np.testing.assert_allclose(np.linalg.norm(mesh.normals, axis=1), 1.0)
     to_center = np.array([2.5, 2.5, 1.5]) - mesh.centers
     assert (np.einsum("ij,ij->i", to_center, mesh.normals) > 0).all()
@@ -204,8 +206,9 @@ def _single_link_setup():
 
 
 def test_nlos_zero_reflectivity():
-    room = Room(rho_walls=0.0, rho_floor=0.0, rho_ceiling=0.0)
-    solver = RadiositySolver(build_environment_mesh(room, 1.0))
+    room = Scenario(rho_walls=0.0, rho_floor=0.0, rho_ceiling=0.0,
+                    mesh_resolution=1.0)
+    solver = RadiositySolver(build_environment_mesh(room))
     assert solver.spectral_radius == 0.0
     tx, txn, rx, rxn = _single_link_setup()
     g = nlos_gain(tx, txn, SRC.order, rx, rxn, SRC.area, SRC.fov_deg, solver)
@@ -232,8 +235,8 @@ def _neumann_oracle(mesh, tx, txn, rx, rxn, n_terms):
 
 
 def test_nlos_matches_truncated_series_at_low_reflectivity():
-    room = Room(rho_walls=0.05, rho_floor=0.05, rho_ceiling=0.05)
-    mesh = build_environment_mesh(room, 0.5)
+    room = Scenario(rho_walls=0.05, rho_floor=0.05, rho_ceiling=0.05)
+    mesh = build_environment_mesh(room)
     solver = RadiositySolver(mesh)
     tx, txn, rx, rxn = _single_link_setup()
     full = nlos_gain(tx, txn, SRC.order, rx, rxn, SRC.area, SRC.fov_deg,
@@ -251,7 +254,7 @@ def test_nlos_matches_truncated_series_at_low_reflectivity():
 
 
 def test_nlos_matches_series_at_table_reflectivities():
-    mesh = build_environment_mesh(Room(), 0.5)
+    mesh = build_environment_mesh(Scenario())
     solver = RadiositySolver(mesh)
     tx, txn, rx, rxn = _single_link_setup()
     full = nlos_gain(tx, txn, SRC.order, rx, rxn, SRC.area, SRC.fov_deg,
@@ -262,7 +265,7 @@ def test_nlos_matches_series_at_table_reflectivities():
 
 
 def test_radiosity_factors_the_reflection_system_bit_for_bit():
-    mesh = build_environment_mesh(Room(), 0.5)
+    mesh = build_environment_mesh(Scenario())
     solver = RadiositySolver(mesh)
     e = los_gain_matrix(mesh.centers, mesh.normals, mesh.centers,
                         mesh.normals, ELEMENT_ORDER, mesh.areas,
@@ -280,7 +283,7 @@ def test_radiosity_factors_the_reflection_system_bit_for_bit():
 
 def test_radiosity_setup_memory_at_the_benchmark_mesh():
     # one unchunked LOS call and four n x n copies peaked at 10.1 n^2
-    mesh = build_environment_mesh(Room(), 0.25)
+    mesh = build_environment_mesh(Scenario(mesh_resolution=0.25))
     n = mesh.n_elements
     assert n == 1760
     tracemalloc.start()
@@ -293,7 +296,7 @@ def test_radiosity_setup_memory_at_the_benchmark_mesh():
 
 
 def test_radiosity_residual():
-    mesh = build_environment_mesh(Room(), 0.5)
+    mesh = build_environment_mesh(Scenario())
     solver = RadiositySolver(mesh)
     tx, txn, _, _ = _single_link_setup()
     t = los_gain_matrix(tx, txn, mesh.centers, mesh.normals,
@@ -312,8 +315,8 @@ def test_nlos_monotone_in_reflectivity():
     tx, txn, rx, rxn = _single_link_setup()
 
     def gain(rho_w):
-        room = Room(rho_walls=rho_w)
-        solver = RadiositySolver(build_environment_mesh(room, 0.5))
+        room = Scenario(rho_walls=rho_w)
+        solver = RadiositySolver(build_environment_mesh(room))
         return nlos_gain(tx, txn, SRC.order, rx, rxn, SRC.area,
                          SRC.fov_deg, solver)[0, 0]
 
@@ -326,14 +329,15 @@ def test_nlos_mesh_refinement_convergence():
     tx, txn, rx, rxn = _single_link_setup()
     gains = {}
     for res in (0.25, 0.125):
-        solver = RadiositySolver(build_environment_mesh(Room(), res))
+        solver = RadiositySolver(build_environment_mesh(
+            Scenario(mesh_resolution=res)))
         gains[res] = nlos_gain(tx, txn, SRC.order, rx, rxn, SRC.area,
                                SRC.fov_deg, solver)[0, 0]
     assert gains[0.25] == pytest.approx(gains[0.125], rel=0.05)
 
 
 def test_nlos_blockage_cuts_first_and_last_segments():
-    mesh = build_environment_mesh(Room(), 0.5)
+    mesh = build_environment_mesh(Scenario())
     solver = RadiositySolver(mesh)
     tx, txn, rx, rxn = _single_link_setup()
     free = nlos_gain(tx, txn, SRC.order, rx, rxn, SRC.area, SRC.fov_deg,

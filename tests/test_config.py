@@ -48,8 +48,6 @@ def test_location_presets():
 
 def test_derived_objects():
     sc = Scenario()
-    assert sc.room().width == 5.0
-    assert sc.aps().positions.shape == (16, 3)
     assert sc.layout().variant == "mdr"
     assert sc.stats().family == "laplace"
     assert Scenario(activity="walking").stats().family == "gaussian"
@@ -189,6 +187,7 @@ def test_uplink_sm_n_active_is_at_most_the_device_elements():
 
 
 @pytest.mark.parametrize("key,value,message", [
+    ("room_width", 0.0, "room_width must be positive"),
     ("pd_area", 0.0, "pd_area must be positive"),
     ("fov_deg", 0.0, "fov_deg must be positive"),
     ("fov_deg", 120.0, r"fov_deg must lie in \(0, 90\] degrees"),

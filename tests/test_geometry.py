@@ -1,4 +1,4 @@
-"""Rotation algebra, room, access point lattice and device layouts."""
+"""Rotation algebra, access point lattice and device layouts."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from lifisim import (DevicePose, Room, ap_positions, device_layout,
+from lifisim import (DevicePose, Scenario, ap_positions, device_layout,
                      element_world_pose, mdr_layout, rotation_matrix,
                      sr_layout)
 
@@ -56,20 +56,8 @@ def test_rotation_orthonormal_bulk():
         assert np.abs(r @ r.T - np.eye(3)).max() < 1e-12
 
 
-def test_room_contains_and_validation():
-    room = Room()
-    inside = [[2.5, 2.5, 1.0], [0.0, 0.0, 0.0], [5.0, 5.0, 3.0]]
-    outside = [[-0.1, 2.5, 1.0], [2.5, 5.1, 1.0], [2.5, 2.5, 3.01]]
-    assert room.contains(inside).all()
-    assert not room.contains(outside).any()
-    with pytest.raises(ValueError):
-        Room(width=0.0)
-    with pytest.raises(ValueError):
-        Room(rho_walls=1.2)
-
-
 def test_ap_lattice_coordinates():
-    layout = ap_positions(Room(), n_per_side=4, height=2.95)
+    layout = ap_positions(Scenario())
     assert layout.positions.shape == (16, 3)
     xs = np.unique(layout.positions[:, 0])
     np.testing.assert_allclose(xs, [0.625, 1.875, 3.125, 4.375])
@@ -78,10 +66,10 @@ def test_ap_lattice_coordinates():
 
 
 def test_ap_lattice_other_sizes():
-    layout = ap_positions(Room(), n_per_side=1, height=2.95)
+    layout = ap_positions(Scenario(n_ap_side=1))
     np.testing.assert_allclose(layout.positions[0, :2], [2.5, 2.5])
-    with pytest.raises(ValueError):
-        ap_positions(Room(), n_per_side=0)
+    with pytest.raises(ValueError, match="n_ap_side"):
+        ap_positions(Scenario(n_ap_side=0))
 
 
 def test_screen_layout_geometry():

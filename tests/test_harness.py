@@ -285,19 +285,22 @@ def test_grid_positions_coarse():
 
 
 def test_grid_positions_margin():
-    pts = grid_positions(4.0, 3.0, 1.0, margin=0.5)
+    pts = grid_positions(4.0, 3.0, 1.0)
     xs = sorted({p[0] for p in pts})
     ys = sorted({p[1] for p in pts})
-    assert xs == pytest.approx([0.5, 1.5, 2.5, 3.5])
-    assert ys == pytest.approx([0.5, 1.5, 2.5])
+    assert xs == pytest.approx([0.25, 1.25, 2.25, 3.25])
+    assert ys == pytest.approx([0.25, 1.25, 2.25])
 
 
 @pytest.mark.parametrize("width,depth,step,margin", [
-    (5.0, 5.0, 0.25, 0.25), (5.0, 5.0, 0.1, 0.25), (4.0, 3.0, 1.0, 0.5),
-    (5.0, 5.0, 0.3, 0.25), (0.5, 0.5, 0.25, 0.25), (0.4, 3.0, 0.2, 0.25)])
+    (5.0, 5.0, 0.25, 0.25), (5.0, 5.0, 0.1, 0.25), (5.0, 5.0, 0.3, 0.25),
+    (0.5, 0.5, 0.25, 0.25), (0.4, 3.0, 0.2, 0.25)])
 def test_grid_size_counts_grid_positions(width, depth, step, margin):
-    assert grid_size(width, depth, step, margin) == len(
-        grid_positions(width, depth, step, margin))
+    pts = np.reshape(grid_positions(width, depth, step), (-1, 2))
+    assert grid_size(width, depth, step) == len(pts)
+    # every point lies at least `margin` inside the walls
+    assert (pts >= margin).all()
+    assert (pts <= np.array([width, depth]) - margin + 1e-9).all()
 
 
 def test_facing_directions():

@@ -25,17 +25,17 @@ def test_pam_levels_and_mean():
 
 @pytest.mark.parametrize("M,n_active", [(2, 1), (2, 2), (4, 4), (8, 4), (16, 1)])
 def test_constellation_shape_and_mean_power(M, n_active):
-    c = build_constellation(M, n_active, mean_power=1.7)
+    c = build_constellation(M, n_active)
     assert c.K == M * n_active
     assert c.bits_per_symbol == int(np.log2(M * n_active))
     # every symbol activates exactly one source
     assert (np.count_nonzero(c.S, axis=0) == 1).all()
-    # average emitted optical power over the signal set equals I exactly
-    assert c.S.sum(axis=0).mean() == pytest.approx(1.7, rel=1e-14)
+    # average emitted optical power over the signal set equals I = 1
+    assert c.S.sum(axis=0).mean() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_constellation_column_order():
-    c = build_constellation(4, 2, mean_power=1.0)
+    c = build_constellation(4, 2)
     levels = pam_levels(4, 1.0)
     # column k = (m - 1) n_active + a holds level m on source a
     for m in range(4):
@@ -73,11 +73,6 @@ def test_constellation_validation():
         build_constellation(1, 2)
     with pytest.raises(ValueError):
         build_constellation(2, 3)
-    for power in (0.0, np.nan):
-        with pytest.raises(ValueError, match="mean_power"):
-            build_constellation(2, 2, mean_power=power)
-        with pytest.raises(ValueError, match="mean_power"):
-            build_mimo_constellation(2, 2, mean_power=power)
     # the size check comes before anything K-sized is allocated
     assert build_constellation(1024, 4).K == 4096
     with pytest.raises(ValueError, match="too large"):
@@ -85,7 +80,7 @@ def test_constellation_validation():
 
 
 def test_mimo_constellation():
-    c = build_mimo_constellation(2, 4, mean_power=1.0)
+    c = build_mimo_constellation(2, 4)
     assert c.K == 16
     assert c.bits_per_symbol == 4
     # every stream always on; total emitted power averages to I, the
@@ -218,19 +213,19 @@ def test_pep_values():
     c = build_constellation(2, 2)
     s = c.S
     H = np.eye(2)
-    assert pep(s[:, 0], s[:, 0], H, 10.0, 1.0) == pytest.approx(0.5)
-    assert pep(s[:, 0], s[:, 1], H, 1e9, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert pep(s[:, 0], s[:, 0], H, 10.0) == pytest.approx(0.5)
+    assert pep(s[:, 0], s[:, 1], H, 1e9) == pytest.approx(0.0, abs=1e-12)
     # direct transcription of the Q-function argument
     diff = H @ (s[:, 0] - s[:, 2])
     gamma = 4.0
     expected = qfunc(np.sqrt(gamma / 4.0 * diff @ diff))
-    assert pep(s[:, 0], s[:, 2], H, gamma, 1.0) == pytest.approx(expected)
+    assert pep(s[:, 0], s[:, 2], H, gamma) == pytest.approx(expected)
     # scaling the channel scales the argument linearly
     expected2 = qfunc(2.0 * np.sqrt(gamma / 4.0 * diff @ diff))
-    assert pep(s[:, 0], s[:, 2], 2 * H, gamma, 1.0) == pytest.approx(expected2)
+    assert pep(s[:, 0], s[:, 2], 2 * H, gamma) == pytest.approx(expected2)
     for gamma in (0.0, np.nan):
         with pytest.raises(ValueError, match="gamma_tx"):
-            pep(s[:, 0], s[:, 1], H, gamma, 1.0)
+            pep(s[:, 0], s[:, 1], H, gamma)
 
 
 def test_union_bound_zero_channel_pin():
@@ -313,7 +308,7 @@ def _reference_monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng,
     """monte_carlo_ber as it was before the (n, K) score layout and the
     Hamming-table error count: (K, n) scores, label comparison."""
     x = H @ constellation.S
-    sigma = constellation.mean_power / np.sqrt(gamma_tx)
+    sigma = 1.0 / np.sqrt(gamma_tx)
     half_sq = 0.5 * np.sum(x * x, axis=0)
     labels = constellation.labels
     n_bit_errors = 0
