@@ -38,6 +38,12 @@ PRESET_LOCATIONS = {
 #: directions x draws, and the estimated samples of its walk. The
 #: paper's default survey is 361 x 24 x 500 = 4.33 M realizations.
 MAX_REALIZATIONS = 10_000_000
+#: Most Monte Carlo samples of either estimate: BER symbols of a sweep
+#: (draws x symbols per draw x SNR points) and uplink MI samples
+#: (realizations x SNR points x mi_samples). At the measured 0.15 us per
+#: BER symbol and 0.7 us per MI sample of a 32- or 16-symbol set that is
+#: about 4 and 20 CPU-hours.
+MAX_MC_SAMPLES = 100_000_000_000
 #: Most environment-mesh elements: the radiosity solve keeps dense
 #: n x n matrices (0.8 GB each at this limit).
 MAX_MESH_ELEMENTS = 10_000
@@ -131,6 +137,12 @@ class Scenario:
         if self.ue_height is not None:
             return self.ue_height
         return 0.8 if self.activity == "sitting" else 1.4
+
+    def sweep_symbols(self):
+        """Monte Carlo symbols of each orientation draw of a BER sweep."""
+        if self.orientation == "fixed":
+            return self.mc_symbols
+        return max(1000, self.mc_symbols // self.orientations_per_point)
 
     def location_xy(self):
         x, y, _ = PRESET_LOCATIONS[self.location]
@@ -286,9 +298,12 @@ def _check_work(s):
     n_waypoints legs of at most the room diagonal, sampled every
     `speed` x T_c (the shortest walking coherence time); the mesh cells
     (round(side / mesh_resolution) per face axis), the access points,
-    the extra blockers of a realization (round(kappa_b x floor area))
-    and the points of both SNR grids, whose steps must also divide
-    their spans.
+    the extra blockers of a realization (round(kappa_b x floor area)),
+    the points of both SNR grids, whose steps must also divide their
+    spans, and the Monte Carlo samples as the runners draw them: BER
+    sweep draws x sweep_symbols x SNR points, and realizations (the
+    lattice when sitting, the walk when walking) x uplink SNR points x
+    mi_samples.
     """
     # in floats, which overflow to inf instead of growing without bound
     def cells(length):
@@ -321,6 +336,7 @@ def _check_work(s):
     if blockers > MAX_BLOCKERS:
         raise ConfigError(f"kappa_b {s.kappa_b:g} gives {blockers:.4g} "
                           f"blockers per realization, above {MAX_BLOCKERS:,}")
+    counts = {}
     for grid in ("snr", "uplink_snr"):
         start, stop, step = (getattr(s, f"{grid}_{end}_db")
                              for end in ("start", "stop", "step"))
@@ -332,6 +348,22 @@ def _check_work(s):
         if not math.isclose(points, round(points), rel_tol=1e-9):
             raise ConfigError(f"{grid}_step_db {step:g} does not divide the "
                               f"{start:g} to {stop:g} dB span")
+        counts[grid] = round(points)
+    draws = 1 if s.orientation == "fixed" else s.orientations_per_point
+    sweep = (float(draws) * s.sweep_symbols() * counts["snr"]
+             if s.mc_symbols else 0.0)
+    if sweep > MAX_MC_SAMPLES:
+        raise ConfigError(
+            f"the BER sweep asks for {sweep:.3g} Monte Carlo symbols ({draws} "
+            f"draws x {s.sweep_symbols()} symbols x {counts['snr']} SNR "
+            f"points), above {MAX_MC_SAMPLES:,}")
+    runs = sitting if s.activity == "sitting" else walk
+    mi = runs * counts["uplink_snr"] * float(s.mi_samples)
+    if mi > MAX_MC_SAMPLES:
+        raise ConfigError(
+            f"the uplink asks for {mi:.3g} MI samples ({runs:.3g} "
+            f"realizations x {counts['uplink_snr']} SNR points x "
+            f"{s.mi_samples} samples), above {MAX_MC_SAMPLES:,}")
 
 
 def scenario_from_dict(overrides):

@@ -21,7 +21,8 @@ experiment kinds cover the evaluation campaign:
   pass their one signal set;
 * ber sweep: one location, bound and Monte Carlo BER against received
   SNR, with fixed or random orientation; each draw gives its bounds and
-  error bits over the grid, reduced to one record per grid point;
+  error bits over the grid, one union_bound_ber and one monte_carlo_ber
+  call each, reduced to one record per grid point;
 * uplink eval: transmit-SNR sweep with source selection, rate bounds
   and energy efficiency, each realization evaluated over the grid and
   averaged to one record per grid point.
@@ -346,11 +347,15 @@ def _sweep_block(sc, block, realized, Hs):
     The sweep grid is the target received SNR; a draw reaches each point
     through its own transmit SNR. A draw whose channel carries no power
     counts as coin-flip bit errors. Each draw's bound is evaluated over
-    the grid in one union_bound_ber call, from one table. The error
-    bits mean nothing when mc_symbols is 0.
+    the grid in one union_bound_ber call, from one table, and its Monte
+    Carlo BER in one monte_carlo_ber call, which builds the received
+    symbols and the detection certificate once and draws point g from
+    its own SeedSequence([seed, 2, i, g]). The error bits are
+    ber * symbols * bits per symbol and mean nothing when mc_symbols
+    is 0.
     """
     _, c = _fixed_signal_set(sc)
-    mc, bps = _sweep_symbols(sc), c.bits_per_symbol
+    mc, bps = sc.sweep_symbols(), c.bits_per_symbol
     grid = sc.snr_grid_db()
     out = np.empty((len(block), 2, grid.size))
     for k, ((i, *_), H) in enumerate(zip(block, Hs)):
@@ -361,21 +366,13 @@ def _sweep_block(sc, block, realized, Hs):
             continue
         gtx = db_to_linear(grid) / factor
         out[k, 0] = union_bound_ber(c, H_sub, gtx)
-        for g, gamma in enumerate(gtx):
-            ber = 0.5
-            if sc.mc_symbols > 0:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([sc.seed, 2, i, g]))
-                ber, _ = monte_carlo_ber(c, H_sub, gamma, mc, rng)
-            out[k, 1, g] = ber * mc * bps
+        ber = 0.5
+        if sc.mc_symbols > 0:
+            rngs = [np.random.default_rng(np.random.SeedSequence(
+                [sc.seed, 2, i, g])) for g in range(gtx.size)]
+            ber, _ = monte_carlo_ber(c, H_sub, gtx, mc, rngs)
+        out[k, 1] = ber * mc * bps
     return out
-
-
-def _sweep_symbols(sc):
-    """Monte Carlo symbols of each orientation draw of a BER sweep."""
-    if sc.orientation == "fixed":
-        return sc.mc_symbols
-    return max(1000, sc.mc_symbols // sc.orientations_per_point)
 
 
 #: Per-SNR-point fields of one uplink realization, in column order;
@@ -621,7 +618,7 @@ def run_ber_sweep(scenario, workers=1):
     bounds, errors = records[:, 0], records[:, 1]
     total_bits = 0
     if sc.mc_symbols > 0:
-        total_bits = n_draws * _sweep_symbols(sc) * constellation.bits_per_symbol
+        total_bits = n_draws * sc.sweep_symbols() * constellation.bits_per_symbol
     rows = []
     for g, grx_db in enumerate(sc.snr_grid_db()):
         if total_bits:

@@ -26,6 +26,24 @@ one-channel case, at one SNR or over a grid, so the bound a caller
 evaluates is the one the batched required-SNR search evaluated. Monte
 Carlo detection counts bit errors through the set's cached K x K table
 of label Hamming distances.
+
+Monte Carlo detection scores only the samples whose ML decision is not
+certain. With x_k = H s_k, let the nearest other symbol to x_s be x_n
+at distance d1 and d2 the second-smallest distance from x_s (d1 when
+K = 2). A sample y = x_s + v is certain when
+
+    v . (x_n - x_s) < CERT_PLANE d1^2 / 2   and   ||v||^2 < (CERT_BALL d2)^2.
+
+Then 1/2 ||x_k - x_s||^2 - v . (x_k - x_s) >= d1^2 / 200 for every
+k != s: s is the unique ML decision and the sample adds no bit error.
+A symbol with d1^2 <= CERT_GUARD max_k ||x_k||^2 (a zero column, a
+tie, a near-duplicate) gets no certificate. For every other one the
+margin d1^2 / 200 is at least 5e-13 max_k ||x_k||^2, dozens of times a
+worst-case bound on the rounding of the scores and of the certificate
+tables (about 6e-15 max_k ||x_k||^2 with four receivers), so the
+floating-point argmax of the scores is s as well and every count is
+the one full scoring gives. The tables (x_n - x_s, the half-space and
+ball thresholds) are built once per call, for a whole SNR grid.
 """
 
 from collections import namedtuple
@@ -51,6 +69,12 @@ MC_CHUNK = 100_000
 #: bounds the detection memory at any alphabet size and, unlike
 #: MC_CHUNK, does not change the result.
 MC_SCORES = 1 << 16
+
+#: Margins of the Monte Carlo certificate (module docstring): the share
+#: of the way to the half-way plane towards the nearest symbol, the ball
+#: radius over the second-nearest distance, and the least squared
+#: nearest distance, over the largest squared symbol norm, certified.
+CERT_PLANE, CERT_BALL, CERT_GUARD = 0.99, 0.49, 1e-10
 
 #: Most pair terms grid_bounds evaluates at once: a long grid or a large
 #: set is bounded in parts of this many terms, with the same results.
@@ -332,6 +356,46 @@ def received_snr(H, n_active, gamma_tx):
     return float(snr) if np.ndim(snr) == 0 else snr
 
 
+def _certificate(x, sq, buf):
+    """(delta, plane, ball) certificate tables of the received symbols x.
+
+    sq holds the squared norms of x's columns. For each symbol s with
+    nearest other symbol n(s) at squared distance d1 and next-nearest
+    at d2 (d2 = d1 when K = 2): delta[:, s] = x_n(s) - x_s,
+    plane[s] = CERT_PLANE d1 / 2 and ball[s] = CERT_BALL^2 d2. A symbol
+    with d1 <= CERT_GUARD max(sq) gets ball -inf: no certificate. The
+    distances are taken in Gram form, len(buf) symbols at a time in the
+    (rows, K) buffer buf, so no K x K table is held.
+    """
+    K = x.shape[1]
+    nearest, d1, d2 = np.empty(K, np.intp), np.empty(K), np.empty(K)
+    for i in range(0, K, len(buf)):
+        r = np.arange(i, min(i + len(buf), K))
+        j = np.arange(len(r))
+        d = np.matmul(x[:, r].T, x, out=buf[:len(r)])
+        d *= -2.0
+        d += sq
+        d += sq[r, None]
+        d[j, r] = np.inf                          # not itself
+        n = d.argmin(axis=1)
+        nearest[r], d1[r] = n, d[j, n]
+        d[j, n] = np.inf
+        d2[r] = d.min(axis=1)
+    if K == 2:
+        d2 = d1
+    ball = np.where(d1 > CERT_GUARD * sq.max(), CERT_BALL ** 2 * d2, -np.inf)
+    return x[:, nearest] - x, CERT_PLANE * 0.5 * d1, ball
+
+
+def _unsure(z, ks, delta, plane, ball):
+    """Indices of the samples (sent ks, unit noise z) that the
+    certificate, with plane and ball scaled to unit noise, leaves to
+    full scoring: those outside their symbol's ball or half-space."""
+    out = np.einsum("ij,ij->j", z, z) >= ball.take(ks)
+    out |= np.einsum("ij,ij->j", z, delta.take(ks, axis=1)) >= plane.take(ks)
+    return np.flatnonzero(out)
+
+
 def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     """Simulated ML bit error rate with a Wilson confidence interval.
 
@@ -339,8 +403,22 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     calibrated to the transmit SNR as sigma = 1 / sqrt(gamma_tx). The
     interval treats bit errors as independent Bernoulli trials. Symbols
     are drawn in blocks of MC_CHUNK, the indices of a block before its
-    noise, so the result depends only on rng's state and the inputs; a
-    block is detected MC_SCORES symbol x candidate scores at a time.
+    noise, so the result depends only on rng's state and the inputs.
+
+    Only the samples whose decision is not certain are scored (see the
+    module docstring): y = x_s + sigma z against every x_k = H s_k as
+    y.T @ x - ||x_k||^2 / 2, MC_SCORES symbol x candidate scores at a
+    time, argmax with ties to the lowest index. A certain sample adds no
+    bit error. A point whose mean noise energy n_r sigma^2 reaches every
+    symbol's ball scores every sample without the test. The counts are
+    the ones scoring every sample gives.
+
+    gamma_tx is one transmit SNR, drawn from the Generator rng, or a
+    1-D grid of them with rng a sequence of one Generator per point
+    (ValueError when the lengths differ); ber, ci_low and ci_high then
+    come back as arrays over the grid, each the one a one-point call
+    with its Generator gives. x, the certificate tables and the score
+    buffer are made once per call.
 
     Returns:
         (ber, (ci_low, ci_high))
@@ -348,29 +426,47 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
     gamma_tx = positive(gamma_tx, "gamma_tx")
+    rngs = [rng] if gamma_tx.ndim == 0 else rng
     x = H @ constellation.S                       # (n_r, K)
-    K = constellation.K
-    sigma = 1.0 / np.sqrt(gamma_tx)
-    half_sq = 0.5 * np.sum(x * x, axis=0)         # (K,)
+    n_r, K = x.shape
+    sq = np.sum(x * x, axis=0)
+    half_sq = 0.5 * sq                            # (K,)
+    # symbols detected at once; the buffer also serves the tables
+    step = max(1, MC_SCORES // K)
+    buf = np.empty((min(step, max(K, n_symbols)), K))
+    delta, plane, ball = _certificate(x, sq, buf)
     bit_errors = constellation.hamming.ravel()    # (K * K,)
-    step = max(1, MC_SCORES // K)                 # symbols detected at once
-
-    n_bit_errors = 0
-    remaining = n_symbols
-    while remaining > 0:
-        n = min(MC_CHUNK, remaining)
-        remaining -= n
-        ks = rng.integers(0, K, size=n)
-        y = x[:, ks] + sigma * rng.standard_normal((x.shape[0], n))
-        khat = np.empty(n, dtype=np.intp)
-        for i in range(0, n, step):
-            scores = y.T[i:i + step] @ x          # (step, K)
-            scores -= half_sq
-            np.argmax(scores, axis=1, out=khat[i:i + step])
-        ks *= K                                   # flat index sent K + decided
-        ks += khat
-        n_bit_errors += int(bit_errors.take(ks).sum())
-
     n_bits = n_symbols * constellation.bits_per_symbol
-    ber = n_bit_errors / n_bits
-    return ber, wilson_interval(n_bit_errors, n_bits)
+    ber, low, high = (np.empty(gamma_tx.shape) for _ in range(3))
+    for (p, gamma), gen in zip(np.ndenumerate(gamma_tx), rngs, strict=True):
+        sigma = 1.0 / np.sqrt(gamma)
+        certify = n_r * sigma * sigma < ball.max()
+        plane_z, ball_z = plane / sigma, ball / (sigma * sigma)
+        n_bit_errors = 0
+        remaining = n_symbols
+        while remaining > 0:
+            n = min(MC_CHUNK, remaining)
+            remaining -= n
+            ks = gen.integers(0, K, size=n)
+            z = gen.standard_normal((n_r, n))
+            if certify:
+                u = _unsure(z, ks, delta, plane_z, ball_z)
+                ks, z = ks.take(u), z.take(u, axis=1)
+            z *= sigma
+            y = x.take(ks, axis=1)
+            y += z                                # x_s + sigma z
+            del z
+            khat = np.empty(len(ks), dtype=np.intp)
+            for i in range(0, len(ks), step):
+                rows = y.T[i:i + step]
+                scores = np.matmul(rows, x, out=buf[:len(rows)])
+                scores -= half_sq
+                np.argmax(scores, axis=1, out=khat[i:i + step])
+            ks *= K                               # flat index sent K + decided
+            ks += khat
+            n_bit_errors += int(bit_errors.take(ks).sum())
+        ber[p] = n_bit_errors / n_bits
+        low[p], high[p] = wilson_interval(n_bit_errors, n_bits)
+    if gamma_tx.ndim == 0:
+        return float(ber), (float(low), float(high))
+    return ber, (low, high)

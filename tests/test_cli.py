@@ -105,6 +105,10 @@ def test_validate_config_rejects_invalid_derived_objects(tmp_path, capsys,
     "spectral_efficiency: 12\n",
     "direction: uplink\nscheme: sm\nuplink_tse: 10\n",
     "kappa_b: 40.0\n",          # 1,000 extra blockers in 25 m^2
+    "snr_stop_db: 0.0\nmc_symbols: 100000000000\n",   # 1e11 BER symbols
+    "direction: uplink\ngrid_step: 10.0\nn_directions: 1\n"
+    "orientations_per_point: 1\nuplink_snr_stop_db: 100.0\n"
+    "mi_samples: 100000000000\n",                      # 1e11 MI samples
 ])
 def test_validate_config_accepts_alphabet_at_the_limit(tmp_path, capsys,
                                                        text):
@@ -120,6 +124,17 @@ def test_validate_config_accepts_alphabet_at_the_limit(tmp_path, capsys,
     ("mesh_resolution: 1.0e-4\n", "mesh elements"),
     ("kappa_b: 1000000000000.0\n", "blockers per realization"),
     ("kappa_b: 40.04\n", "1001 blockers per realization"),
+    ("mc_symbols: 1000000000000000\n", "3.6e+16 Monte Carlo symbols"),
+    ("orientation: random\nmc_symbols: 1000000000000000\n",
+     "(500 draws x 2000000000000 symbols x 36 SNR points)"),
+    ("snr_stop_db: 0.0\nmc_symbols: 100000000001\n", "Monte Carlo symbols"),
+    ("direction: uplink\nmi_samples: 1000000000000000\n",
+     "9.1e+22 MI samples"),
+    ("direction: uplink\nactivity: walking\nmi_samples: 1000000000000\n",
+     "MI samples"),
+    ("direction: uplink\ngrid_step: 10.0\nn_directions: 1\n"
+     "orientations_per_point: 1\nuplink_snr_stop_db: 100.0\n"
+     "mi_samples: 100000000001\n", "(1 realizations x 1 SNR points"),
 ])
 def test_validate_config_rejects_unbounded_work_fast(tmp_path, capsys, text,
                                                       match):
@@ -158,6 +173,18 @@ def test_grid_and_n_active_errors_exit_2(tmp_path, capsys, command, text):
 def test_validate_config_admits_the_default_survey_and_walk(tmp_path, text):
     cfg = write_config(tmp_path, text)
     assert cli.main(["validate-config", "--config", cfg]) == 0
+
+
+WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "workloads")
+
+
+@pytest.mark.parametrize("name", ["ber_mc", "cdf_asm", "orwp_blocked",
+                                  "uplink_ee"])
+def test_validate_config_admits_the_benchmark_workloads(capsys, name):
+    cfg = os.path.join(WORKLOADS, name + ".yaml")
+    assert cli.main(["validate-config", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("ok ")
 
 
 def test_out_of_range_semiangle_is_config_error_not_numerical(tmp_path,

@@ -108,3 +108,31 @@ def test_any_difference_fails(tmp_path, monkeypatch, capsys, variant, line):
     assert line in out
     identical = 0 if variant == "fail" else 2
     assert out[-1] == f"{identical} of 3 files identical"
+
+
+def test_workloads_option_runs_only_the_named_ones(tmp_path, monkeypatch,
+                                                  capsys):
+    _checkout(tmp_path / "parent", "")
+    _checkout(tmp_path / "change", "a.csv row x")
+    code = _tool(monkeypatch).main([
+        str(tmp_path / "parent"), str(tmp_path / "change"),
+        "--seeds", "1", "--workers", "1", "--workloads", "pair"])
+    out = capsys.readouterr().out.splitlines()
+    # plain's a.csv differs, but plain is not run
+    assert code == 0
+    assert out[-1] == "2 of 2 files identical"
+    log = (tmp_path / "log").read_text().splitlines()
+    assert log == ["parent pair-cmd perfbench/workloads/pair.yaml 1 1",
+                   "change pair-cmd perfbench/workloads/pair.yaml 1 1"]
+
+
+def test_unknown_workload_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    _checkout(tmp_path / "parent", "")
+    _checkout(tmp_path / "change", "")
+    with pytest.raises(SystemExit) as exc:
+        _tool(monkeypatch).main([
+            str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workloads", "pair,nope"])
+    assert exc.value.code == 2
+    assert "unknown workloads: nope" in capsys.readouterr().err
+    assert not (tmp_path / "log").exists()

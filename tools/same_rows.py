@@ -1,10 +1,12 @@
 """Compare the CSV files of the benchmark workloads from two checkouts.
 
     python3 tools/same_rows.py PARENT CHANGE [--seeds 1-6] [--workers 1,2]
+        [--workloads ber_mc,cdf_asm]
 
 PARENT and CHANGE are the roots of two checkouts. For every workload of
 the parent's `perfbench/run.py` (its WORKLOADS map: the CLI command and
-the CSV files it writes), every seed and every worker count, runs
+the CSV files it writes), or only those named by --workloads, every
+seed and every worker count, runs
 
     python3 -m lifisim.cli COMMAND --config perfbench/workloads/W.yaml \\
         --seed S --out DIR --workers N
@@ -83,16 +85,27 @@ def main(argv=None):
     ap.add_argument("change")
     ap.add_argument("--seeds", default="1-6")
     ap.add_argument("--workers", default="1,2")
+    ap.add_argument("--workloads", default=None,
+                    help="comma-separated workload names (default: all)")
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     seeds = parse_seeds(args.seeds)
     workers = parse_seeds(args.workers)
 
+    chosen = workloads(roots["parent"])
+    if args.workloads is not None:
+        names = args.workloads.split(",")
+        unknown = sorted(set(names) - set(chosen))
+        if unknown:
+            ap.error(f"unknown workloads: {', '.join(unknown)} "
+                     f"(known: {', '.join(chosen)})")
+        chosen = {name: chosen[name] for name in names}
+
     files = differ = 0
     tmp = tempfile.mkdtemp(prefix="same_rows_")
     try:
-        for name, (command, outputs) in workloads(roots["parent"]).items():
+        for name, (command, outputs) in chosen.items():
             for seed in seeds:
                 for n in workers:
                     out, ok = {}, True
