@@ -41,9 +41,17 @@ tie, a near-duplicate) gets no certificate. For every other one the
 margin d1^2 / 200 is at least 5e-13 max_k ||x_k||^2, dozens of times a
 worst-case bound on the rounding of the scores and of the certificate
 tables (about 6e-15 max_k ||x_k||^2 with four receivers), so the
-floating-point argmax of the scores is s as well and every count is
-the one full scoring gives. The tables (x_n - x_s, the half-space and
-ball thresholds) are built once per call, for a whole SNR grid.
+floating-point argmax of the scores is s as well. The other samples
+are scored as before, in other row blocks. numpy scores a single row
+through BLAS's matrix-vector product, which rounds unlike a block of
+rows, so a sample goes alone only where full scoring took it alone
+(the last of a chunk of n = 1 mod step samples), and any other single
+row is scored as two. With a BLAS that rounds a row alike in any block
+of two or more rows, as OpenBLAS does, every count is then the one
+full scoring gives, even where two of a sample's scores tie to within
+rounding (columns of H a few ulps apart). The tables (x_n - x_s, the
+half-space and ball thresholds) are built once per call, for a whole
+SNR grid.
 """
 
 from collections import namedtuple
@@ -411,7 +419,7 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     time, argmax with ties to the lowest index. A certain sample adds no
     bit error. A point whose mean noise energy n_r sigma^2 reaches every
     symbol's ball scores every sample without the test. The counts are
-    the ones scoring every sample gives.
+    the ones scoring every sample gives (module docstring).
 
     gamma_tx is one transmit SNR, drawn from the Generator rng, or a
     1-D grid of them with rng a sequence of one Generator per point
@@ -449,19 +457,27 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
             remaining -= n
             ks = gen.integers(0, K, size=n)
             z = gen.standard_normal((n_r, n))
+            # full scoring takes the last sample alone when n % step == 1
+            lone = n % step == 1
             if certify:
                 u = _unsure(z, ks, delta, plane_z, ball_z)
+                lone = lone and bool(u.size) and bool(u[-1] == n - 1)
                 ks, z = ks.take(u), z.take(u, axis=1)
             z *= sigma
             y = x.take(ks, axis=1)
             y += z                                # x_s + sigma z
             del z
+            # numpy scores one row through BLAS's matrix-vector product,
+            # which rounds unlike a block of rows: only the lone sample
+            # goes alone, and any other single row is scored as two
             khat = np.empty(len(ks), dtype=np.intp)
-            for i in range(0, len(ks), step):
-                rows = y.T[i:i + step]
+            body = len(ks) - lone
+            starts = list(range(0, body, step)) + [body] * lone
+            for i, j in zip(starts, starts[1:] + [len(ks)]):
+                rows = y[:, [i, i]].T if j - i == 1 and i < body else y.T[i:j]
                 scores = np.matmul(rows, x, out=buf[:len(rows)])
                 scores -= half_sq
-                np.argmax(scores, axis=1, out=khat[i:i + step])
+                np.argmax(scores[:j - i], axis=1, out=khat[i:j])
             ks *= K                               # flat index sent K + decided
             ks += khat
             n_bit_errors += int(bit_errors.take(ks).sum())

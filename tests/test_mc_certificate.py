@@ -3,7 +3,9 @@
 Every count is compared with a frozen copy of the function that scores
 every sample. Scripted noise places samples just inside and just outside
 the certificate's half-space and ball, around its guard, for K = 2, and
-for zero and duplicated channel columns (exact ties).
+for zero and duplicated channel columns (exact ties); columns a few
+ulps apart give near-ties, which must be scored in the same kind of
+BLAS call as before.
 """
 
 import tracemalloc
@@ -215,7 +217,7 @@ _SETS = [(build_constellation, (2, 1)), (build_constellation, (4, 2)),
 @settings(max_examples=60, deadline=None)
 @given(which=st.sampled_from(_SETS), n_rx=st.integers(1, 4),
        columns=st.sampled_from(["plain", "zero", "duplicate", "near"]),
-       near=st.integers(1, 15), snr_db=st.floats(-20.0, 80.0),
+       near=st.integers(1, 16), snr_db=st.floats(-20.0, 80.0),
        n_symbols=st.sampled_from([1, 7, 300, 2049, 5000,
                                   sm.MC_CHUNK + 7]),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -238,6 +240,31 @@ def test_monte_carlo_ber_equals_the_frozen_copy(which, n_rx, columns, near,
                                      np.random.default_rng(seed))
     assert ours[0] == theirs[0]
     assert ours[1] == tuple(map(float, theirs[1]))
+
+
+@pytest.mark.parametrize("near,n_symbols,n_seeds", [
+    (1e-15, 7, 400), (1e-15, 2049, 60), (1e-13, 2049, 60)])
+def test_near_ties_are_scored_in_the_same_kind_of_block(near, n_symbols,
+                                                        n_seeds):
+    # Columns 0 and 1 a few ulps apart: their symbols get no certificate
+    # and their scores tie to within rounding. BLAS rounds a one-row
+    # product unlike a block of rows, so a sample left alone where full
+    # scoring had it in a block (7 symbols, one uncertain), or in a block
+    # where full scoring had it alone (2,049 = 2,048 + 1), could be
+    # decided the other way.
+    c = build_constellation(8, 4)
+    differ = 0
+    for seed in range(n_seeds):
+        rng = np.random.default_rng(seed)
+        H = rng.uniform(0.0, 1.0, size=(4, 4))
+        H[:, 1] = H[:, 0] * (1.0 + near)
+        g = 10 ** (rng.uniform(40.0, 80.0) / 10)
+        ours = monte_carlo_ber(c, H, g, n_symbols,
+                               np.random.default_rng(seed))
+        theirs = _frozen_monte_carlo_ber(c, H, g, n_symbols,
+                                         np.random.default_rng(seed))
+        differ += ours[0] != theirs[0]
+    assert differ == 0
 
 
 def test_grid_form_equals_one_call_per_point():
