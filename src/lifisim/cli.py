@@ -1,11 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for configuration problems (including a
---workers count outside 1..usable CPUs), 3 for numerical failures
-(diverging reflection series, singular systems).
+--workers count outside 1..usable CPUs) and for an --out directory that
+cannot be made or written, 3 for numerical failures (diverging
+reflection series, singular systems). The --out directory is made
+before the run starts.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -84,6 +87,7 @@ def main(argv=None):
             return 0
         check_workers(args.workers, "--workers")
         sc = _scenario(args)
+        os.makedirs(args.out, exist_ok=True)
         if args.command == "cdf-map":
             result = run_cdf_map(sc, args.workers)
             files = emit(result, args.out, "cdf_map", args.plots)
@@ -102,6 +106,9 @@ def main(argv=None):
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except (RadiosityError, np.linalg.LinAlgError, FloatingPointError,
             ValueError) as exc:

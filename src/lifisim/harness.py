@@ -4,9 +4,10 @@ Every experiment runs one pipeline over an ordered task list of
 realizations (idx, x, y, omega_deg, angles_deg). _tasks builds the list
 from the scenario's activity: sitting gives the lattice of positions x
 facing directions x orientation draws, with the angles drawn in
-realize; walking gives the ORWP trajectory samples. _run_tasks cuts the
-list into blocks of SEARCH_BLOCK (a pool first hands each worker
-contiguous chunks of it). ChannelBuilder.channels realizes a block, once
+realize; walking gives the ORWP trajectory samples. _run_tasks builds
+the run's one ChannelBuilder and cuts the list into blocks of
+SEARCH_BLOCK, the same for any worker count (a pool's workers get the
+block starts). ChannelBuilder.channels realizes a block, once
 per realization, and builds its channels together, sub-block by
 sub-block; the blocked AP-to-mesh gains of each new blocker list are
 made there, and the realizations that follow with the same list reuse
@@ -36,11 +37,13 @@ sweep point g from SeedSequence([seed, 2, i, g]); the sequential
 trajectory stream is SeedSequence([seed, 0]). A channel does not depend
 on the block it is built in, nor its search result on the block it is
 searched in. Results are therefore
-bit-identical for any worker count: workers only partition the
-realization list, and the parts are joined in order. Each pool worker
-caps its OpenBLAS pools at one thread; a one-worker run leaves them as
-they are. A worker count outside 1..usable CPUs is a ConfigError (a
-ValueError) before any pool starts.
+bit-identical for any worker count: every count cuts the list into the
+same blocks and runs them with the one ChannelBuilder that the calling
+process built (its reflection factors among them), and the parts are
+joined in order. Each pool worker caps its OpenBLAS pools at one
+thread; a one-worker run leaves them as they are. A worker count
+outside 1..usable CPUs is a ConfigError (a ValueError) before anything
+is built.
 """
 
 import csv
@@ -58,8 +61,8 @@ from .blockage import SegmentSet, place_blockers, segments_blocked
 from .channel import (ELEMENT_ORDER, RadiositySolver, build_environment_mesh,
                       lambertian_order, los_gain_matrix, mesh_gains)
 from .config import ConfigError, Scenario, scenario_hash
-from .geometry import (DevicePose, ap_positions, element_world_pose,
-                       grid_positions)
+from .geometry import (LATTICE_MARGIN, DevicePose, ap_positions,
+                       element_world_pose, grid_positions)
 from .orientation import orwp_generate, sample_static_orientation
 from .rates import energy_efficiency, mi_monte_carlo, rate_bounds
 from .sm import (build_constellation, build_mimo_constellation,
@@ -351,8 +354,9 @@ def _sweep_block(sc, block, realized, Hs):
     Carlo BER in one monte_carlo_ber call, which builds the received
     symbols and the detection certificate once and draws point g from
     its own SeedSequence([seed, 2, i, g]). The error bits are
-    ber * symbols * bits per symbol and mean nothing when mc_symbols
-    is 0.
+    ber * (symbols * bits per symbol) rounded to the nearest integer:
+    the product lies within an ulp of the count, so rounding restores
+    it exactly. They mean nothing when mc_symbols is 0.
     """
     _, c = _fixed_signal_set(sc)
     mc, bps = sc.sweep_symbols(), c.bits_per_symbol
@@ -371,7 +375,7 @@ def _sweep_block(sc, block, realized, Hs):
             rngs = [np.random.default_rng(np.random.SeedSequence(
                 [sc.seed, 2, i, g])) for g in range(gtx.size)]
             ber, _ = monte_carlo_ber(c, H_sub, gtx, mc, rngs)
-        out[k, 1] = ber * mc * bps
+        out[k, 1] = np.rint(ber * (mc * bps))
     return out
 
 
@@ -437,7 +441,8 @@ def _uplink_record(sc, idx, H):
 
 # -- parallel dispatch ----------------------------------------------------
 
-_BUILDER = None
+#: (builder, fn, tasks) of the run a pool worker serves.
+_RUN = None
 
 #: Thread-count setters of the OpenBLAS builds numpy and scipy ship
 #: (64-bit and 32-bit integer interfaces) and of a plain OpenBLAS.
@@ -478,34 +483,28 @@ def _single_blas_thread():
                 setter(1)
 
 
-def _worker_init(scenario):
-    """Pool worker set-up: the channel builder, then one BLAS thread.
+def _worker_init(run):
+    """Pool worker set-up: keep the run's (builder, fn, tasks), then run
+    one BLAS thread.
 
     Each forked worker inherits the parent's BLAS pools, so two workers
     would run four BLAS threads on two cores, and the small block
-    solves would thrash. The builder comes first because OpenBLAS's LU
-    factorization rounds differently with another thread count, and no
-    row may depend on the worker count; the triangular solves and
-    products give the same bits with one thread.
+    solves would thrash. The builder, its reflection factors among
+    them, is the one the parent built: a forked worker shares its
+    pages, another start method unpickles it once. The triangular
+    solves and products give the same bits with one thread.
     """
-    global _BUILDER
-    _BUILDER = ChannelBuilder(scenario)
+    global _RUN
+    _RUN = run
     _single_blas_thread()
 
 
-def _blocks(builder, fn, tasks):
-    """fn's entries for a nonempty task list, in order, one block of
-    SEARCH_BLOCK tasks and their channels at a time."""
-    parts = []
-    for i in range(0, len(tasks), SEARCH_BLOCK):
-        block = tasks[i:i + SEARCH_BLOCK]
-        parts.append(fn(builder.sc, block, *builder.channels(block)))
-    return np.concatenate(parts)
-
-
-def _worker_chunk(payload):
-    fn, tasks = payload
-    return _blocks(_BUILDER, fn, tasks)
+def _block(start, run=None):
+    """fn's entries for the SEARCH_BLOCK tasks from start, with their
+    channels; run is (builder, fn, tasks), a pool worker's by default."""
+    builder, fn, tasks = run or _RUN
+    block = tasks[start:start + SEARCH_BLOCK]
+    return fn(builder.sc, block, *builder.channels(block))
 
 
 def check_workers(workers, option="workers"):
@@ -526,24 +525,24 @@ def check_workers(workers, option="workers"):
 def _run_tasks(scenario, fn, tasks, workers):
     """The realization pipeline of every runner: fn's entries for tasks.
 
-    The list is cut into blocks of SEARCH_BLOCK tasks, and
-    ChannelBuilder.channels realizes each block and builds its channels.
-    fn(sc, block, realized, Hs) gets the block, its (pose, blockers)
-    list and its (B, n_rx, n_tx) channel stack, and returns an array
-    with one entry per task; the parts are joined in task order with
-    np.concatenate. workers > 1 forks a pool and hands it contiguous
-    chunks of the list, about four per worker, each cut into blocks.
+    One ChannelBuilder is built for the run, here. The list is cut into
+    blocks of SEARCH_BLOCK tasks, and ChannelBuilder.channels realizes
+    each block and builds its channels. fn(sc, block, realized, Hs)
+    gets the block, its (pose, blockers) list and its (B, n_rx, n_tx)
+    channel stack, and returns an array with one entry per task; the
+    parts are joined in task order with np.concatenate. workers > 1
+    forks a pool that gets (builder, fn, tasks) once and the block
+    starts in runs of about a quarter of each worker's share.
     """
     check_workers(workers)
+    run = (ChannelBuilder(scenario), fn, tasks)
+    starts = range(0, len(tasks), SEARCH_BLOCK)
     if workers == 1 or len(tasks) < 2:
-        return _blocks(ChannelBuilder(scenario), fn, tasks)
-    n = min(len(tasks), workers * 4)
-    q, r = divmod(len(tasks), n)
-    cuts = [k * q + min(k, r) for k in range(n + 1)]
-    payloads = [(fn, tasks[a:b]) for a, b in zip(cuts, cuts[1:])]
+        return np.concatenate([_block(start, run) for start in starts])
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                             initargs=(scenario,)) as pool:
-        return np.concatenate(list(pool.map(_worker_chunk, payloads)))
+                             initargs=(run,)) as pool:
+        return np.concatenate(list(pool.map(
+            _block, starts, chunksize=max(1, len(starts) // (4 * workers)))))
 
 
 # -- experiment runners ---------------------------------------------------
@@ -552,13 +551,17 @@ def _tasks(sc):
     """(idx, x, y, omega_deg, angles_deg) of every realization.
 
     Sitting: the lattice of positions x facing directions x draws, with
-    angles None so that realize draws them. Walking: the ORWP
-    trajectory samples, drawn from the sequential stream.
+    angles None so that realize draws them; a room that leaves the
+    lattice no point is a ConfigError. Walking: the ORWP trajectory
+    samples, drawn from the sequential stream.
     """
     if sc.activity == "sitting":
-        spots = [(x, y, omega, None)
-                 for x, y in grid_positions(sc.room_width, sc.room_depth,
-                                            sc.grid_step)
+        points = grid_positions(sc.room_width, sc.room_depth, sc.grid_step)
+        if not points:
+            raise ConfigError(
+                f"the {sc.room_width:g} m x {sc.room_depth:g} m room leaves "
+                f"no lattice point {LATTICE_MARGIN:g} m off its walls")
+        spots = [(x, y, omega, None) for x, y in points
                  for omega in facing_directions(sc.n_directions)
                  for _ in range(sc.orientations_per_point)]
     else:
@@ -601,8 +604,8 @@ def run_ber_sweep(scenario, workers=1):
     the high-SNR floors of LOS-only configurations. The asm scheme is
     swept with the sm signal set of n_active sources. Each draw's bound
     and Monte Carlo errors over the whole grid are one task entry
-    (_sweep_block); the error bits are summed in draw order, so the
-    rows do not depend on the worker count.
+    (_sweep_block). The error bits are whole (or, for a draw without
+    power, half) counts, whose float sums are exact in any order.
     """
     sc = scenario
     if sc.direction != "downlink":
@@ -615,16 +618,14 @@ def run_ber_sweep(scenario, workers=1):
     angles = sc.stats().means(omega) if fixed else None
     tasks = [(i, x, y, omega, angles) for i in range(n_draws)]
     records = _run_tasks(sc, _sweep_block, tasks, workers)
-    bounds, errors = records[:, 0], records[:, 1]
-    total_bits = 0
-    if sc.mc_symbols > 0:
-        total_bits = n_draws * sc.sweep_symbols() * constellation.bits_per_symbol
+    bounds, err_bits = records[:, 0], records[:, 1].sum(axis=0).tolist()
+    total_bits = (n_draws * sc.sweep_symbols() * constellation.bits_per_symbol
+                  if sc.mc_symbols > 0 else 0)
     rows = []
     for g, grx_db in enumerate(sc.snr_grid_db()):
         if total_bits:
-            err_bits = sum(errors[:, g].tolist())     # in draw order
-            ber_mc = err_bits / total_bits
-            ci_low, ci_high = wilson_interval(err_bits, total_bits)
+            ber_mc = err_bits[g] / total_bits
+            ci_low, ci_high = wilson_interval(err_bits[g], total_bits)
         else:
             ber_mc, ci_low, ci_high = np.nan, np.nan, np.nan
         rows.append((grx_db, np.mean(bounds[:, g]), ber_mc, ci_low, ci_high,

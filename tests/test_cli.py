@@ -291,6 +291,38 @@ def test_radiosity_failure_exit_code(monkeypatch, capsys):
     assert "numerical failure" in err and "diverges" in err
 
 
+def test_out_naming_a_file_fails_before_the_run(tmp_path, monkeypatch,
+                                               capsys):
+    def boom(scenario, workers):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setattr(cli, "run_cdf_map", boom)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["cdf-map", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert "output error" in err and str(taken) in err
+
+
+@pytest.mark.parametrize("command,text", [
+    ("cdf-map", TINY_MAP), ("uplink-ee", TINY_UPLINK)], ids=["map", "up"])
+@pytest.mark.parametrize("room", ["room_width: 0.4\n", "room_depth: 0.45\n"],
+                         ids=["narrow", "shallow"])
+def test_room_without_lattice_points_is_config_error(
+        tmp_path, monkeypatch, capsys, command, text, room):
+    def no_model(self, scenario):
+        raise AssertionError("a channel model was built")
+
+    cfg = write_config(tmp_path, text + room)
+    assert cli.main(["validate-config", "--config", cfg]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(harness.ChannelBuilder, "__init__", no_model)
+    assert cli.main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "no lattice point 0.25 m" in err
+
+
 def test_workers_flag_gives_identical_output(tmp_path, pool_starts):
     cfg = write_config(tmp_path, TINY_MAP)
     out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
@@ -314,8 +346,7 @@ def test_workers_flag_gives_identical_output(tmp_path, pool_starts):
 def test_batched_search_rows_identical_across_worker_counts(
         tmp_path, pool_starts, command, text, name):
     # more tasks than one search block, and not a whole number of blocks:
-    # one worker searches a full block and a partial one, two workers
-    # search each of their chunks of tasks as a partial block
+    # one worker and two both search a full block and a partial one
     if _usable_cpus() < 2:
         pytest.skip("needs two usable CPUs")
     cfg = write_config(tmp_path, text)

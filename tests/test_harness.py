@@ -4,6 +4,7 @@ import ctypes
 import functools
 import math
 import os
+import pickle
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -391,14 +392,51 @@ def test_cdf_map_worker_determinism(pool_starts):
 
 
 def test_cdf_map_worker_determinism_with_reflections(pool_starts):
-    # the workers factor the reflection system before dropping to one
-    # BLAS thread: OpenBLAS rounds the LU factors of this 440-element
-    # mesh differently with another thread count
+    # the workers use the reflection factors the calling process made:
+    # OpenBLAS rounds the LU factors of this 440-element mesh
+    # differently with another thread count, and workers run one
     sc = tiny_map_scenario(include_nlos=True, mesh_resolution=0.5,
                            kappa_b=0.0)
     seq, par = run_cdf_map(sc, workers=1), run_cdf_map(sc, workers=2)
     assert seq.data.tobytes() == par.data.tobytes()
     assert pool_starts == [2]
+
+
+def test_pool_workers_never_build_a_channel_builder(monkeypatch,
+                                                    pool_starts):
+    if _usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    here = os.getpid()
+    init = ChannelBuilder.__init__
+
+    def parent_only(self, scenario):
+        if os.getpid() != here:
+            raise AssertionError("a pool worker built a ChannelBuilder")
+        init(self, scenario)
+
+    monkeypatch.setattr(ChannelBuilder, "__init__", parent_only)
+    sc = tiny_map_scenario(include_nlos=True, mesh_resolution=0.5,
+                           n_directions=4)
+    res = run_cdf_map(sc, workers=2)
+    assert pool_starts == [2]
+    assert len(res.data) == len(harness._tasks(sc)) > harness.SEARCH_BLOCK
+
+
+def test_pickled_builder_builds_the_same_channels():
+    # a pool under a start method other than fork unpickles the builder
+    sc = tiny_map_scenario(include_nlos=True, mesh_resolution=0.5)
+    tasks = harness._tasks(sc)
+    assert sc.kappa_b > 0 and len(tasks) > 16      # blockers, sub-blocks
+    builder = ChannelBuilder(sc)
+    fresh = pickle.loads(pickle.dumps(builder))
+    first, H = builder.channels(tasks[:20])
+    used = pickle.loads(pickle.dumps(builder))      # caches filled
+    for copy in (fresh, used):
+        realized, H_copy = copy.channels(tasks[:20])
+        assert H_copy.tobytes() == H.tobytes()
+        assert [b for _, b in realized] == [b for _, b in first]
+    assert used.channels(tasks[20:])[1].tobytes() == \
+        builder.channels(tasks[20:])[1].tobytes()
 
 
 def _blas_threads():
@@ -449,11 +487,11 @@ def test_run_tasks_hands_each_task_to_one_block_in_order(n, workers):
     got = harness._run_tasks(sc, _block_indices, harness._tasks(sc)[:n],
                              workers=workers)
     assert got[:, 0].tolist() == list(range(n))
-    # each block is a contiguous run of the task list
+    # each block is a contiguous run of the task list, cut at the same
+    # multiples of SEARCH_BLOCK for any worker count
     starts = got[:, 1]
-    assert starts[0] == 0
-    for k in range(1, n):
-        assert starts[k] in (starts[k - 1], k)
+    assert starts.tolist() == [k - k % harness.SEARCH_BLOCK
+                               for k in range(n)]
 
 
 @pytest.mark.parametrize("run,over,match", [
@@ -607,6 +645,25 @@ def test_ber_sweep_mimo_pam_order():
         assert r["M"] == 2 ** (8 // 4)
         assert r["N_a"] == 4
         assert r["scheme"] == "mimo"
+
+
+def test_sweep_block_error_bits_are_whole_counts(monkeypatch):
+    # 1 / (25,000 symbols x 5 bits) times 25,000 and then 5 gives
+    # 0.9999999999999999; the error count is 1
+    sc = sweep_scenario(mc_symbols=25000)
+    calls = []
+
+    def one_error(c, H, gamma_tx, n, rngs):
+        calls.append(n * c.bits_per_symbol)
+        return np.full(np.shape(gamma_tx), 1.0 / (n * c.bits_per_symbol)), ()
+
+    monkeypatch.setattr(harness, "monte_carlo_ber", one_error)
+    x, y = sc.location_xy()
+    tasks = [(0, x, y, sc.omega(), sc.stats().means(sc.omega()))]
+    out = harness._sweep_block(sc, tasks,
+                               *ChannelBuilder(sc).channels(tasks))
+    assert calls == [125000]
+    assert out[0, 1].tolist() == [1.0] * 3
 
 
 def test_ber_sweep_random_orientation_workers():
