@@ -16,11 +16,14 @@ matrix equation
 
 with E the element-to-element transfer matrix, G_rho the reflectivity
 diagonal, t the source-to-element and r the element-to-detector gains
-(Schulze, IEEE Trans. Commun. 2016). A dense LU factorization of the
-reflection system is computed once per mesh and the gains come from
-the adjoint system (I - E G_rho)^T w = G_rho r, whose right-hand side
-has one column per detector: h_nlos = w^T t. The detectors of a whole
-block of poses share one solve. No explicit inverse is formed.
+(Schulze, IEEE Trans. Commun. 2016). E is built from one geometry
+evaluation per pair of faces, which gives both of the pair's blocks
+(E is reciprocal, E_ji A_i = E_ij A_j); elements of one flat face see
+none of each other. A dense LU factorization of the reflection system
+is computed once per mesh and the gains come from the adjoint system
+(I - E G_rho)^T w = G_rho r, whose right-hand side has one column per
+detector: h_nlos = w^T t. The detectors of a whole block of poses share
+one solve. No explicit inverse is formed.
 """
 
 from dataclasses import dataclass
@@ -43,18 +46,15 @@ def lambertian_order(semiangle_deg):
     return -1.0 / np.log2(np.cos(np.deg2rad(semiangle_deg)))
 
 
-#: Receiver x transmitter pairs los_gain_matrix evaluates at once. A
-#: larger call fills its output this many pairs' worth of receivers at a
-#: time, which bounds its temporaries near 20 MiB; every gain is the
-#: same. The 440-element mesh (193,600 pairs) stays one evaluation:
-#: glibc sets its heap trim threshold from the largest block freed, and
-#: at 1 << 16 pairs the surveys then page-faulted each search block's
-#: ~4 MiB of scratch back in, 10-15% of their run time.
+#: Receiver x transmitter pairs los_gain_matrix, and the transfer matrix
+#: build, evaluate at once. A larger call fills its output this many
+#: pairs' worth of receivers at a time, which bounds its temporaries
+#: near 20 MiB; every gain is the same.
 LOS_PAIRS = 1 << 18
 
 
-def los_gain_matrix(tx_pos, tx_normal, rx_pos, rx_normal, order, area, fov_deg,
-                    out=None):
+def los_gain_matrix(tx_pos, tx_normal, rx_pos, rx_normal, order, area,
+                    fov_deg):
     """LOS gains between every transmitter-receiver pair.
 
     Args:
@@ -63,46 +63,47 @@ def los_gain_matrix(tx_pos, tx_normal, rx_pos, rx_normal, order, area, fov_deg,
         order: Lambertian order of the sources.
         area: detector area, m^2 (scalar or (n_rx,)).
         fov_deg: detector field of view (scalar or (n_rx,)).
-        out: optional (n_rx, n_tx) float64 array, in either memory
-            order, that receives the gains.
 
     Returns:
-        (n_rx, n_tx) array of nonnegative gains (out, if given); zero
-        where the incidence angle exceeds the FOV or either cosine is
-        negative. Coincident positions yield zero gain.
+        (n_rx, n_tx) array of nonnegative gains; zero where the
+        incidence angle exceeds the FOV or either cosine is negative.
+        Coincident positions yield zero gain.
     """
-    tx_pos = np.atleast_2d(tx_pos)
-    rx_pos = np.atleast_2d(rx_pos)
-    tx_normal = np.atleast_2d(tx_normal)
-    rx_normal = np.atleast_2d(rx_normal)
+    tx_pos, tx_normal, rx_pos, rx_normal = np.atleast_2d(
+        tx_pos, tx_normal, rx_pos, rx_normal)
     cos_fov = np.cos(np.deg2rad(np.asarray(fov_deg, dtype=float)))
     area = np.asarray(area, dtype=float)
     step = max(1, LOS_PAIRS // max(1, len(tx_pos)))
-    if out is None:
-        out = np.empty((len(rx_pos), len(tx_pos)))
+    out = np.empty((len(rx_pos), len(tx_pos)))
     for i in range(0, len(rx_pos), step):
         rows = slice(i, i + step)
-        out[rows] = _los_gain_rows(
-            tx_pos, tx_normal, rx_pos[rows], rx_normal[rows], order,
-            area[rows] if area.ndim == 1 else area,
-            cos_fov[rows] if cos_fov.ndim == 1 else cos_fov)
+        out[rows] = _los_gain(
+            *_los_geometry(tx_pos, tx_normal, rx_pos[rows], rx_normal[rows]),
+            order, area[rows, None] if area.ndim == 1 else area,
+            cos_fov[rows, None] if cos_fov.ndim == 1 else cos_fov)
     return out
 
 
-def _los_gain_rows(tx_pos, tx_normal, rx_pos, rx_normal, order, area, cos_fov):
-    """(n_rx, n_tx) gains of los_gain_matrix, all in one evaluation."""
-    diff = rx_pos[:, None, :] - tx_pos[None, :, :]      # (n_rx, n_tx, 3)
+def _los_geometry(tx_pos, tx_normal, rx_pos, rx_normal):
+    """(d2, safe_d2, cos_phi, cos_psi) of every (n_rx, n_tx) pair.
+
+    Swapping the roles of the two sets gives the same d2, and cos_phi
+    and cos_psi exchanged, bit for bit: each sum only changes sign.
+    """
+    diff = np.empty((len(rx_pos), len(tx_pos), 3))      # rx - tx
+    for k in range(3):          # a component at a time: faster, same bits
+        np.subtract(rx_pos[:, k, None], tx_pos[:, k], out=diff[..., k])
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     safe_d2 = np.where(d2 > 0.0, d2, 1.0)     # masked out of the result
     inv_d = 1.0 / np.sqrt(safe_d2)
     cos_phi = np.einsum("jk,ijk->ij", tx_normal, diff) * inv_d
     cos_psi = -np.einsum("ik,ijk->ij", rx_normal, diff) * inv_d
+    return d2, safe_d2, cos_phi, cos_psi
 
-    if np.ndim(cos_fov) == 1:
-        cos_fov = cos_fov[:, None]
-    if np.ndim(area) == 1:
-        area = area[:, None]
 
+def _los_gain(d2, safe_d2, cos_phi, cos_psi, order, area, cos_fov):
+    """Gains from the pair arrays of _los_geometry; area and cos_fov
+    broadcast against them, so a per-receiver value is a column."""
     visible = (cos_phi > 0) & (cos_psi > 0) & (cos_psi >= cos_fov) & (d2 > 0)
     cos_phi = np.clip(cos_phi, 0.0, 1.0)
     cos_psi = np.clip(cos_psi, 0.0, 1.0)
@@ -179,26 +180,53 @@ ELEMENT_ORDER = 1.0
 ELEMENT_FOV_DEG = 90.0
 
 
+def _transfer_matrix(mesh):
+    """E: the mesh's (n, n) element-to-element LOS gains, Fortran order.
+
+    Bit for bit los_gain_matrix of the mesh onto itself with a zero
+    diagonal, from under half its pair evaluations. Within a run of
+    consecutive elements with equal normals cos psi = -cos phi exactly,
+    so no pair is visible and the block stays zero. For each pair of
+    runs f < g one geometry evaluation, of at most LOS_PAIRS pairs at a
+    time, gives E[f, g] and, with the roles and areas swapped, E[g, f]
+    (E_ji = E_ij A_j / A_i).
+    """
+    c, nrm, a, n = mesh.centers, mesh.normals, mesh.areas, mesh.n_elements
+    cos_fov = np.cos(np.deg2rad(ELEMENT_FOV_DEG))
+    e = np.zeros((n, n), order="F")
+    cuts = [0, *np.flatnonzero((nrm[1:] != nrm[:-1]).any(axis=1)) + 1, n]
+    runs = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    for f, run in enumerate(runs):
+        for cols in runs[f + 1:]:
+            step = max(1, LOS_PAIRS // (cols.stop - cols.start))
+            for i in range(run.start, run.stop, step):
+                rows = slice(i, min(i + step, run.stop))
+                geo = _los_geometry(c[cols], nrm[cols], c[rows], nrm[rows])
+                e[rows, cols] = _los_gain(*geo, ELEMENT_ORDER, a[rows, None],
+                                          cos_fov)
+                # the roles swapped: d2 as it is, cos phi and cos psi swapped
+                e[cols, rows] = _los_gain(*geo[:2], geo[3], geo[2],
+                                          ELEMENT_ORDER, a[cols], cos_fov).T
+    return e
+
+
 class RadiositySolver:
     """Infinite-reflection solver bound to one mesh.
 
-    Builds the element-to-element transfer matrix and factorizes
-    (I - E G_rho) once; the gains of any block of transmitter/receiver
-    poses then cost one pair of triangular solves of the transposed
-    system, with one right-hand side per receiver of every pose.
+    Builds the element-to-element transfer matrix from face-pair blocks
+    (_transfer_matrix) and factorizes (I - E G_rho) once; the gains of
+    any block of transmitter/receiver poses then cost one pair of
+    triangular solves of the transposed system, with one right-hand
+    side per receiver of every pose.
     spectral_radius is the power-iteration estimate of the spectral
     radius of E G_rho, below 1 for a mesh the solver accepts.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        n = mesh.n_elements
         # One n x n array holds E, then E G_rho, then I - E G_rho and at
         # last its LU factors: Fortran order lets LAPACK factor in place.
-        eg = los_gain_matrix(mesh.centers, mesh.normals, mesh.centers,
-                             mesh.normals, ELEMENT_ORDER, mesh.areas,
-                             ELEMENT_FOV_DEG, out=np.empty((n, n), order="F"))
-        np.fill_diagonal(eg, 0.0)
+        eg = _transfer_matrix(mesh)
         eg *= mesh.rho[None, :]
         self.spectral_radius = self._check_convergence(eg)
         system = np.subtract(0.0, eg, out=eg)     # 0 - x keeps zeros +0

@@ -41,9 +41,11 @@ bit-identical for any worker count: every count cuts the list into the
 same blocks and runs them with the one ChannelBuilder that the calling
 process built (its reflection factors among them), and the parts are
 joined in order. Each pool worker caps its OpenBLAS pools at one
-thread; a one-worker run leaves them as they are. A worker count
-outside 1..usable CPUs is a ConfigError (a ValueError) before anything
-is built.
+thread; a one-worker run leaves them as they are. Every run first fixes
+glibc's heap thresholds for the process, so block speed does not depend
+on what the set-up freed. A worker count outside 1..usable CPUs is a
+ConfigError (a ValueError) before anything is built, the task list
+included.
 """
 
 import csv
@@ -483,6 +485,26 @@ def _single_blas_thread():
                 setter(1)
 
 
+def _fix_heap_thresholds():
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 8 MiB.
+
+    By default glibc raises its mmap threshold to the largest mapped
+    block freed so far and its trim threshold to twice that, so whether
+    a search block's few MiB of scratch stay in the heap, or go back to
+    the system and fault in again every block, would depend on what the
+    set-up happened to free. Forked workers inherit the fixed values,
+    and the process keeps them after the run. A no-op where the C
+    library has no mallopt.
+    """
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    if (mallopt := getattr(libc, "mallopt", None)) is not None:
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt.restype = ctypes.c_int
+        # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of glibc's malloc.h
+        for param, value in ((-3, 4 << 20), (-1, 8 << 20)):
+            mallopt(param, value)
+
+
 def _worker_init(run):
     """Pool worker set-up: keep the run's (builder, fn, tasks), then run
     one BLAS thread.
@@ -532,9 +554,11 @@ def _run_tasks(scenario, fn, tasks, workers):
     channel stack, and returns an array with one entry per task; the
     parts are joined in task order with np.concatenate. workers > 1
     forks a pool that gets (builder, fn, tasks) once and the block
-    starts in runs of about a quarter of each worker's share.
+    starts in runs of about a quarter of each worker's share. glibc's
+    heap thresholds are fixed first (_fix_heap_thresholds).
     """
     check_workers(workers)
+    _fix_heap_thresholds()
     run = (ChannelBuilder(scenario), fn, tasks)
     starts = range(0, len(tasks), SEARCH_BLOCK)
     if workers == 1 or len(tasks) < 2:
@@ -578,6 +602,7 @@ def _downlink_survey(sc, workers, command, activity, kind):
     if sc.activity != activity:
         raise ConfigError(f"{command} uses the {activity} statistics")
     _downlink_sets(sc)                    # fail before any realization
+    check_workers(workers)                # and before the task list
     data = _run_tasks(sc, _downlink_block, _tasks(sc), workers)
     outage = float(np.mean(data["feasible"] == 0))
     return RunResult(kind=kind, data=data, scenario=sc,
@@ -646,6 +671,7 @@ def run_uplink_eval(scenario, workers=1):
         raise ConfigError("uplink-ee evaluates the uplink")
     if sc.scheme not in ("sm", "asm"):
         raise ConfigError("uplink supports the sm and asm schemes")
+    check_workers(workers)                # before the task list
     stack = _run_tasks(sc, _uplink_block, _tasks(sc), workers)
     M = sc.uplink_pam_order()
     ber_rows, ee_rows, outage_list = [], [], []

@@ -11,7 +11,8 @@ import lifisim.channel as channel
 from lifisim import (Blocker, RadiosityError, RadiositySolver, Scenario,
                      SurfaceMesh, build_environment_mesh, lambertian_order,
                      los_gain_matrix, nlos_gain)
-from lifisim.channel import ELEMENT_FOV_DEG, ELEMENT_ORDER, _los_gain_rows
+from lifisim.channel import (ELEMENT_FOV_DEG, ELEMENT_ORDER, _los_gain,
+                             _los_geometry, _transfer_matrix)
 
 #: The default link end: an order-1 source and a 0.25 cm^2, 60 degree
 #: detector.
@@ -120,15 +121,14 @@ def test_los_gain_matrix_chunks_match_one_evaluation(monkeypatch, n_rx,
     assert whole[0, 2] == 0.0 and (whole > 0).any()
     monkeypatch.setattr(channel, "LOS_PAIRS", 4 * len(tx))   # 4 rows a chunk
     chunked = los_gain_matrix(*args)
-    into = los_gain_matrix(*args, out=np.empty((n_rx, 5), order="F"))
-    for got in (chunked, into):
-        assert got.shape == whole.shape
-        assert np.ascontiguousarray(got).tobytes() == whole.tobytes()
-    # within the budget and without out: a new C-ordered float64 array,
-    # bit for bit the one evaluation
+    assert chunked.shape == whole.shape
+    assert chunked.tobytes() == whole.tobytes()
+    # within the budget: a new C-ordered float64 array, bit for bit the
+    # one evaluation
     monkeypatch.undo()
     cos_fov = np.cos(np.deg2rad(np.asarray(fov, dtype=float)))
-    rows = _los_gain_rows(tx, txn, rx, rxn, 1.3, np.asarray(area), cos_fov)
+    rows = _los_gain(*_los_geometry(tx, txn, rx, rxn), 1.3,
+                     np.reshape(area, (-1, 1)), np.reshape(cos_fov, (-1, 1)))
     assert whole.dtype == np.float64 and whole.flags.c_contiguous
     assert whole.tobytes() == rows.tobytes()
     # no receivers, or no transmitters: an empty result of the right shape
@@ -279,6 +279,45 @@ def test_radiosity_factors_the_reflection_system_bit_for_bit():
     radius = np.abs(np.linalg.eigvals(eg)).max()
     assert solver.spectral_radius == pytest.approx(radius, rel=1e-9)
     assert 0.0 < solver.spectral_radius < 1.0
+
+
+def _shuffled_tilted_mesh():
+    """The 1 m mesh in random order, so equal normals are not
+    contiguous, with one element tilted 20 degrees up and moved 0.1 m
+    off its wall, so that it sees the wall elements above it."""
+    mesh = build_environment_mesh(Scenario(mesh_resolution=1.0))
+    order = np.random.default_rng(3).permutation(mesh.n_elements)
+    centers, normals = mesh.centers[order], mesh.normals[order]
+    wall = np.flatnonzero(normals[:, 0] == 1.0)[0]
+    tilt = np.deg2rad(20.0)
+    normals[wall] = (np.cos(tilt), 0.0, np.sin(tilt))
+    centers[wall, 0] += 0.1
+    return SurfaceMesh(centers=centers, normals=normals,
+                       areas=mesh.areas[order], rho=mesh.rho[order])
+
+
+@pytest.mark.parametrize("mesh,los_pairs", [
+    (dict(mesh_resolution=0.5), channel.LOS_PAIRS),
+    (dict(mesh_resolution=0.5), 1000),          # several chunks a face pair
+    (dict(mesh_resolution=0.25), channel.LOS_PAIRS),
+    (dict(mesh_resolution=0.3), channel.LOS_PAIRS),
+    (dict(room_width=4.3, room_depth=6.1, mesh_resolution=0.37),
+     channel.LOS_PAIRS),
+    ("shuffled", channel.LOS_PAIRS),
+    ("shuffled", 7),
+])
+def test_transfer_matrix_is_los_gain_matrix_bit_for_bit(monkeypatch, mesh,
+                                                        los_pairs):
+    mesh = (_shuffled_tilted_mesh() if mesh == "shuffled"
+            else build_environment_mesh(Scenario(**mesh)))
+    e = los_gain_matrix(mesh.centers, mesh.normals, mesh.centers,
+                        mesh.normals, ELEMENT_ORDER, mesh.areas,
+                        ELEMENT_FOV_DEG)
+    np.fill_diagonal(e, 0.0)
+    monkeypatch.setattr(channel, "LOS_PAIRS", los_pairs)
+    got = _transfer_matrix(mesh)
+    assert got.flags.f_contiguous and got.shape == e.shape
+    assert np.ascontiguousarray(got).tobytes() == e.tobytes()
 
 
 def test_radiosity_setup_memory_at_the_benchmark_mesh():

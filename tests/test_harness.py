@@ -525,6 +525,44 @@ def test_library_runs_reject_out_of_range_workers(monkeypatch, run, workers):
         run(sc, workers=workers)
 
 
+@pytest.mark.parametrize("run,over", [
+    (run_cdf_map, {}),
+    (run_orwp_eval, dict(activity="walking")),
+    (run_uplink_eval, dict(direction="uplink", scheme="sm")),
+])
+def test_library_runners_check_workers_before_the_task_list(monkeypatch, run,
+                                                            over):
+    # the default survey's list alone would be about 0.9 GiB
+    def no_tasks(sc):
+        raise AssertionError("the task list was built")
+
+    monkeypatch.setattr(harness, "_tasks", no_tasks)
+    with pytest.raises(ConfigError, match="workers must lie in 1"):
+        run(tiny_map_scenario(**over), workers=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runs_fix_the_heap_thresholds_before_the_set_up(monkeypatch,
+                                                        workers):
+    if os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    if _usable_cpus() < workers:
+        pytest.skip("needs two usable CPUs")
+    harness._fix_heap_thresholds()           # the real call: no error
+    calls = []
+    init = ChannelBuilder.__init__
+
+    def build(self, scenario):
+        calls.append("builder")
+        init(self, scenario)
+
+    monkeypatch.setattr(ChannelBuilder, "__init__", build)
+    monkeypatch.setattr(harness, "_fix_heap_thresholds",
+                        lambda: calls.append("heap"))
+    run_cdf_map(tiny_map_scenario(), workers=workers)
+    assert calls == ["heap", "builder"]
+
+
 @pytest.mark.parametrize("scheme,r,signal_set,M", [
     ("sm", 5, build_constellation, 8),
     ("mimo", 4, build_mimo_constellation, 2),
