@@ -41,9 +41,16 @@ bit-identical for any worker count: every count cuts the list into the
 same blocks and runs them with the one ChannelBuilder that the calling
 process built (its reflection factors among them), and the parts are
 joined in order. Each pool worker caps its OpenBLAS pools at one
-thread; a one-worker run leaves them as they are. Every run first fixes
-glibc's heap thresholds for the process, so block speed does not depend
-on what the set-up freed. A worker count outside 1..usable CPUs is a
+thread and runs its Monte Carlo points one after another; a one-worker
+run leaves the BLAS pools as they are and runs the SNR points of each
+monte_carlo_ber and mi_monte_carlo call on util.map_points' threads,
+one per usable CPU. A point thread draws one point from that point's
+own Generator into its own buffers and only reads the call's shared
+tables, while the error rates, intervals and records are formed on the
+calling thread, so the counts, and so the rows, do not depend on the
+thread count either. Every run first fixes glibc's heap thresholds and
+its arena count for the process, so block speed does not depend on what
+the set-up freed. A worker count outside 1..usable CPUs is a
 ConfigError (a ValueError) before anything is built, the task list
 included.
 """
@@ -69,7 +76,8 @@ from .orientation import orwp_generate, sample_static_orientation
 from .rates import energy_efficiency, mi_monte_carlo, rate_bounds
 from .sm import (build_constellation, build_mimo_constellation,
                  monte_carlo_ber, received_snr, union_bound_ber)
-from .util import db_to_linear, linear_to_db, wilson_interval
+from .util import (db_to_linear, linear_to_db, set_point_threads, usable_cpus,
+                   wilson_interval)
 
 #: Record types of the three tables: required SNR per realization, BER
 #: per SNR point, energy efficiency per SNR point. Their field names are
@@ -486,39 +494,48 @@ def _single_blas_thread():
 
 
 def _fix_heap_thresholds():
-    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 8 MiB.
+    """Fix glibc's mmap threshold at 4 MiB, its trim threshold at 8 MiB
+    and its arena count at 1.
 
     By default glibc raises its mmap threshold to the largest mapped
     block freed so far and its trim threshold to twice that, so whether
     a search block's few MiB of scratch stay in the heap, or go back to
     the system and fault in again every block, would depend on what the
-    set-up happened to free. Forked workers inherit the fixed values,
-    and the process keeps them after the run. A no-op where the C
-    library has no mallopt.
+    set-up happened to free. It also gives each thread that allocates
+    at once its own arena, whose freed blocks no other thread reuses;
+    with one arena the Monte Carlo point threads (util.map_points) share
+    one heap, so they add their block buffers to the peak memory and no
+    arena's spare pages. Forked workers inherit the fixed values, and
+    the process keeps them after the run. A no-op where the C library
+    has no mallopt.
     """
     libc = ctypes.CDLL(None) if os.name == "posix" else None
     if (mallopt := getattr(libc, "mallopt", None)) is not None:
         mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
         mallopt.restype = ctypes.c_int
-        # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of glibc's malloc.h
-        for param, value in ((-3, 4 << 20), (-1, 8 << 20)):
+        # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_ARENA_MAX of glibc's
+        # malloc.h
+        for param, value in ((-3, 4 << 20), (-1, 8 << 20), (-8, 1)):
             mallopt(param, value)
 
 
 def _worker_init(run):
     """Pool worker set-up: keep the run's (builder, fn, tasks), then run
-    one BLAS thread.
+    one BLAS thread and one Monte Carlo point thread.
 
     Each forked worker inherits the parent's BLAS pools, so two workers
     would run four BLAS threads on two cores, and the small block
-    solves would thrash. The builder, its reflection factors among
-    them, is the one the parent built: a forked worker shares its
-    pages, another start method unpickles it once. The triangular
-    solves and products give the same bits with one thread.
+    solves would thrash; the point threads of util.map_points would do
+    the same, and the pool already fills the CPUs. The builder, its
+    reflection factors among them, is the one the parent built: a
+    forked worker shares its pages, another start method unpickles it
+    once. The triangular solves and products give the same bits with
+    one thread, and the points the same counts on one thread.
     """
     global _RUN
     _RUN = run
     _single_blas_thread()
+    set_point_threads(1)
 
 
 def _block(start, run=None):
@@ -535,10 +552,7 @@ def check_workers(workers, option="workers"):
     Raises ConfigError (a ValueError) unless 1 <= workers <= the CPUs
     this process may run on; option names the count in the message.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if not 1 <= workers <= cpus:
         raise ConfigError(f"{option} must lie in 1..{cpus} (usable CPUs), "
                           f"got {workers}")

@@ -24,7 +24,11 @@ K exponents, by a running np.maximum over the columns, and calls np.exp
 only on the differences whose exponential does not underflow to 0: at
 high SNR most of them do, and np.exp is several times slower on those.
 The estimator builds its K exponents per sample in place, in one
-(samples, K) block per MI_CHUNK samples of one point at a time.
+(samples, K) block per MI_CHUNK samples of one point at a time. Its
+points run on util.map_points' thread pool: a thread draws one point
+from that point's own Generator into that point's own block arrays and
+only reads the channel's tables, so every estimate is the one a
+one-point call gives, whatever the thread count.
 """
 
 from collections import namedtuple
@@ -33,7 +37,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .sm import pairwise_sq_distances
-from .util import LOG2, logsumexp, positive
+from .util import LOG2, logsumexp, map_points, positive
 
 #: log2(e) - 1, the per-receiver-dimension entropy loss of L1.
 _L1_DIM_LOSS = 1.0 / LOG2 - 1.0
@@ -191,13 +195,17 @@ def mi_monte_carlo(constellation, H, sigma2, n_samples, rng):
 
     sigma2 is one noise variance, drawn from the Generator rng, or an
     array of them with rng a sequence of one Generator per entry
-    (ValueError when the lengths differ); the estimates and errors then
-    come back as arrays of sigma2's shape, each the one a one-point
-    call with its Generator gives. The arrays of one block are
-    allocated once per call and reused by every block of every point,
-    since fresh arrays of this size are paged in anew each time. The
-    noise is drawn into its block with standard_normal and scaled,
-    which gives rng.normal(0, sigma)'s values bit for bit.
+    (ValueError when the lengths differ, before any draw); the
+    estimates and errors then come back as arrays of sigma2's shape,
+    each the one a one-point call with its Generator gives. X and the
+    d^2 table are built once per call and only read by the points,
+    which run on util.map_points' threads, so the estimates do not
+    depend on the thread count. The arrays of one block are allocated
+    once per point and reused by every block of it, since fresh arrays
+    of this size are paged in anew each time. The noise is drawn into
+    its block with standard_normal and scaled, which gives
+    rng.normal(0, sigma)'s values bit for bit. The estimates and errors
+    are formed from each point's sums on the calling thread.
     """
     H = np.atleast_2d(H)
     if n_samples < 1000:
@@ -208,12 +216,14 @@ def mi_monte_carlo(constellation, H, sigma2, n_samples, rng):
     K = constellation.K
     n_rx = H.shape[0]
     dist_sq = pairwise_sq_distances(X)
-    # one block's arrays, reused by every block of every point; the
-    # noise is spent once expo holds it, so its buffer takes D's rows
     rows = min(MI_CHUNK, n_samples)
-    buf, expo = np.empty(rows * max(n_rx, K)), np.empty((rows, K))
-    mi, se = np.empty(sigma2.shape), np.empty(sigma2.shape)
-    for (p, s2), gen in zip(np.ndenumerate(sigma2), rngs, strict=True):
+
+    def point(s2, gen):
+        """Sums of the log2 ratio terms and of their squares at sigma2
+        s2."""
+        # one block's arrays, reused by every block of the point; the
+        # noise is spent once expo holds it, so its buffer takes D's rows
+        buf, expo = np.empty(rows * max(n_rx, K)), np.empty((rows, K))
         sigma = np.sqrt(s2)
         total, total_sq, done = 0.0, 0.0, 0
         while done < n_samples:
@@ -240,6 +250,11 @@ def mi_monte_carlo(constellation, H, sigma2, n_samples, rng):
             total += float(terms.sum())
             total_sq += float((terms * terms).sum())
             done += n
+        return total, total_sq
+
+    sums = map_points(point, sigma2.ravel(), rngs)
+    mi, se = np.empty(sigma2.shape), np.empty(sigma2.shape)
+    for p, (total, total_sq) in zip(np.ndindex(sigma2.shape), sums):
         mean = total / n_samples
         var = max(total_sq / n_samples - mean * mean, 0.0)
         mi[p], se[p] = np.log2(K) - mean, np.sqrt(var / n_samples)

@@ -51,7 +51,11 @@ of two or more rows, as OpenBLAS does, every count is then the one
 full scoring gives, even where two of a sample's scores tie to within
 rounding (columns of H a few ulps apart). The tables (x_n - x_s, the
 half-space and ball thresholds) are built once per call, for a whole
-SNR grid.
+SNR grid. The grid's points then run on util.map_points' thread pool: a
+thread draws one point from that point's own Generator, scores it in
+that point's own buffer and only reads x, the tables and the Hamming
+table, so every count is the one a one-point call gives, whatever the
+thread count.
 """
 
 from collections import namedtuple
@@ -60,7 +64,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .util import positive, qfunc, wilson_interval
+from .util import map_points, positive, qfunc, wilson_interval
 
 #: Largest alphabet any signal set may have: the union bound and the
 #: detectors keep several K x K tables.
@@ -423,10 +427,15 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
 
     gamma_tx is one transmit SNR, drawn from the Generator rng, or a
     1-D grid of them with rng a sequence of one Generator per point
-    (ValueError when the lengths differ); ber, ci_low and ci_high then
-    come back as arrays over the grid, each the one a one-point call
-    with its Generator gives. x, the certificate tables and the score
-    buffer are made once per call.
+    (ValueError when the lengths differ, before any draw); ber, ci_low
+    and ci_high then come back as arrays over the grid, each the one a
+    one-point call with its Generator gives. x and the certificate
+    tables are made once per call and only read by the points, which
+    run on util.map_points' threads: each point counts its bit errors
+    with its own score buffer, allocated once per point and reused by
+    every block of it (a one-point call scores in the buffer that built
+    the tables), so the counts do not depend on the thread count. The
+    rates and intervals are formed on the calling thread.
 
     Returns:
         (ber, (ci_low, ci_high))
@@ -443,10 +452,14 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
     step = max(1, MC_SCORES // K)
     buf = np.empty((min(step, max(K, n_symbols)), K))
     delta, plane, ball = _certificate(x, sq, buf)
+    shape = buf.shape
+    if gamma_tx.size > 1:
+        buf = None                                # one buffer per point
     bit_errors = constellation.hamming.ravel()    # (K * K,)
-    n_bits = n_symbols * constellation.bits_per_symbol
-    ber, low, high = (np.empty(gamma_tx.shape) for _ in range(3))
-    for (p, gamma), gen in zip(np.ndenumerate(gamma_tx), rngs, strict=True):
+
+    def point(gamma, gen):
+        """Bit errors of n_symbols samples at transmit SNR gamma."""
+        scores_buf = np.empty(shape) if buf is None else buf
         sigma = 1.0 / np.sqrt(gamma)
         certify = n_r * sigma * sigma < ball.max()
         plane_z, ball_z = plane / sigma, ball / (sigma * sigma)
@@ -475,12 +488,18 @@ def monte_carlo_ber(constellation, H, gamma_tx, n_symbols, rng):
             starts = list(range(0, body, step)) + [body] * lone
             for i, j in zip(starts, starts[1:] + [len(ks)]):
                 rows = y[:, [i, i]].T if j - i == 1 and i < body else y.T[i:j]
-                scores = np.matmul(rows, x, out=buf[:len(rows)])
+                scores = np.matmul(rows, x, out=scores_buf[:len(rows)])
                 scores -= half_sq
                 np.argmax(scores[:j - i], axis=1, out=khat[i:j])
             ks *= K                               # flat index sent K + decided
             ks += khat
             n_bit_errors += int(bit_errors.take(ks).sum())
+        return n_bit_errors
+
+    errors = map_points(point, gamma_tx.ravel(), rngs)
+    n_bits = n_symbols * constellation.bits_per_symbol
+    ber, low, high = (np.empty(gamma_tx.shape) for _ in range(3))
+    for p, n_bit_errors in zip(np.ndindex(gamma_tx.shape), errors):
         ber[p] = n_bit_errors / n_bits
         low[p], high[p] = wilson_interval(n_bit_errors, n_bits)
     if gamma_tx.ndim == 0:

@@ -1,8 +1,9 @@
 """Small numeric helpers shared across the simulator.
 
 dB conversion, the Gaussian Q function, the Wilson interval, a check
-that every entry of an argument is positive, and a log-sum-exp for real
-arrays. The log-sum-exp computes
+that every entry of an argument is positive, a log-sum-exp for real
+arrays, and map_points, which runs the SNR points of a Monte Carlo
+estimator on a process-wide thread pool. The log-sum-exp computes
 scipy.special.logsumexp's algorithm with results bit-identical to
 scipy's, without the array-API dispatch that costs scipy several times
 the arithmetic on the small tables the rate bounds and the mutual
@@ -10,11 +11,20 @@ information estimate reduce.
 """
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erfc
 
 LOG2 = np.log(2.0)
+
+#: Threads map_points runs points on; None means one per usable CPU.
+#: Pool workers set 1, since the pool already fills the CPUs.
+_point_threads = None
+
+#: (pid, threads, executor) of the point pool, made on first use.
+_point_pool = None
 
 #: exp rounds every argument at or below this to +0.0 (the halfway point
 #: to the smallest subnormal is at -745.13).
@@ -114,3 +124,49 @@ def wilson_interval(n_errors, n_trials):
     half = (z / denom) * np.sqrt(p * (1 - p) / n_trials + z * z / (4 * n_trials ** 2))
     # rounding must not push the sample proportion outside its interval
     return min(max(center - half, 0.0), p), max(min(center + half, 1.0), p)
+
+
+def usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def point_threads():
+    """Threads map_points runs points on."""
+    return _point_threads or usable_cpus()
+
+
+def set_point_threads(n):
+    """Run map_points on n threads (None: one per usable CPU)."""
+    global _point_threads
+    _point_threads = n
+
+
+def map_points(fn, points, rngs):
+    """[fn(point, rng) for point, rng in zip(points, rngs)], in order.
+
+    The points run on a process-wide pool of point threads, made on
+    first use; numpy releases the GIL while it draws and reduces, so
+    independent points overlap. The results are those of the plain loop
+    bit for bit, since each point draws only from its own Generator and
+    fn must write nothing shared. The plain loop runs instead for one
+    point, for one thread, and when one Generator object serves several
+    points, whose draws must then follow each other. ValueError when the
+    lengths differ, before any call. A pool made by another process is
+    never used: a forked child has none of its parent's threads.
+    """
+    global _point_pool
+    points, rngs = list(points), list(rngs)
+    if len(points) != len(rngs):
+        raise ValueError(f"{len(points)} points but {len(rngs)} generators")
+    threads = point_threads()
+    if min(threads, len(points)) < 2 or len(set(map(id, rngs))) < len(rngs):
+        return [fn(p, g) for p, g in zip(points, rngs)]
+    key = (os.getpid(), threads)
+    if _point_pool is None or _point_pool[:2] != key:
+        # the threads of a pool dropped here exit once it is collected
+        _point_pool = (*key, ThreadPoolExecutor(
+            threads, thread_name_prefix="lifisim-point"))
+    return list(_point_pool[2].map(fn, points, rngs))

@@ -5,6 +5,9 @@ import functools
 import math
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -37,7 +40,7 @@ from lifisim import (
     union_bound_ber,
     write_csv,
 )
-from lifisim import harness
+from lifisim import harness, util
 from lifisim.blockage import blockage_mask
 from lifisim.channel import (ELEMENT_FOV_DEG, ELEMENT_ORDER, los_gain_matrix,
                              nlos_gain)
@@ -470,6 +473,66 @@ def test_pool_workers_run_one_blas_thread():
                                 harness._tasks(sc)[:8], workers=2)
     assert inside.tolist() == [dict.fromkeys(before, 1)] * 8
     assert _blas_threads() == before     # the parent keeps its pools
+
+
+def _point_threads_of_block(sc, block, realized, Hs):
+    return np.array([util.point_threads()] * len(block))
+
+
+def test_pool_workers_run_points_on_one_thread():
+    if _usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    before = util.point_threads()
+    sc = tiny_map_scenario()
+    inside = harness._run_tasks(sc, _point_threads_of_block,
+                                harness._tasks(sc)[:8], workers=2)
+    assert inside.tolist() == [1] * 8
+    assert util.point_threads() == before   # the parent keeps its threads
+
+
+#: Runs a one-worker BER sweep on two point threads, which makes the
+#: point pool, then the same sweep with a forked pool of two workers,
+#: and prints whether the rows are the same bytes.
+_FORK_AFTER_POINT_POOL = """
+import os
+from lifisim import harness, scenario_from_dict, util
+util.set_point_threads(2)
+sc = scenario_from_dict(dict(
+    direction="downlink", activity="sitting", device="mdr", scheme="sm",
+    n_active=4, spectral_efficiency=5, orientation="random",
+    orientations_per_point=3, location="L1", include_nlos=False,
+    kappa_b=0.0, snr_start_db=0.0, snr_stop_db=20.0, snr_step_db=10.0,
+    mc_symbols=2000, seed=3))
+one = harness.run_ber_sweep(sc, workers=1)
+assert util._point_pool[0] == os.getpid()
+two = harness.run_ber_sweep(sc, workers=2)
+print(one.data.tobytes() == two.data.tobytes())
+"""
+
+
+def test_forked_workers_after_the_point_pool_give_the_same_rows():
+    # a forked worker inherits the parent's pool object but none of its
+    # threads; it must neither wait on that pool nor change the rows
+    if _usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(util.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    # in a session of its own, so that a hung run's workers are killed
+    # with it
+    proc = subprocess.Popen([sys.executable, "-c", _FORK_AFTER_POINT_POOL],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 0, err
+    assert out.split() == ["True"]
 
 
 def _block_indices(sc, block, realized, Hs):

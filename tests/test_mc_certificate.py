@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifisim import sm
+from lifisim import sm, util
 from lifisim.sm import (build_constellation, build_mimo_constellation,
                         monte_carlo_ber)
 from lifisim.util import wilson_interval
@@ -289,6 +289,77 @@ def test_grid_form_equals_one_call_per_point():
     assert single[0].shape == (1,)
     with pytest.raises(ValueError):
         monte_carlo_ber(c, H, grid, 500, rngs()[:-1])
+
+
+def _grid_case():
+    """A signal set, a channel, an SNR grid from full scoring to no
+    errors, and a maker of the grid's per-point Generators."""
+    c = build_constellation(8, 4)
+    H = np.random.default_rng(3).uniform(0.1, 1.0, size=(4, 4))
+    grid = 10 ** (np.arange(0.0, 61.0, 6.0) / 10)
+    return c, H, grid, lambda: [np.random.default_rng([3, g])
+                                for g in range(grid.size)]
+
+
+def test_grid_on_two_point_threads_equals_one_call_per_point(
+        two_point_threads):
+    c, H, grid, rngs = _grid_case()
+    ber, (low, high) = monte_carlo_ber(c, H, grid, 30_000, rngs())
+    for g, (gamma, gen) in enumerate(zip(grid, rngs())):
+        one = monte_carlo_ber(c, H, gamma, 30_000, gen)
+        assert one == (ber[g], (low[g], high[g]))
+    # the grid went through the pool, the one-point calls did not
+    assert two_point_threads == [grid.size]
+    assert ber[0] > 0.1 and ber[-1] == 0.0
+
+
+def test_one_generator_for_several_points_draws_them_in_turn(
+        two_point_threads):
+    c, H, grid, _ = _grid_case()
+    shared = np.random.default_rng(5)
+    ber, (low, high) = monte_carlo_ber(c, H, grid, 3_000,
+                                       [shared] * grid.size)
+    gen = np.random.default_rng(5)
+    for g, gamma in enumerate(grid):
+        one = monte_carlo_ber(c, H, gamma, 3_000, gen)
+        assert one == (ber[g], (low[g], high[g]))
+    assert shared.bit_generator.state == gen.bit_generator.state
+    assert two_point_threads == []
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_lengths_mismatch_is_raised_before_any_draw(two_point_threads,
+                                                    extra):
+    c, H, grid, _ = _grid_case()
+    gens = [np.random.default_rng(g) for g in range(grid.size + extra)]
+    before = [g.bit_generator.state for g in gens]
+    with pytest.raises(ValueError, match="generators"):
+        monte_carlo_ber(c, H, grid, 500, gens)
+    assert [g.bit_generator.state for g in gens] == before
+    assert two_point_threads == []
+
+
+def test_grid_memory_is_at_most_one_point_per_thread(two_point_threads,
+                                                     monkeypatch):
+    # K = 4,096, so the score buffers dominate what a point holds
+    c = build_constellation(1024, 4)
+    c.hamming                                   # cached; not counted
+    H = np.random.default_rng(0).uniform(0.2, 1.0, size=(4, 4))
+    grid = 10 ** (np.array([40.0, 50.0, 60.0, 80.0]) / 10)
+
+    def peak(gamma, rngs):
+        tracemalloc.start()
+        monte_carlo_ber(c, H, gamma, 2000, rngs)
+        out = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return out
+
+    one = max(peak(g, np.random.default_rng(1)) for g in grid)
+    for threads in (2, 1):
+        monkeypatch.setattr(util, "_point_threads", threads)
+        rngs = [np.random.default_rng([1, g]) for g in range(grid.size)]
+        assert peak(grid, rngs) <= threads * one * 1.1
+    assert two_point_threads == [grid.size]
 
 
 @pytest.mark.parametrize("snr_db", [40.0, 80.0])

@@ -213,3 +213,49 @@ def test_mi_grid_equals_one_point_calls(n_samples):
     assert list(zip(mi.tolist(), se.tolist())) == points
     with pytest.raises(ValueError):
         mi_monte_carlo(c, H, sigma2, n_samples, gens()[:3])
+
+
+def _mi_grid_case():
+    c = build_constellation(4, 4)
+    H = np.random.default_rng(6).uniform(0.0, 1.0, size=(16, 4))
+    H[:, 3] = 0.0
+    return c, H, np.array([1e-4, 1e-2, 1.0, 1e2])
+
+
+def test_mi_grid_on_two_point_threads_equals_one_point_calls(
+        two_point_threads):
+    c, H, sigma2 = _mi_grid_case()
+
+    def gens():
+        return [np.random.default_rng(seed) for seed in (11, 12, 13, 14)]
+
+    mi, se = mi_monte_carlo(c, H, sigma2, 20_001, gens())
+    points = [mi_monte_carlo(c, H, s, 20_001, g)
+              for s, g in zip(sigma2, gens())]
+    assert list(zip(mi.tolist(), se.tolist())) == points
+    # the grid went through the pool, the one-point calls did not
+    assert two_point_threads == [sigma2.size]
+
+
+def test_mi_one_generator_for_several_points_draws_them_in_turn(
+        two_point_threads):
+    c, H, sigma2 = _mi_grid_case()
+    shared = np.random.default_rng(7)
+    mi, se = mi_monte_carlo(c, H, sigma2, 1000, [shared] * sigma2.size)
+    gen = np.random.default_rng(7)
+    points = [mi_monte_carlo(c, H, s, 1000, gen) for s in sigma2]
+    assert list(zip(mi.tolist(), se.tolist())) == points
+    assert shared.bit_generator.state == gen.bit_generator.state
+    assert two_point_threads == []
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_mi_lengths_mismatch_is_raised_before_any_draw(two_point_threads,
+                                                       extra):
+    c, H, sigma2 = _mi_grid_case()
+    gens = [np.random.default_rng(g) for g in range(sigma2.size + extra)]
+    before = [g.bit_generator.state for g in gens]
+    with pytest.raises(ValueError, match="generators"):
+        mi_monte_carlo(c, H, sigma2, 1000, gens)
+    assert [g.bit_generator.state for g in gens] == before
+    assert two_point_threads == []
