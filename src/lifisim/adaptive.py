@@ -22,9 +22,10 @@ cannot beat the best so far is skipped.
 Uplink: order the transmit sources by channel column norm and activate
 the largest power-of-two group whose weakest member alone sustains
 M-PAM at the target error rate. led_selection_uplink selects at every
-point of a transmit-SNR grid in one call: the weakest columns of all
-admissible groups are stacked into one bound_tables call and bounded
-at every point by sm.grid_bounds; a single SNR is the one-point case.
+point of a transmit-SNR grid, for one channel or a stack of them, in
+one call: the weakest columns of all admissible groups of every channel
+are stacked into one bound_tables call and bounded at every point by
+sm.point_bounds; a single SNR is the one-point case.
 """
 
 from collections import namedtuple
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .sm import (bound_tables, bound_tails, build_constellation, grid_bounds,
-                 received_snr)
+from .sm import (bound_tables, bound_tails, build_constellation,
+                 point_bounds, received_snr)
 from .util import db_to_linear, linear_to_db, positive
 
 #: The search never looks above this transmit SNR: a bound still above
@@ -255,10 +256,13 @@ def _strength_order(Hs):
 
 def strongest_columns(H, n):
     """Indices of the n largest-norm columns of an (n_rx, n_tx) channel,
-    ascending. Equal norms resolve to the smaller original index so
-    selections are deterministic."""
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    return np.sort(_strength_order(H[None])[0, :n])
+    ascending; a (B, n_rx, n_tx) stack gives one such row per channel,
+    each its channel's own. Equal norms resolve to the smaller original
+    index so selections are deterministic."""
+    H = np.asarray(H, dtype=float)
+    if H.ndim < 3:
+        return strongest_columns(np.atleast_2d(H)[None], n)[0]
+    return np.sort(_strength_order(H)[:, :n], axis=1)
 
 
 @dataclass(frozen=True)
@@ -413,31 +417,44 @@ def led_selection_uplink(H, M, gamma_tx, target_ber):
     target is activated; an empty group signals that communication
     fails and the user should change orientation or location.
 
-    The weakest columns of all admissible groups are stacked and their
-    single-source tables built in one bound_tables call; grid_bounds
-    then bounds every group at every SNR, each bound the one a
-    one-point union_bound_ber call on that column gives.
+    The weakest columns of all admissible groups of all channels are
+    stacked and their single-source tables built in one bound_tables
+    call; point_bounds then bounds every group at every SNR, each bound
+    the one a one-point union_bound_ber call on that column gives. Each
+    channel's columns are sorted by its own 2-D norm call.
 
     Args:
-        H: (n_rx, n_tx) channel matrix.
+        H: (n_rx, n_tx) channel matrix, or a (B, n_rx, n_tx) stack.
         M: PAM order per source (2 ** target spectral efficiency).
         gamma_tx: transmit SNR I^2 / sigma_n^2, linear: one value, or
             a 1-D grid.
 
     Returns:
         The active original column indices, ascending, as a tuple, or
-        for a grid a list of one such tuple per point.
+        for a grid a list of one such tuple per point; for a stack, a
+        list of B such results, each the one its channel alone gives.
     """
-    H = np.atleast_2d(H)
+    H = np.asarray(H, dtype=float)
+    if H.ndim < 3:
+        return led_selection_uplink(np.atleast_2d(H)[None], M, gamma_tx,
+                                    target_ber)[0]
     gamma_tx = positive(gamma_tx, "gamma_tx")
-    n_tx = H.shape[1]
-    order = np.argsort(np.linalg.norm(H, axis=0), kind="stable")
+    n_tx = H.shape[2]
+    order = np.array([np.argsort(np.linalg.norm(h, axis=0), kind="stable")
+                      for h in H])
     starts = np.array(admissible_group_starts(n_tx))
-    weakest = H.T[order[starts - 1], :, None]       # (groups, n_rx, 1)
-    met = grid_bounds(bound_tables(build_constellation(M, 1), weakest),
-                      gamma_tx.ravel()) <= target_ber   # (points, groups)
-    first = np.where(met.any(axis=1), met.argmax(axis=1), len(starts))
-    groups = [tuple(int(i) for i in np.sort(order[start - 1:]))
-              for start in starts] + [()]
-    out = [groups[k] for k in first]
-    return out[0] if gamma_tx.ndim == 0 else out
+    weakest = np.take_along_axis(H, order[:, None, starts - 1], axis=2)
+    weakest = weakest.transpose(0, 2, 1).reshape(-1, H.shape[1], 1)
+    rows = len(weakest)                              # B x groups
+    met = point_bounds(bound_tables(build_constellation(M, 1), weakest),
+                       np.repeat(gamma_tx.ravel(), rows),
+                       np.tile(np.arange(rows), gamma_tx.size)) <= target_ber
+    met = met.reshape(gamma_tx.size, len(H), len(starts))
+    first = np.where(met.any(axis=2), met.argmax(axis=2), len(starts))
+    out = []
+    for b, row in enumerate(order):
+        groups = [tuple(int(i) for i in np.sort(row[start - 1:]))
+                  for start in starts] + [()]
+        picks = [groups[k] for k in first[:, b]]
+        out.append(picks[0] if gamma_tx.ndim == 0 else picks)
+    return out

@@ -6,8 +6,9 @@ from the scenario's activity: sitting gives the lattice of positions x
 facing directions x orientation draws, with the angles drawn in
 realize; walking gives the ORWP trajectory samples. _run_tasks builds
 the run's one ChannelBuilder and cuts the list into blocks of
-SEARCH_BLOCK, the same for any worker count (a pool's workers get the
-block starts). ChannelBuilder.channels realizes a block, once
+SEARCH_BLOCK tasks, or fewer where the list is too short to give every
+worker one (a pool's workers get the block starts).
+ChannelBuilder.channels realizes a block, once
 per realization, and builds its channels together, sub-block by
 sub-block; the blocked AP-to-mesh gains of each new blocker list are
 made there, and the realizations that follow with the same list reuse
@@ -25,8 +26,12 @@ experiment kinds cover the evaluation campaign:
   error bits over the grid, one union_bound_ber and one monte_carlo_ber
   call each, reduced to one record per grid point;
 * uplink eval: transmit-SNR sweep with source selection, rate bounds
-  and energy efficiency, each realization evaluated over the grid and
-  averaged to one record per grid point.
+  and energy efficiency. A block's realizations are evaluated over the
+  grid together: one LED selection call, then, per active-set size, one
+  union_bound_ber, rate_bounds and mi_monte_carlo call with one channel
+  per point (_uplink_block), or several where the set is so large that
+  one call would pass sm.BOUND_TERMS table terms; the records are
+  averaged to one per grid point.
 
 A RunResult holds its table as one NumPy structured array whose field
 names are the CSV columns (CDF_DTYPE, BER_DTYPE or EE_DTYPE).
@@ -35,12 +40,12 @@ Determinism contract: realization i draws all its randomness from
 SeedSequence([seed, 1, i]); Monte Carlo noise for realization i at
 sweep point g from SeedSequence([seed, 2, i, g]); the sequential
 trajectory stream is SeedSequence([seed, 0]). A channel does not depend
-on the block it is built in, nor its search result on the block it is
-searched in. Results are therefore
-bit-identical for any worker count: every count cuts the list into the
-same blocks and runs them with the one ChannelBuilder that the calling
-process built (its reflection factors among them), and the parts are
-joined in order. Each pool worker caps its OpenBLAS pools at one
+on the block it is built in, nor its search result, sweep or uplink
+record on the block it is evaluated in. Results are therefore
+bit-identical for any worker count and any block size: every count runs
+its blocks with the one ChannelBuilder that the calling process built
+(its reflection factors among them), and the parts are joined in
+order. Each pool worker caps its OpenBLAS pools at one
 thread and runs its Monte Carlo points one after another; a one-worker
 run leaves the BLAS pools as they are and runs the SNR points of each
 monte_carlo_ber and mi_monte_carlo call on util.map_points' threads,
@@ -74,7 +79,7 @@ from .geometry import (LATTICE_MARGIN, DevicePose, ap_positions,
                        element_world_pose, grid_positions)
 from .orientation import orwp_generate, sample_static_orientation
 from .rates import energy_efficiency, mi_monte_carlo, rate_bounds
-from .sm import (build_constellation, build_mimo_constellation,
+from .sm import (BOUND_TERMS, build_constellation, build_mimo_constellation,
                  monte_carlo_ber, received_snr, union_bound_ber)
 from .util import (db_to_linear, linear_to_db, set_point_threads, usable_cpus,
                    wilson_interval)
@@ -396,62 +401,83 @@ _UPLINK_FIELDS = ("n_active", "gamma_rx_db", "ber", "rate", "ee", "l1", "l2",
 
 
 def _uplink_block(sc, block, realized, Hs):
-    """(B, n_snr, len(_UPLINK_FIELDS)) _uplink_record of each task."""
-    return np.stack([_uplink_record(sc, idx, H)
-                     for (idx, *_), H in zip(block, Hs)])
+    """(B, n_snr, len(_UPLINK_FIELDS)) array of a block of realizations,
+    each over the transmit-SNR grid.
 
-
-def _uplink_record(sc, idx, H):
-    """(n_snr, len(_UPLINK_FIELDS)) array of realization idx, channel H,
-    across the transmit-SNR grid.
-
-    The realization is evaluated over the whole grid at once: ASM
-    selects the sources of every point in one led_selection_uplink
-    call, and sm takes the n_active strongest columns at every point.
-    The points that share an active set go through union_bound_ber,
-    rate_bounds and mi_monte_carlo together, so the set's tables are
-    built once; each point still draws its MI samples from its own
-    Generator. Rows of sweep points in outage (selection failure or no
-    received power) are all NaN; mi and mi_se stay NaN when mi_samples
-    is 0. Transmit power is normalized to I = 1, so gamma_tx =
-    1/sigma^2 and the absolute symbol energy enters only the efficiency
-    denominator.
+    The grid is converted once, one point at a time: numpy's vectorized
+    power can round differently from its scalar one, which would change
+    the rows. ASM selects the sources of every channel at every point in
+    one led_selection_uplink call, and sm takes each channel's n_active
+    strongest columns. The block's (realization, point) pairs are then
+    grouped by the size of their active set, and each size goes through
+    received_snr, union_bound_ber, rate_bounds and mi_monte_carlo once,
+    with one channel per point: each distinct channel's tables are built
+    once, and all of the size's MI points run in one util.map_points
+    call. That pays where a block holds many calls on small sets, each
+    cheap next to its per-call overhead; a large set gains little. The
+    tables of a set of K symbols hold about K^2 terms per channel, so a
+    call takes the points of at most max(1, BOUND_TERMS // K^2)
+    realizations, each of which has one active set of a size, and a
+    selection call at most max(1, BOUND_TERMS // (M^2 n_tx)) channels;
+    lower_bound_l1 and union_bound_ber reduce their points in parts of
+    about BOUND_TERMS terms. The tables a block holds at once thus stay
+    within a few times BOUND_TERMS terms, or one channel's, whatever the
+    alphabet size. Each point still draws its MI samples from its own
+    SeedSequence([seed, 2, idx, g]) Generator, so a realization's rows
+    do not depend on its block. Rows of sweep points in outage
+    (selection failure or no received power) are all NaN; mi and mi_se
+    stay NaN when mi_samples is 0. Transmit power is normalized to
+    I = 1, so gamma_tx = 1/sigma^2 and the absolute symbol energy enters
+    only the efficiency denominator.
     """
     M = sc.uplink_pam_order()
-    # one point at a time: numpy's vectorized power can round
-    # differently from its scalar one, which would change the rows
     gtx = np.array([db_to_linear(g) for g in sc.uplink_snr_grid_db()])
-    out = np.full((gtx.size, len(_UPLINK_FIELDS)), np.nan)
-    sets = (led_selection_uplink(H, M, gtx, sc.target_ber)
-            if sc.scheme == "asm"
-            else [tuple(strongest_columns(H, sc.n_active))] * gtx.size)
-    for active in set(sets) - {()}:
-        H_sub = H[:, list(active)]
-        n_a = len(active)
-        c = build_constellation(M, n_a)
-        pts = np.array([g for g, a in enumerate(sets) if a == active])
-        grx = received_snr(H_sub, n_a, gtx[pts])
-        pts, grx = pts[~(grx <= 0)], grx[~(grx <= 0)]
-        if not pts.size:
-            continue
-        sigma2 = 1.0 / gtx[pts]
-        bounds = rate_bounds(c, H_sub, sigma2)
-        mi = se = np.nan
-        if sc.mi_samples > 0:
-            rngs = [np.random.default_rng(np.random.SeedSequence(
-                [sc.seed, 2, idx, int(g)])) for g in pts]
-            mi, se = mi_monte_carlo(c, H_sub, sigma2, sc.mi_samples, rngs)
-        ee = energy_efficiency(bounds.rate, sc.noise_power * gtx[pts],
-                               sc.symbol_rate)
-        out[pts] = np.stack(np.broadcast_arrays(
-            n_a, linear_to_db(grx), union_bound_ber(c, H_sub, gtx[pts]),
-            bounds.rate, ee, bounds.l1, bounds.l2, mi, se), axis=1)
+    out = np.full((len(block), gtx.size, len(_UPLINK_FIELDS)), np.nan)
+    if sc.scheme == "asm":
+        step = max(1, BOUND_TERMS // (M * M * Hs.shape[2]))
+        sets = [s for lo in range(0, len(Hs), step)
+                for s in led_selection_uplink(Hs[lo:lo + step], M, gtx,
+                                              sc.target_ber)]
+    else:
+        sets = [[tuple(a)] * gtx.size
+                for a in strongest_columns(Hs, sc.n_active)]
+    by_size = {}                    # n_active -> realization -> points
+    for b, row in enumerate(sets):
+        for g, active in enumerate(row):
+            if active:
+                by_size.setdefault(len(active), {}).setdefault(
+                    b, []).append((b, g, active))
+    for n_a, runs in sorted(by_size.items()):
+        runs = list(runs.values())
+        step = max(1, BOUND_TERMS // (M * n_a) ** 2)
+        for lo in range(0, len(runs), step):
+            b, g, active = (np.array(v) for v in zip(
+                *(m for run in runs[lo:lo + step] for m in run)))
+            H = np.take_along_axis(Hs[b], active[:, None, :], axis=2)
+            grx = received_snr(H, n_a, gtx[g])
+            keep = ~(grx <= 0)
+            if not keep.any():
+                continue
+            b, g, H, grx = b[keep], g[keep], H[keep], grx[keep]
+            c = build_constellation(M, n_a)
+            sigma2 = 1.0 / gtx[g]
+            bounds = rate_bounds(c, H, sigma2)
+            mi = se = np.nan
+            if sc.mi_samples > 0:
+                rngs = [np.random.default_rng(np.random.SeedSequence(
+                    [sc.seed, 2, block[k][0], int(p)])) for k, p in zip(b, g)]
+                mi, se = mi_monte_carlo(c, H, sigma2, sc.mi_samples, rngs)
+            ee = energy_efficiency(bounds.rate, sc.noise_power * gtx[g],
+                                   sc.symbol_rate)
+            out[b, g] = np.stack(np.broadcast_arrays(
+                n_a, linear_to_db(grx), union_bound_ber(c, H, gtx[g]),
+                bounds.rate, ee, bounds.l1, bounds.l2, mi, se), axis=1)
     return out
 
 
 # -- parallel dispatch ----------------------------------------------------
 
-#: (builder, fn, tasks) of the run a pool worker serves.
+#: (builder, fn, tasks, block size) of the run a pool worker serves.
 _RUN = None
 
 #: Thread-count setters of the OpenBLAS builds numpy and scipy ship
@@ -520,8 +546,8 @@ def _fix_heap_thresholds():
 
 
 def _worker_init(run):
-    """Pool worker set-up: keep the run's (builder, fn, tasks), then run
-    one BLAS thread and one Monte Carlo point thread.
+    """Pool worker set-up: keep the run's (builder, fn, tasks, block
+    size), then run one BLAS thread and one Monte Carlo point thread.
 
     Each forked worker inherits the parent's BLAS pools, so two workers
     would run four BLAS threads on two cores, and the small block
@@ -539,10 +565,11 @@ def _worker_init(run):
 
 
 def _block(start, run=None):
-    """fn's entries for the SEARCH_BLOCK tasks from start, with their
-    channels; run is (builder, fn, tasks), a pool worker's by default."""
-    builder, fn, tasks = run or _RUN
-    block = tasks[start:start + SEARCH_BLOCK]
+    """fn's entries for the block of tasks from start, with their
+    channels; run is (builder, fn, tasks, block size), a pool worker's
+    by default."""
+    builder, fn, tasks, size = run or _RUN
+    block = tasks[start:start + size]
     return fn(builder.sc, block, *builder.channels(block))
 
 
@@ -562,19 +589,22 @@ def _run_tasks(scenario, fn, tasks, workers):
     """The realization pipeline of every runner: fn's entries for tasks.
 
     One ChannelBuilder is built for the run, here. The list is cut into
-    blocks of SEARCH_BLOCK tasks, and ChannelBuilder.channels realizes
-    each block and builds its channels. fn(sc, block, realized, Hs)
-    gets the block, its (pose, blockers) list and its (B, n_rx, n_tx)
-    channel stack, and returns an array with one entry per task; the
-    parts are joined in task order with np.concatenate. workers > 1
-    forks a pool that gets (builder, fn, tasks) once and the block
-    starts in runs of about a quarter of each worker's share. glibc's
-    heap thresholds are fixed first (_fix_heap_thresholds).
+    blocks of min(SEARCH_BLOCK, ceil(len(tasks) / workers)) tasks, so
+    that every worker of a short list gets work, and
+    ChannelBuilder.channels realizes each block and builds its channels.
+    fn(sc, block, realized, Hs) gets the block, its (pose, blockers)
+    list and its (B, n_rx, n_tx) channel stack, and returns an array
+    with one entry per task, whatever the block; the parts are joined in
+    task order with np.concatenate. workers > 1 forks a pool that gets
+    (builder, fn, tasks, block size) once and the block starts in runs
+    of about a quarter of each worker's share. glibc's heap thresholds
+    are fixed first (_fix_heap_thresholds).
     """
     check_workers(workers)
     _fix_heap_thresholds()
-    run = (ChannelBuilder(scenario), fn, tasks)
-    starts = range(0, len(tasks), SEARCH_BLOCK)
+    size = max(1, min(SEARCH_BLOCK, -(-len(tasks) // workers)))
+    run = (ChannelBuilder(scenario), fn, tasks, size)
+    starts = range(0, len(tasks), size)
     if workers == 1 or len(tasks) < 2:
         return np.concatenate([_block(start, run) for start in starts])
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,

@@ -10,12 +10,16 @@ mutual-information estimator serves as the validity oracle: both
 bounds must sit below it at every SNR.
 
 Both bounds, rate_bounds and the estimator take one noise variance or
-an array of them, the transmit-SNR grid points of one channel, and
-return values in that shape: the channel's tables (X = H S, the d^2
-table, Q = HH') are built once for all points, and each point's value
-is bit-identical to a one-point call. L1 reduces the one d^2 table
-against the vector of c = 1/(4 sigma^2) as one (points, K^2) block; L2
-factorizes each point's matrices on its own.
+an array of them, and return values in that shape. The points are the
+transmit-SNR grid of one channel, or carry one channel each, a stack
+of as many channels as points (sm.point_channels), as when an uplink
+block's points of one active-set size go in one call. Each distinct
+channel's tables (X = H S, the d^2 table, Q = HH') are built once, by
+its own 2-D calls, and each point's value is bit-identical to a
+one-point call on its channel. L1 reduces the d^2 rows of the points
+against the vector of c = 1/(4 sigma^2) in (points, K^2) blocks of
+about sm.BOUND_TERMS terms at most; L2 factorizes each point's matrices
+on its own.
 
 Every sum of exponentials goes through util.logsumexp, whose results
 are bit-identical to scipy.special.logsumexp's at a fraction of its
@@ -24,11 +28,11 @@ K exponents, by a running np.maximum over the columns, and calls np.exp
 only on the differences whose exponential does not underflow to 0: at
 high SNR most of them do, and np.exp is several times slower on those.
 The estimator builds its K exponents per sample in place, in one
-(samples, K) block per MI_CHUNK samples of one point at a time. Its
-points run on util.map_points' thread pool: a thread draws one point
-from that point's own Generator into that point's own block arrays and
-only reads the channel's tables, so every estimate is the one a
-one-point call gives, whatever the thread count.
+(samples, K) block per MI_CHUNK samples of one point at a time. All
+points of a call run in one util.map_points call, on its thread pool: a
+thread draws one point from that point's own Generator into that
+point's own block arrays and only reads its channel's tables, so every
+estimate is the one a one-point call gives, whatever the thread count.
 """
 
 from collections import namedtuple
@@ -36,7 +40,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .sm import pairwise_sq_distances
+from .sm import BOUND_TERMS, pairwise_sq_distances, point_channels
 from .util import LOG2, logsumexp, map_points, positive
 
 #: log2(e) - 1, the per-receiver-dimension entropy loss of L1.
@@ -69,13 +73,29 @@ def lower_bound_l1(constellation, H, sigma2):
 
     with c = 1/(4 sigma^2), the coefficient consistent with the bound's
     derivation and validated against the Monte Carlo estimator.
+
+    H is one channel, or a stack with one channel per noise variance
+    (sm.point_channels). Each distinct channel's d^2 table is built by
+    its own 2-D call. The points are reduced max(1, BOUND_TERMS // K^2)
+    at a time: each point's row of -c d^2 is formed in place in a copy
+    of its channel's row, and the part's rows go through one
+    log-sum-exp, each row on its own, so no grid or stack holds more
+    than about BOUND_TERMS terms at once.
     """
-    H = np.atleast_2d(H)
     c = 1.0 / (4.0 * positive(sigma2, "sigma2"))
+    channels, which = point_channels(H, c.size)
     K = constellation.K
-    n_rx = H.shape[0]
-    d2 = pairwise_sq_distances(H @ constellation.S).ravel()
-    lse = logsumexp(-np.expand_dims(c, -1) * d2, axis=-1)
+    n_rx = channels[0].shape[0]
+    d2 = np.stack([pairwise_sq_distances(h @ constellation.S).ravel()
+                   for h in channels])
+    neg_c = -c.reshape(-1, 1)
+    step = max(1, BOUND_TERMS // K ** 2)
+    lse = np.empty(c.size)
+    for lo in range(0, c.size, step):
+        part = d2[which[lo:lo + step]]
+        part *= neg_c[lo:lo + step]
+        lse[lo:lo + step] = logsumexp(part, axis=-1)
+    lse = lse.reshape(c.shape)
     return 2.0 * np.log2(K) - 0.5 * n_rx * _L1_DIM_LOSS - lse / LOG2
 
 
@@ -96,35 +116,42 @@ def lower_bound_l2(constellation, H, sigma2):
     and the solve are LAPACK's potrf and potrs, called as
     scipy.linalg.cho_factor(lower=True) and cho_solve call them, without
     their per-call input checks.
+
+    H is one channel, or a stack with one channel per noise variance
+    (sm.point_channels); each distinct channel's X and Q are built once,
+    and each point is factorized on its own.
     """
-    H = np.atleast_2d(H)
     sigma2 = positive(sigma2, "sigma2")
+    channels, which = point_channels(H, sigma2.size)
     sigma_x2 = input_power_variance(constellation)
     K = constellation.K
-    n_rx = H.shape[0]
-    X = H @ constellation.S                     # noiseless outputs, (n_rx, K)
-    Q = H @ H.T
+    n_rx = channels[0].shape[0]
     eye = np.eye(n_rx)
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (Q,))
     out = np.empty(sigma2.shape)
-    for p, s2 in np.ndenumerate(sigma2):
-        c = sigma_x2 / s2
-        (chol_a, info_a), (chol_b, info_b) = (
-            potrf(k * c * Q + eye, lower=True, clean=False)
-            for k in (2.0, 1.0))
-        if info_a or info_b:
-            raise np.linalg.LinAlgError("cQ + I is not positive definite")
-        logdet_a, logdet_b = (2.0 * np.sum(np.log(np.diag(chol)))
-                              for chol in (chol_a, chol_b))
-        det_bits = 0.5 * (logdet_a - logdet_b) / LOG2
+    flat_s2, flat_out = sigma2.reshape(-1), out.reshape(-1)
+    for j, h in enumerate(channels):
+        X = h @ constellation.S                 # noiseless outputs, (n_rx, K)
+        Q = h @ h.T
+        potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (Q,))
+        for p in np.flatnonzero(which == j):
+            s2 = flat_s2[p]
+            c = sigma_x2 / s2
+            (chol_a, info_a), (chol_b, info_b) = (
+                potrf(k * c * Q + eye, lower=True, clean=False)
+                for k in (2.0, 1.0))
+            if info_a or info_b:
+                raise np.linalg.LinAlgError("cQ + I is not positive definite")
+            logdet_a, logdet_b = (2.0 * np.sum(np.log(np.diag(chol)))
+                                  for chol in (chol_a, chol_b))
+            det_bits = 0.5 * (logdet_a - logdet_b) / LOG2
 
-        a_inv_x = potrs(chol_a, X, lower=True)[0]   # (2cQ+I)^{-1} X
-        cross = (X.T @ a_inv_x) / s2                # (K, K), symmetric
-        G = X.T @ (Q @ a_inv_x)
-        g = np.diag(G)
-        quad = g[:, None] + g[None, :] - (G + G.T)  # ||.||-type form, >= 0
-        d = cross - 0.5 * sigma_x2 / s2 ** 2 * quad
-        out[p] = 2.0 * np.log2(K) + det_bits - logsumexp(d) / LOG2
+            a_inv_x = potrs(chol_a, X, lower=True)[0]   # (2cQ+I)^{-1} X
+            cross = (X.T @ a_inv_x) / s2                # (K, K), symmetric
+            G = X.T @ (Q @ a_inv_x)
+            g = np.diag(G)
+            quad = g[:, None] + g[None, :] - (G + G.T)  # ||.||-type, >= 0
+            d = cross - 0.5 * sigma_x2 / s2 ** 2 * quad
+            flat_out[p] = 2.0 * np.log2(K) + det_bits - logsumexp(d) / LOG2
     return out[()]
 
 
@@ -146,7 +173,8 @@ class RateBounds(namedtuple("RateBounds", "l1 l2")):
 
 def rate_bounds(constellation, H, sigma2):
     """Evaluate both lower bounds on the same channel and noise, one
-    variance or an array of them."""
+    variance or an array of them; H may carry one channel per point, as
+    in each bound."""
     return RateBounds(l1=lower_bound_l1(constellation, H, sigma2),
                       l2=lower_bound_l2(constellation, H, sigma2))
 
@@ -197,30 +225,34 @@ def mi_monte_carlo(constellation, H, sigma2, n_samples, rng):
     array of them with rng a sequence of one Generator per entry
     (ValueError when the lengths differ, before any draw); the
     estimates and errors then come back as arrays of sigma2's shape,
-    each the one a one-point call with its Generator gives. X and the
-    d^2 table are built once per call and only read by the points,
-    which run on util.map_points' threads, so the estimates do not
-    depend on the thread count. The arrays of one block are allocated
-    once per point and reused by every block of it, since fresh arrays
-    of this size are paged in anew each time. The noise is drawn into
-    its block with standard_normal and scaled, which gives
+    each the one a one-point call with its Generator gives. H is one
+    channel for every point, or a stack with one channel per point
+    (sm.point_channels). Each distinct channel's X and d^2 table are
+    built once per call, on the calling thread, and only read by the
+    points, which all run in one util.map_points call, so the estimates
+    do not depend on the thread count. The arrays of one block are
+    allocated once per point and reused by every block of it, since
+    fresh arrays of this size are paged in anew each time. The noise is
+    drawn into its block with standard_normal and scaled, which gives
     rng.normal(0, sigma)'s values bit for bit. The estimates and errors
     are formed from each point's sums on the calling thread.
     """
-    H = np.atleast_2d(H)
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     sigma2 = positive(sigma2, "sigma2")
     rngs = [rng] if sigma2.ndim == 0 else rng
-    X = H @ constellation.S
+    channels, which = point_channels(H, sigma2.size)
     K = constellation.K
-    n_rx = H.shape[0]
-    dist_sq = pairwise_sq_distances(X)
+    n_rx = channels[0].shape[0]
+    tables = [(X, pairwise_sq_distances(X))
+              for X in (h @ constellation.S for h in channels)]
     rows = min(MI_CHUNK, n_samples)
 
-    def point(s2, gen):
+    def point(s2_channel, gen):
         """Sums of the log2 ratio terms and of their squares at sigma2
-        s2."""
+        s2 on the channel of that index."""
+        s2, channel = s2_channel
+        X, dist_sq = tables[channel]
         # one block's arrays, reused by every block of the point; the
         # noise is spent once expo holds it, so its buffer takes D's rows
         buf, expo = np.empty(rows * max(n_rx, K)), np.empty((rows, K))
@@ -252,7 +284,7 @@ def mi_monte_carlo(constellation, H, sigma2, n_samples, rng):
             done += n
         return total, total_sq
 
-    sums = map_points(point, sigma2.ravel(), rngs)
+    sums = map_points(point, zip(sigma2.ravel(), which), rngs)
     mi, se = np.empty(sigma2.shape), np.empty(sigma2.shape)
     for p, (total, total_sq) in zip(np.ndindex(sigma2.shape), sums):
         mean = total / n_samples

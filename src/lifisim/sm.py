@@ -20,12 +20,13 @@ pair, so it is summed over the upper triangle i < j with twice the
 weight; signal sets are memoized per argument tuple, with read-only
 arrays, so that this pair table is built once per set. bound_tables
 lays the bound of one set out over a stack of channels, one row per
-channel, and bound_tails sums it row by row; grid_bounds evaluates such
-tables at every point of an SNR grid, and union_bound_ber is their
-one-channel case, at one SNR or over a grid, so the bound a caller
-evaluates is the one the batched required-SNR search evaluated. Monte
-Carlo detection counts bit errors through the set's cached K x K table
-of label Hamming distances.
+channel, and bound_tails sums it row by row; point_bounds evaluates
+such tables at the points of an SNR grid, each on its own channel.
+union_bound_ber is their case of one channel, at one SNR or over a
+grid, or of one channel per grid point (point_channels), so the bound a
+caller evaluates is the one the batched required-SNR search evaluated.
+Monte Carlo detection counts bit errors through the set's cached K x K
+table of label Hamming distances.
 
 Monte Carlo detection scores only the samples whose ML decision is not
 certain. With x_k = H s_k, let the nearest other symbol to x_s be x_n
@@ -88,8 +89,10 @@ MC_SCORES = 1 << 16
 #: nearest distance, over the largest squared symbol norm, certified.
 CERT_PLANE, CERT_BALL, CERT_GUARD = 0.99, 0.49, 1e-10
 
-#: Most pair terms grid_bounds evaluates at once: a long grid or a large
+#: Most pair terms point_bounds evaluates at once: a long grid or a large
 #: set is bounded in parts of this many terms, with the same results.
+#: rates.lower_bound_l1 reduces its K x K rows, and the uplink harness
+#: cuts its calls on a block, by the same budget.
 BOUND_TERMS = 1 << 22
 
 #: Symbol pairs i < j whose labels differ: flat index i K + j into a
@@ -278,20 +281,45 @@ def pep(s1, s2, H, gamma_tx):
     return float(qfunc(arg))
 
 
+def point_channels(H, n_points):
+    """(channels, which): the distinct channels of a call at n_points
+    points, and for each point the index of its channel among them.
+
+    A 2-D H serves every point: ([H], zeros). A (P, n_rx, n_active)
+    stack gives point p the channel H[p] (ValueError unless
+    P == n_points), and each channel appears once in channels however
+    many points use it; channels are equal when their bits are.
+    """
+    H = np.asarray(H, dtype=float)
+    if H.ndim < 3:
+        return [np.atleast_2d(H)], np.zeros(n_points, np.intp)
+    if len(H) != n_points:
+        raise ValueError(f"{len(H)} channels for {n_points} points")
+    H = np.ascontiguousarray(H)
+    _, first, which = np.unique(H.reshape(len(H), -1).view(np.uint64),
+                                axis=0, return_index=True, return_inverse=True)
+    return list(H[first]), which.reshape(-1)
+
+
 def union_bound_ber(constellation, H, gamma_tx):
     """Union-bound estimate of the ML bit error rate.
 
     (1 / (K log2 K)) * sum over all ordered pairs of
     d_H(b1, b2) Q(sqrt(gamma_tx / 4 ||H (s1 - s2)||^2)): the
-    floor of bound_tables plus the tail of bound_tails, on the stack of
-    H alone. Monotone decreasing in gamma_tx; may exceed 1 at low SNR.
-    gamma_tx is one SNR, which gives a float, or a 1-D grid, which gives
-    the bound at each point from the one table (grid_bounds); each value
-    is the one-point call's.
+    floor of bound_tables plus the tail of bound_tails. Monotone
+    decreasing in gamma_tx; may exceed 1 at low SNR. gamma_tx is one
+    SNR, which gives a float, or a 1-D grid, which gives the bound at
+    each point. H is one (n_rx, n_active) channel, or a
+    (P, n_rx, n_active) stack with one channel per point of a grid of P
+    SNRs (point_channels). Each distinct channel's table is built once,
+    in one bound_tables call, and point_bounds bounds each point on its
+    channel, so each value is the one a one-point call on its channel
+    gives.
     """
     gamma_tx = positive(gamma_tx, "gamma_tx")
-    bound = grid_bounds(bound_tables(constellation, np.atleast_2d(H)[None]),
-                        gamma_tx.ravel())[:, 0]
+    channels, which = point_channels(H, gamma_tx.size)
+    bound = point_bounds(bound_tables(constellation, np.stack(channels)),
+                         gamma_tx.ravel(), which)
     return float(bound[0]) if gamma_tx.ndim == 0 else bound
 
 
@@ -329,18 +357,22 @@ def bound_tables(constellation, Hs):
     return floor, weight, root_a
 
 
-def grid_bounds(tables, gamma_tx):
-    """(n_points, B) union bounds of the B channels of bound_tables'
-    tables at each transmit SNR of the 1-D grid gamma_tx, summed by
+def point_bounds(tables, gamma_tx, which):
+    """Union bound at each transmit SNR of the 1-D gamma_tx on the
+    channel of bound_tables' tables that which names for that point.
+
+    Each point's tail is a row of its own, and the rows are summed by
     bound_tails BOUND_TERMS pair terms at a time, so that each bound is
-    the one its channel alone gives at that SNR alone."""
+    the one its channel alone gives at that SNR alone.
+    """
     floor, weight, root_a = tables
-    u = np.sqrt(gamma_tx)[:, None, None]
-    step = max(1, BOUND_TERMS // weight.size)
-    tails = [bound_tails(np.tile(weight, (len(part), 1)),
-                         (part * root_a).reshape(-1, weight.shape[1]))
-             for part in np.split(u, range(step, len(u), step))]
-    return floor + np.concatenate(tails).reshape(len(u), -1)
+    u = np.sqrt(gamma_tx)
+    step = max(1, BOUND_TERMS // weight.shape[1])
+    tails = [np.empty(0)]
+    for i in range(0, len(u), step):
+        w = which[i:i + step]
+        tails.append(bound_tails(weight[w], u[i:i + step, None] * root_a[w]))
+    return floor[which] + np.concatenate(tails)
 
 
 def bound_tails(weight, z):
@@ -356,7 +388,8 @@ def received_snr(H, n_active, gamma_tx):
     columns of H. H is (n_rx, n_active), which gives a float, or a
     (B, n_rx, n_active) stack, which gives B values; every channel is
     reduced on its own, so its value does not depend on the stack. A
-    2-D H also takes a grid of gamma_tx, which gives an array.
+    2-D H also takes a grid of gamma_tx, which gives an array, and a
+    stack one gamma_tx per channel.
     """
     H = np.ascontiguousarray(np.atleast_2d(H), dtype=float)
     if H.shape[-1] != n_active:

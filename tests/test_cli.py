@@ -346,7 +346,7 @@ def test_workers_flag_gives_identical_output(tmp_path, pool_starts):
 def test_batched_search_rows_identical_across_worker_counts(
         tmp_path, pool_starts, command, text, name):
     # more tasks than one search block, and not a whole number of blocks:
-    # one worker and two both search a full block and a partial one
+    # one worker searches a full block and a partial one
     if _usable_cpus() < 2:
         pytest.skip("needs two usable CPUs")
     cfg = write_config(tmp_path, text)

@@ -550,11 +550,12 @@ def test_run_tasks_hands_each_task_to_one_block_in_order(n, workers):
     got = harness._run_tasks(sc, _block_indices, harness._tasks(sc)[:n],
                              workers=workers)
     assert got[:, 0].tolist() == list(range(n))
-    # each block is a contiguous run of the task list, cut at the same
-    # multiples of SEARCH_BLOCK for any worker count
+    # each block is a contiguous run of the task list, cut at multiples
+    # of SEARCH_BLOCK, or of ceil(n / workers) where that is smaller so
+    # that every worker gets a block
+    size = min(harness.SEARCH_BLOCK, -(-n // workers))
     starts = got[:, 1]
-    assert starts.tolist() == [k - k % harness.SEARCH_BLOCK
-                               for k in range(n)]
+    assert starts.tolist() == [k - k % size for k in range(n)]
 
 
 @pytest.mark.parametrize("run,over,match", [
@@ -861,6 +862,22 @@ def test_uplink_eval_walking_and_workers():
     assert seq_ee.data.tobytes() == par_ee.data.tobytes()
     assert seq_ber.meta == par_ber.meta
     assert len(seq_ber.rows) == 3
+
+
+@pytest.mark.parametrize("scheme", ["asm", "sm"])
+def test_uplink_rows_do_not_depend_on_the_block_size(monkeypatch, scheme):
+    # _uplink_block evaluates a whole block at once; each realization's
+    # records, its MI draws among them, must not depend on the block
+    sc = uplink_scenario(scheme=scheme, mi_samples=1000,
+                         uplink_snr_step_db=5.0)
+    assert len(harness._tasks(sc)) > 5
+    results = []
+    for size in (1, 5, 64):
+        monkeypatch.setattr(harness, "SEARCH_BLOCK", size)
+        ber, ee = run_uplink_eval(sc)
+        results.append((ber.data.tobytes(), ee.data.tobytes(), ber.meta))
+    assert results[0] == results[1] == results[2]
+    assert np.isfinite(ee.column("mi_mc")).any()
 
 
 def test_uplink_eval_mi_columns():
