@@ -14,12 +14,12 @@ an array of them, and return values in that shape. The points are the
 transmit-SNR grid of one channel, or carry one channel each, a stack
 of as many channels as points (sm.point_channels), as when an uplink
 block's points of one active-set size go in one call. Each distinct
-channel's tables (X = H S, the d^2 table, Q = HH') are built once, by
-its own 2-D calls, and each point's value is bit-identical to a
-one-point call on its channel. L1 reduces the d^2 rows of the points
-against the vector of c = 1/(4 sigma^2) in (points, K^2) blocks of
-about sm.BOUND_TERMS terms at most; L2 factorizes each point's matrices
-on its own.
+channel's tables (X = H S, the d^2 table, the singular modes of H) are
+built once, by its own 2-D calls, and each point's value is
+bit-identical to a one-point call on its channel. L1 reduces the d^2
+rows of the points against the vector of c = 1/(4 sigma^2) in
+(points, K^2) blocks of about sm.BOUND_TERMS terms at most; L2
+evaluates each point on its own from its channel's modes.
 
 Every sum of exponentials goes through util.logsumexp, whose results
 are bit-identical to scipy.special.logsumexp's at a fraction of its
@@ -38,7 +38,6 @@ estimate is the one a one-point call gives, whatever the thread count.
 from collections import namedtuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .sm import BOUND_TERMS, pairwise_sq_distances, point_channels
 from .util import LOG2, logsumexp, map_points, positive
@@ -110,49 +109,61 @@ def lower_bound_l2(constellation, H, sigma2):
     d_ij = (1/sigma^2) s_i' H' (2cQ+I)^{-1} H s_j
            - (sigma_x^2 / (2 sigma^4)) (s_i-s_j)' H' Q (2cQ+I)^{-1} H (s_i-s_j).
 
-    Q commutes with (2cQ+I)^{-1}, so the quadratic form is symmetric.
-    Determinants come from the Cholesky factors already used for the
-    solves, and the K^2 exponentials go through log-sum-exp. The factors
-    and the solve are LAPACK's potrf and potrs, called as
-    scipy.linalg.cho_factor(lower=True) and cho_solve call them, without
-    their per-call input checks.
+    It is evaluated in the singular-mode basis of H. With the thin SVD
+    H = U Sigma V', the r = min(N_r, N_a) modes have lambda = sigma_r^2,
+    the noiseless outputs are U Z with Z = Sigma V' S (r x K), and with
+    w = 1/(1 + 2c lambda)
+
+    log2(|2cQ + I| / |cQ + I|)
+        = sum_r [log1p(2c lambda_r) - log1p(c lambda_r)] / ln 2,
+    d_ij = (1/sigma^2) sum_r w_r Z_ri Z_rj
+           - (1/(2 sigma^2)) sum_r c lambda_r w_r (Z_ri - Z_rj)^2,
+
+    as sigma_x^2 / (2 sigma^4) = c / (2 sigma^2). Nothing is factorized
+    or inverted, and c lambda w < 1/2, so the bound stays finite at
+    every noise variance where c lambda is.
+    The quadratic term is summed one mode at a time from each mode's
+    own differences (_mode_squares): its diagonal is then exactly 0 and
+    no large terms cancel. The Gram form g_i + g_j - 2 G_ij would leave
+    a rounding residue on the diagonal that grows with c ||Q||, and at
+    high SNR the i = j terms dominate the sum.
 
     H is one channel, or a stack with one channel per noise variance
-    (sm.point_channels); each distinct channel's X and Q are built once,
-    and each point is factorized on its own.
+    (sm.point_channels). Each distinct channel's SVD is taken once, and
+    each point is evaluated on its own from its channel's modes, since
+    a product over several points would round unlike a one-point call.
     """
     sigma2 = positive(sigma2, "sigma2")
     channels, which = point_channels(H, sigma2.size)
     sigma_x2 = input_power_variance(constellation)
     K = constellation.K
-    n_rx = channels[0].shape[0]
-    eye = np.eye(n_rx)
     out = np.empty(sigma2.shape)
-    flat_s2, flat_out = sigma2.reshape(-1), out.reshape(-1)
     for j, h in enumerate(channels):
-        X = h @ constellation.S                 # noiseless outputs, (n_rx, K)
-        Q = h @ h.T
-        potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (Q,))
+        sv, Vt = np.linalg.svd(h, full_matrices=False)[1:]
+        lam = sv * sv
+        Z = (sv[:, None] * Vt) @ constellation.S       # mode outputs, (r, K)
         for p in np.flatnonzero(which == j):
-            s2 = flat_s2[p]
-            c = sigma_x2 / s2
-            (chol_a, info_a), (chol_b, info_b) = (
-                potrf(k * c * Q + eye, lower=True, clean=False)
-                for k in (2.0, 1.0))
-            if info_a or info_b:
-                raise np.linalg.LinAlgError("cQ + I is not positive definite")
-            logdet_a, logdet_b = (2.0 * np.sum(np.log(np.diag(chol)))
-                                  for chol in (chol_a, chol_b))
-            det_bits = 0.5 * (logdet_a - logdet_b) / LOG2
-
-            a_inv_x = potrs(chol_a, X, lower=True)[0]   # (2cQ+I)^{-1} X
-            cross = (X.T @ a_inv_x) / s2                # (K, K), symmetric
-            G = X.T @ (Q @ a_inv_x)
-            g = np.diag(G)
-            quad = g[:, None] + g[None, :] - (G + G.T)  # ||.||-type, >= 0
-            d = cross - 0.5 * sigma_x2 / s2 ** 2 * quad
-            flat_out[p] = 2.0 * np.log2(K) + det_bits - logsumexp(d) / LOG2
+            s2 = sigma2.flat[p]
+            t = sigma_x2 / s2 * lam                     # c lambda per mode
+            det_bits = 0.5 * np.sum(np.log1p(2.0 * t) - np.log1p(t)) / LOG2
+            w = 1.0 / (1.0 + 2.0 * t)
+            d = Z.T @ (Z * (w / s2)[:, None])            # cross term, (K, K)
+            d -= _mode_squares(Z, 0.5 * t * w / s2)
+            out.flat[p] = 2.0 * np.log2(K) + det_bits - logsumexp(d) / LOG2
     return out[()]
+
+
+def _mode_squares(Z, weights):
+    """sum_r weights_r (Z_ri - Z_rj)^2 over the rows r of Z, a (K, K)
+    array built one mode at a time in one buffer."""
+    K = Z.shape[1]
+    total, diff = np.zeros((K, K)), np.empty((K, K))
+    for z, q in zip(Z, weights):
+        np.subtract.outer(z, z, out=diff)
+        diff *= diff
+        diff *= q
+        total += diff
+    return total
 
 
 def achievable_rate(l1, l2):

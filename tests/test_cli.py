@@ -257,6 +257,27 @@ def test_uplink_command_emits_two_tables(tmp_path, capsys):
         assert path in out
 
 
+def test_uplink_far_above_the_useful_snr_exits_0(tmp_path):
+    # c||Q|| far above 1e16, where 2cQ + I is no longer numerically
+    # positive definite: every point still gets its row
+    cfg = write_config(tmp_path, """
+direction: uplink
+activity: sitting
+device: mdr
+scheme: asm
+grid_step: 2.0
+n_directions: 2
+orientations_per_point: 2
+uplink_snr_start_db: 200.0
+uplink_snr_stop_db: 300.0
+uplink_snr_step_db: 20.0
+""")
+    out_dir = str(tmp_path / "out")
+    assert cli.main(["uplink-ee", "--config", cfg, "--out", out_dir]) == 0
+    _, _, rows = read_csv(os.path.join(out_dir, "uplink_ee.csv"))
+    assert len(rows) == 6 and all(math.isfinite(r["L2"]) for r in rows)
+
+
 def test_orwp_command(tmp_path):
     cfg = write_config(tmp_path, TINY_ORWP)
     out_dir = str(tmp_path / "out")

@@ -76,6 +76,68 @@ def test_l2_zero_channel():
                                                                      abs=1e-9)
 
 
+def _reference_l2(constellation, H, sigma2):
+    """L2 as its docstring writes it, in 50-digit arithmetic: Q = HH',
+    the determinants of 2cQ + I and cQ + I, and (2cQ + I)^{-1}."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        n_rx, K = H.shape[0], constellation.K
+        s2 = mp.mpf(float(sigma2))
+        sigma_x2 = mp.mpf(input_power_variance(constellation))
+        c = sigma_x2 / s2
+        Hm = mp.matrix(H.tolist())
+        Q = Hm * Hm.T
+        A, B = 2 * c * Q + mp.eye(n_rx), c * Q + mp.eye(n_rx)
+        A_inv = mp.inverse(A)
+        X = Hm * mp.matrix(constellation.S.tolist())
+        x = [X[:, k] for k in range(K)]
+        a_inv_x = [A_inv * xk for xk in x]
+        QA_inv = Q * A_inv
+        d = []
+        for i in range(K):
+            for j in range(K):
+                u = x[i] - x[j]
+                d.append((x[i].T * a_inv_x[j])[0] / s2
+                         - sigma_x2 / (2 * s2 ** 2) * (u.T * (QA_inv * u))[0])
+        top = max(d)
+        lse = top + mp.log(mp.fsum(mp.exp(t - top) for t in d))
+        return float(2 * mp.log(K, 2) + mp.log(mp.det(A) / mp.det(B), 2) / 2
+                     - lse / mp.log(2))
+
+
+def test_l2_matches_50_digit_reference_up_to_160_db():
+    # c||Q|| from 0 to 160 dB on 20 small channels, among them zero and
+    # duplicate columns (rank-deficient Q) and single receivers
+    rng = np.random.default_rng(5)
+    shapes = [(2, 1), (4, 1), (2, 2), (4, 2), (2, 4), (8, 2), (4, 4), (16, 1),
+              (2, 8)]
+    for k in range(20):
+        M, n_a = shapes[k % len(shapes)]
+        c = build_constellation(M, n_a)
+        H = rng.uniform(0.0, 1.0, size=(1 + k % 4, n_a)) * 10.0 ** -(k % 7)
+        if n_a > 1 and k % 5 == 1:
+            H[:, -1] = 0.0
+        if n_a > 1 and k % 5 == 2:
+            H[:, 1] = H[:, 0]
+        norm_q = np.linalg.norm(H, 2) ** 2
+        for db in (0, 40, 80, 120, 160):
+            sigma2 = input_power_variance(c) * norm_q / 10.0 ** (db / 10)
+            assert lower_bound_l2(c, H, sigma2) == pytest.approx(
+                _reference_l2(c, H, sigma2), rel=0, abs=1e-12), (k, db)
+
+
+def test_l2_finite_far_above_the_useful_snr():
+    # c||Q|| passes 1e16 here, where 2cQ + I is no longer numerically
+    # positive definite, and sigma^4 underflows at 3000 dB; L2 has long
+    # reached its limit and stays there
+    c = build_constellation(2, 1)
+    H = np.random.default_rng(0).uniform(0.0, 1e-5, size=(16, 1))
+    l2 = [float(lower_bound_l2(c, H, 10.0 ** (-db / 10)))
+          for db in (250.0, 263.0, 300.0, 3000.0)]
+    assert np.isfinite(l2).all()
+    assert l2[1:] == pytest.approx([l2[0]] * 3, rel=0, abs=1e-12)
+
+
 def test_bounds_scale_invariance():
     # (H, sigma2) -> (cH, c^2 sigma2) leaves both bounds unchanged
     c = build_constellation(4, 4)
