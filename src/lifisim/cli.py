@@ -28,6 +28,17 @@ _COMMANDS = {
     "validate-config": "check a scenario file and print its hash",
 }
 
+#: Each run command's runner, giving its results in order, and the CSV
+#: base name of each result. The lambdas look a runner up when they are
+#: called, so a runner replaced on this module is the one that runs.
+_RUNS = {
+    "cdf-map": (lambda sc, w: [run_cdf_map(sc, w)], ["cdf_map"]),
+    "orwp-run": (lambda sc, w: [run_orwp_eval(sc, w)], ["orwp_run"]),
+    "ber-sweep": (lambda sc, w: [run_ber_sweep(sc, w)], ["ber_sweep"]),
+    "uplink-ee": (lambda sc, w: run_uplink_eval(sc, w),
+                  ["uplink_ber", "uplink_ee"]),
+}
+
 _OVERRIDE_KEYS = ("seed", "grid_step", "orientations_per_point", "mc_symbols")
 
 
@@ -88,21 +99,10 @@ def main(argv=None):
         check_workers(args.workers, "--workers")
         sc = _scenario(args)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "cdf-map":
-            result = run_cdf_map(sc, args.workers)
-            files = emit(result, args.out, "cdf_map", args.plots)
-        elif args.command == "orwp-run":
-            result = run_orwp_eval(sc, args.workers)
-            files = emit(result, args.out, "orwp_run", args.plots)
-        elif args.command == "ber-sweep":
-            result = run_ber_sweep(sc, args.workers)
-            files = emit(result, args.out, "ber_sweep", args.plots)
-        else:
-            ber, ee = run_uplink_eval(sc, args.workers)
-            files = emit(ber, args.out, "uplink_ber", args.plots)
-            files += emit(ee, args.out, "uplink_ee", args.plots)
-        for path in files:
-            print(path)
+        run, names = _RUNS[args.command]
+        files = [path for result, name in zip(run(sc, args.workers), names)
+                 for path in emit(result, args.out, name, args.plots)]
+        print("\n".join(files))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,20 +1,23 @@
 """Seeded experiment orchestration and file emission.
 
-Every experiment runs one pipeline over an ordered task list of
-realizations (idx, x, y, omega_deg, angles_deg). _tasks builds the list
-from the scenario's activity: sitting gives the lattice of positions x
-facing directions x orientation draws, with the angles drawn in
-realize; walking gives the ORWP trajectory samples. _run_tasks builds
-the run's one ChannelBuilder and cuts the list into blocks of
-SEARCH_BLOCK tasks, or fewer where the list is too short to give every
-worker one (a pool's workers get the block starts).
-ChannelBuilder.channels realizes a block, once
-per realization, and builds its channels together, sub-block by
-sub-block; the blocked AP-to-mesh gains of each new blocker list are
-made there, and the realizations that follow with the same list reuse
-them. The runner's block function then turns the block into one array
-entry per task, and the entries are joined in task order. Four
-experiment kinds cover the evaluation campaign:
+Every experiment runs one pipeline over the realizations of a short
+list of spots (x, y, omega_deg, angles_deg), with the same number of
+draws at each: realization i is at spot i // draws. _tasks gives the
+list from the scenario's activity: sitting gives the lattice of
+positions x facing directions, orientations_per_point draws each, with
+the angles drawn in realize; walking gives the ORWP trajectory samples,
+one draw each. ber sweep passes its one location with its draws.
+_run_tasks builds the run's one ChannelBuilder and cuts the
+realizations into blocks of SEARCH_BLOCK, or fewer where the run is too
+short to give every worker one (a pool's workers get the block starts).
+A block builds only its own (idx, x, y, omega_deg, angles_deg) tuples,
+and ChannelBuilder.channels realizes them, once per realization, and
+builds their channels together, sub-block by sub-block; the blocked
+AP-to-mesh gains of each new blocker list are made there, and the
+realizations that follow with the same list reuse them. The runner's
+block function then turns the block into one array entry per
+realization, written into the run's one output table in block order.
+Four experiment kinds cover the evaluation campaign:
 
 * cdf map (sitting) and orwp run (walking): required SNR of the
   configured downlink scheme, one record per realization. A block's
@@ -44,20 +47,20 @@ on the block it is built in, nor its search result, sweep or uplink
 record on the block it is evaluated in. Results are therefore
 bit-identical for any worker count and any block size: every count runs
 its blocks with the one ChannelBuilder that the calling process built
-(its reflection factors among them), and the parts are joined in
-order. Each pool worker caps its OpenBLAS pools at one
-thread and runs its Monte Carlo points one after another; a one-worker
-run leaves the BLAS pools as they are and runs the SNR points of each
-monte_carlo_ber and mi_monte_carlo call on util.map_points' threads,
-one per usable CPU. A point thread draws one point from that point's
-own Generator into its own buffers and only reads the call's shared
-tables, while the error rates, intervals and records are formed on the
-calling thread, so the counts, and so the rows, do not depend on the
-thread count either. Every run first fixes glibc's heap thresholds and
-its arena count for the process, so block speed does not depend on what
-the set-up freed. A worker count outside 1..usable CPUs is a
-ConfigError (a ValueError) before anything is built, the task list
-included.
+(its reflection factors among them), and every block's entries go to
+the same rows of the table. Each pool worker caps its OpenBLAS pools
+at one thread and runs its Monte Carlo points one after another; a
+one-worker run leaves the BLAS pools as they are and runs the SNR
+points of each monte_carlo_ber and mi_monte_carlo call on
+util.map_points' threads, one per usable CPU. A point thread draws one
+point from that point's own Generator into its own buffers and only
+reads the call's shared tables, while the error rates, intervals and
+records are formed on the calling thread, so the counts, and so the
+rows, do not depend on the thread count either. Every run first fixes
+glibc's heap thresholds and its arena count for the process, so block
+speed does not depend on what the set-up freed. A worker count outside
+1..usable CPUs is a ConfigError (a ValueError) before anything is built
+or realized.
 """
 
 import csv
@@ -477,7 +480,8 @@ def _uplink_block(sc, block, realized, Hs):
 
 # -- parallel dispatch ----------------------------------------------------
 
-#: (builder, fn, tasks, block size) of the run a pool worker serves.
+#: (builder, fn, (spots, draws), block size) of the run a pool worker
+#: serves.
 _RUN = None
 
 #: Thread-count setters of the OpenBLAS builds numpy and scipy ship
@@ -546,8 +550,9 @@ def _fix_heap_thresholds():
 
 
 def _worker_init(run):
-    """Pool worker set-up: keep the run's (builder, fn, tasks, block
-    size), then run one BLAS thread and one Monte Carlo point thread.
+    """Pool worker set-up: keep the run's (builder, fn, (spots, draws),
+    block size), then run one BLAS thread and one Monte Carlo point
+    thread.
 
     Each forked worker inherits the parent's BLAS pools, so two workers
     would run four BLAS threads on two cores, and the small block
@@ -565,11 +570,13 @@ def _worker_init(run):
 
 
 def _block(start, run=None):
-    """fn's entries for the block of tasks from start, with their
-    channels; run is (builder, fn, tasks, block size), a pool worker's
-    by default."""
-    builder, fn, tasks, size = run or _RUN
-    block = tasks[start:start + size]
+    """fn's entries for the block of realizations from start, with their
+    channels; run is (builder, fn, (spots, draws), block size), a pool
+    worker's by default. Only the block's own (idx, x, y, omega_deg,
+    angles_deg) tuples are built: realization i is at spot i // draws."""
+    builder, fn, (spots, draws), size = run or _RUN
+    block = [(i, *spots[i // draws])
+             for i in range(start, min(start + size, len(spots) * draws))]
     return fn(builder.sc, block, *builder.channels(block))
 
 
@@ -586,42 +593,59 @@ def check_workers(workers, option="workers"):
 
 
 def _run_tasks(scenario, fn, tasks, workers):
-    """The realization pipeline of every runner: fn's entries for tasks.
+    """The realization pipeline of every runner: fn's entries for the
+    realizations of tasks, a (spots, draws) pair (_tasks).
 
-    One ChannelBuilder is built for the run, here. The list is cut into
-    blocks of min(SEARCH_BLOCK, ceil(len(tasks) / workers)) tasks, so
-    that every worker of a short list gets work, and
-    ChannelBuilder.channels realizes each block and builds its channels.
-    fn(sc, block, realized, Hs) gets the block, its (pose, blockers)
-    list and its (B, n_rx, n_tx) channel stack, and returns an array
-    with one entry per task, whatever the block; the parts are joined in
-    task order with np.concatenate. workers > 1 forks a pool that gets
-    (builder, fn, tasks, block size) once and the block starts in runs
-    of about a quarter of each worker's share. glibc's heap thresholds
-    are fixed first (_fix_heap_thresholds).
+    The worker count is checked first, then glibc's heap thresholds are
+    fixed (_fix_heap_thresholds) and one ChannelBuilder is built for the
+    run, here. The n = len(spots) * draws realizations are cut into
+    blocks of min(SEARCH_BLOCK, ceil(n / workers)), so that every worker
+    of a short run gets work, and ChannelBuilder.channels realizes each
+    block and builds its channels. fn(sc, block, realized, Hs) gets the
+    block's (idx, x, y, omega_deg, angles_deg) tuples, its
+    (pose, blockers) list and its (B, n_rx, n_tx) channel stack, and
+    returns an array with one entry per realization, whatever the block.
+    The entries go into one table, allocated from the first block's
+    shape and dtype, in block order. workers > 1 forks a pool that gets
+    (builder, fn, (spots, draws), block size) once and the block starts
+    in runs of about a quarter of each worker's share.
     """
     check_workers(workers)
     _fix_heap_thresholds()
-    size = max(1, min(SEARCH_BLOCK, -(-len(tasks) // workers)))
+    n = len(tasks[0]) * tasks[1]
+    size = max(1, min(SEARCH_BLOCK, -(-n // workers)))
     run = (ChannelBuilder(scenario), fn, tasks, size)
-    starts = range(0, len(tasks), size)
-    if workers == 1 or len(tasks) < 2:
-        return np.concatenate([_block(start, run) for start in starts])
+    starts = range(0, n, size)
+    if workers == 1 or n < 2:
+        return _fill(n, starts, (_block(start, run) for start in starts))
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                              initargs=(run,)) as pool:
-        return np.concatenate(list(pool.map(
-            _block, starts, chunksize=max(1, len(starts) // (4 * workers)))))
+        return _fill(n, starts, pool.map(
+            _block, starts, chunksize=max(1, len(starts) // (4 * workers))))
+
+
+def _fill(n, starts, parts):
+    """The (n, ...) table of the parts, allocated from the first (at
+    start 0), each written from its start as it arrives."""
+    for start, part in zip(starts, parts):
+        if start == 0:
+            out = np.empty((n, *part.shape[1:]), part.dtype)
+        out[start:start + len(part)] = part
+    return out
 
 
 # -- experiment runners ---------------------------------------------------
 
 def _tasks(sc):
-    """(idx, x, y, omega_deg, angles_deg) of every realization.
+    """(spots, draws): the (x, y, omega_deg, angles_deg) of each spot and
+    the realizations drawn at every spot; realization i is at spot
+    i // draws.
 
-    Sitting: the lattice of positions x facing directions x draws, with
-    angles None so that realize draws them; a room that leaves the
-    lattice no point is a ConfigError. Walking: the ORWP trajectory
-    samples, drawn from the sequential stream.
+    Sitting: the lattice of positions x facing directions, with angles
+    None so that realize draws them, orientations_per_point draws each;
+    a room that leaves the lattice no point is a ConfigError. Walking:
+    the ORWP trajectory samples, drawn from the sequential stream, one
+    draw each.
     """
     if sc.activity == "sitting":
         points = grid_positions(sc.room_width, sc.room_depth, sc.grid_step)
@@ -629,24 +653,21 @@ def _tasks(sc):
             raise ConfigError(
                 f"the {sc.room_width:g} m x {sc.room_depth:g} m room leaves "
                 f"no lattice point {LATTICE_MARGIN:g} m off its walls")
-        spots = [(x, y, omega, None) for x, y in points
-                 for omega in facing_directions(sc.n_directions)
-                 for _ in range(sc.orientations_per_point)]
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 0]))
-        spots = [(s.position[0], s.position[1], s.omega_deg, s.angles_deg)
-                 for s in orwp_generate(sc, sc.stats(), rng)]
-    return [(i, *spot) for i, spot in enumerate(spots)]
+        return ([(x, y, omega, None) for x, y in points
+                 for omega in facing_directions(sc.n_directions)],
+                sc.orientations_per_point)
+    rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 0]))
+    return ([(s.position[0], s.position[1], s.omega_deg, s.angles_deg)
+             for s in orwp_generate(sc, sc.stats(), rng)], 1)
 
 
 def _downlink_survey(sc, workers, command, activity, kind):
-    """Required-SNR record per realization of the activity's task list."""
+    """Required-SNR record per realization of the activity's spots."""
     if sc.direction != "downlink":
         raise ConfigError(f"{command} evaluates the downlink")
     if sc.activity != activity:
         raise ConfigError(f"{command} uses the {activity} statistics")
     _downlink_sets(sc)                    # fail before any realization
-    check_workers(workers)                # and before the task list
     data = _run_tasks(sc, _downlink_block, _tasks(sc), workers)
     outage = float(np.mean(data["feasible"] == 0))
     return RunResult(kind=kind, data=data, scenario=sc,
@@ -672,7 +693,7 @@ def run_ber_sweep(scenario, workers=1):
     out of view) count as coin-flip bit errors, which is what creates
     the high-SNR floors of LOS-only configurations. The asm scheme is
     swept with the sm signal set of n_active sources. Each draw's bound
-    and Monte Carlo errors over the whole grid are one task entry
+    and Monte Carlo errors over the whole grid are one table entry
     (_sweep_block). The error bits are whole (or, for a draw without
     power, half) counts, whose float sums are exact in any order.
     """
@@ -680,13 +701,12 @@ def run_ber_sweep(scenario, workers=1):
     if sc.direction != "downlink":
         raise ConfigError("ber-sweep evaluates the downlink")
     M, constellation = _fixed_signal_set(sc)
-    x, y = sc.location_xy()
     omega = sc.omega()
     fixed = sc.orientation == "fixed"
     n_draws = 1 if fixed else sc.orientations_per_point
     angles = sc.stats().means(omega) if fixed else None
-    tasks = [(i, x, y, omega, angles) for i in range(n_draws)]
-    records = _run_tasks(sc, _sweep_block, tasks, workers)
+    spot = (*sc.location_xy(), omega, angles)
+    records = _run_tasks(sc, _sweep_block, ([spot], n_draws), workers)
     bounds, err_bits = records[:, 0], records[:, 1].sum(axis=0).tolist()
     total_bits = (n_draws * sc.sweep_symbols() * constellation.bits_per_symbol
                   if sc.mc_symbols > 0 else 0)
@@ -715,7 +735,6 @@ def run_uplink_eval(scenario, workers=1):
         raise ConfigError("uplink-ee evaluates the uplink")
     if sc.scheme not in ("sm", "asm"):
         raise ConfigError("uplink supports the sm and asm schemes")
-    check_workers(workers)                # before the task list
     stack = _run_tasks(sc, _uplink_block, _tasks(sc), workers)
     M = sc.uplink_pam_order()
     ber_rows, ee_rows, outage_list = [], [], []

@@ -516,7 +516,9 @@ def _dense_walk(kappa_b):
     sc = scenario_from_dict(dict(activity="walking", scheme="sm", n_active=4,
                                  kappa_b=kappa_b, n_waypoints=2, seed=3))
     builder = ChannelBuilder(sc)
-    return builder, _tasks(sc)[:builder.sub_block]
+    spots, _ = _tasks(sc)                   # one draw per walking sample
+    return builder, [(i, *spot) for i, spot
+                     in enumerate(spots[:builder.sub_block])]
 
 
 def test_both_blockage_tests_past_their_chunk_sizes():

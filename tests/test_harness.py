@@ -8,6 +8,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -57,6 +58,20 @@ def tiny_map_scenario(**over):
                 kappa_b=0.2, seed=11)
     base.update(over)
     return scenario_from_dict(base)
+
+
+def _realizations(sc, n=None):
+    """(idx, x, y, omega_deg, angles_deg) of sc's first n realizations
+    (all where n is None or more), as harness._block builds them."""
+    spots, draws = harness._tasks(sc)
+    return [(i, *spots[i // draws]) for i in range(len(spots) * draws)][:n]
+
+
+def _run_first(sc, fn, n, workers):
+    """harness._run_tasks over sc's first n realizations: each is given
+    as a spot of its own with one draw, so it keeps its index and spot."""
+    return harness._run_tasks(
+        sc, fn, ([t[1:] for t in _realizations(sc, n)], 1), workers)
 
 
 # -- channel builder against the per-pose path it replaced ---------------
@@ -155,7 +170,7 @@ def test_channel_equals_nlos_gain_path_bit_for_bit(monkeypatch, over, reuse):
 
         monkeypatch.setattr(builder._ap_mesh, "blocked_each", counted)
     blocker_lists = []
-    realized, Hs = builder.channels(harness._tasks(sc)[:24])
+    realized, Hs = builder.channels(_realizations(sc, 24))
     for (pose, blockers), H in zip(realized, Hs):
         np.testing.assert_array_equal(
             H, _nlos_gain_channel(builder, pose, blockers))
@@ -191,7 +206,7 @@ def _block_oracle(kind):
                 orientations_per_point=3, seed=6)
     sc = scenario_from_dict({**base, **_BLOCK_KINDS[kind]})
     builder = ChannelBuilder(sc)
-    tasks = harness._tasks(sc)[:40]
+    tasks = _realizations(sc, 40)
     oracle = {}
     for task in tasks:
         pose, blockers = builder.realize(*task)
@@ -262,7 +277,7 @@ def test_runners_realize_each_task_once(monkeypatch, run, over):
     monkeypatch.setattr(ChannelBuilder, "realize", counted)
     run(sc, workers=1)
     n = (sc.orientations_per_point if run is run_ber_sweep
-         else len(harness._tasks(sc)))
+         else len(_realizations(sc)))
     assert n > 16                       # more than one sub-block
     assert calls == list(range(n))
 
@@ -422,13 +437,13 @@ def test_pool_workers_never_build_a_channel_builder(monkeypatch,
                            n_directions=4)
     res = run_cdf_map(sc, workers=2)
     assert pool_starts == [2]
-    assert len(res.data) == len(harness._tasks(sc)) > harness.SEARCH_BLOCK
+    assert len(res.data) == len(_realizations(sc)) > harness.SEARCH_BLOCK
 
 
 def test_pickled_builder_builds_the_same_channels():
     # a pool under a start method other than fork unpickles the builder
     sc = tiny_map_scenario(include_nlos=True, mesh_resolution=0.5)
-    tasks = harness._tasks(sc)
+    tasks = _realizations(sc)
     assert sc.kappa_b > 0 and len(tasks) > 16      # blockers, sub-blocks
     builder = ChannelBuilder(sc)
     fresh = pickle.loads(pickle.dumps(builder))
@@ -469,8 +484,7 @@ def test_pool_workers_run_one_blas_thread():
     if not before:
         pytest.skip("no scipy-openblas library is loaded")
     sc = tiny_map_scenario()
-    inside = harness._run_tasks(sc, _blas_threads_of_block,
-                                harness._tasks(sc)[:8], workers=2)
+    inside = _run_first(sc, _blas_threads_of_block, 8, workers=2)
     assert inside.tolist() == [dict.fromkeys(before, 1)] * 8
     assert _blas_threads() == before     # the parent keeps its pools
 
@@ -484,8 +498,7 @@ def test_pool_workers_run_points_on_one_thread():
         pytest.skip("needs two usable CPUs")
     before = util.point_threads()
     sc = tiny_map_scenario()
-    inside = harness._run_tasks(sc, _point_threads_of_block,
-                                harness._tasks(sc)[:8], workers=2)
+    inside = _run_first(sc, _point_threads_of_block, 8, workers=2)
     assert inside.tolist() == [1] * 8
     assert util.point_threads() == before   # the parent keeps its threads
 
@@ -547,8 +560,7 @@ def test_run_tasks_hands_each_task_to_one_block_in_order(n, workers):
     if _usable_cpus() < workers:
         pytest.skip("needs two usable CPUs")
     sc = tiny_map_scenario(n_directions=4)      # 72 realizations
-    got = harness._run_tasks(sc, _block_indices, harness._tasks(sc)[:n],
-                             workers=workers)
+    got = _run_first(sc, _block_indices, n, workers)
     assert got[:, 0].tolist() == list(range(n))
     # each block is a contiguous run of the task list, cut at multiples
     # of SEARCH_BLOCK, or of ceil(n / workers) where that is smaller so
@@ -593,16 +605,43 @@ def test_library_runs_reject_out_of_range_workers(monkeypatch, run, workers):
     (run_cdf_map, {}),
     (run_orwp_eval, dict(activity="walking")),
     (run_uplink_eval, dict(direction="uplink", scheme="sm")),
+    (run_ber_sweep, dict(scheme="sm", n_active=4, spectral_efficiency=5)),
 ])
-def test_library_runners_check_workers_before_the_task_list(monkeypatch, run,
-                                                            over):
-    # the default survey's list alone would be about 0.9 GiB
-    def no_tasks(sc):
-        raise AssertionError("the task list was built")
+def test_library_runners_check_workers_before_any_realization(monkeypatch,
+                                                              run, over):
+    def never(*args, **kwargs):
+        raise AssertionError("the run began before its worker check")
 
-    monkeypatch.setattr(harness, "_tasks", no_tasks)
+    monkeypatch.setattr(ChannelBuilder, "__init__", never)
+    monkeypatch.setattr(ChannelBuilder, "realize", never)
     with pytest.raises(ConfigError, match="workers must lie in 1"):
         run(tiny_map_scenario(**over), workers=0)
+
+
+def test_run_tasks_holds_one_output_table(monkeypatch):
+    # 361 points x 24 directions x 116 draws, about 1 M realizations: a
+    # tuple per realization and the parts joined into a second copy of
+    # the table peaked near 190 MiB here
+    sc = tiny_map_scenario(grid_step=0.25, n_directions=24,
+                           orientations_per_point=116)
+    n = len(harness._tasks(sc)[0]) * 116
+    assert n > 10 ** 6 and not sc.include_nlos
+    monkeypatch.setattr(ChannelBuilder, "channels",
+                        lambda self, block: (None, None))
+
+    def first_index(sc, block, realized, Hs):
+        return np.arange(block[0][0], block[0][0] + len(block)).astype(
+            np.int8)
+
+    tracemalloc.start()
+    try:
+        out = harness._run_tasks(sc, first_index, harness._tasks(sc), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,) and out.dtype == np.int8
+    assert peak < out.nbytes + 4 * 2 ** 20
+    np.testing.assert_array_equal(out, np.arange(n).astype(np.int8))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -870,7 +909,7 @@ def test_uplink_rows_do_not_depend_on_the_block_size(monkeypatch, scheme):
     # records, its MI draws among them, must not depend on the block
     sc = uplink_scenario(scheme=scheme, mi_samples=1000,
                          uplink_snr_step_db=5.0)
-    assert len(harness._tasks(sc)) > 5
+    assert len(_realizations(sc)) > 5
     results = []
     for size in (1, 5, 64):
         monkeypatch.setattr(harness, "SEARCH_BLOCK", size)
